@@ -29,9 +29,10 @@ Commands
     a ready-to-paste regression test (exit 1 when any is found).
 
 ``crash-drill``
-    SIGKILL a ``--store=mmap`` solve at a chosen point of the durable
+    SIGKILL a ``--store=mmap`` solve (or, with ``--store ram``, a
+    ``--checkpoint DIR`` solve) at a chosen point of the durable
     slab-commit protocol (in a subprocess), resume from the surviving
-    spill directory, and prove the resumed tables bit-identical to an
+    journal directory, and prove the resumed tables bit-identical to an
     undisturbed solve.
 
 ``workloads``
@@ -126,17 +127,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument(
         "--checkpoint",
         default=None,
-        metavar="PATH",
-        help="layer-granular checkpoint file: written after every layer "
-        "barrier, resumed from (after a problem content-hash check) when "
-        "it already exists; removed after a successful solve unless "
+        metavar="DIR",
+        help="checkpoint directory for in-RAM tables: every layer is "
+        "committed there as a checksummed slab (the spill store's "
+        "format); re-running with the same directory resumes from every "
+        "layer whose checksum verifies, after a problem content-hash "
+        "check.  After a successful solve the manifest and slabs are "
+        "removed (the directory too, if nothing else is in it) unless "
         "--keep-checkpoint",
     )
     p_solve.add_argument(
         "--keep-checkpoint",
         action="store_true",
-        help="keep the checkpoint file after a successful solve instead "
-        "of removing it",
+        help="keep the checkpoint manifest and slabs after a successful "
+        "solve instead of removing them",
     )
     p_solve.add_argument(
         "--store",
@@ -322,14 +326,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_drill = sub.add_parser(
         "crash-drill",
-        help="SIGKILL a spilled solve mid-commit and prove bit-identical resume",
-        description="Run a --store=mmap solve in a subprocess with a "
-        "REPRO_STORE_CRASH trap armed at one point of the slab commit "
-        "protocol, let the process SIGKILL itself there, resume from the "
-        "surviving spill directory in-process, and compare the resumed "
-        "tables bit-for-bit against an undisturbed solve.  Exit 0 = the "
-        "drill passed (process died by SIGKILL, resume was bit-identical), "
-        "1 = it did not.",
+        help="SIGKILL a journaled solve mid-commit and prove bit-identical resume",
+        description="Run a journaled solve (--store=mmap, or in-RAM tables "
+        "with --checkpoint) in a subprocess with a REPRO_STORE_CRASH trap "
+        "armed at one point of the slab commit protocol, let the process "
+        "SIGKILL itself there, resume from the surviving journal directory "
+        "in-process, and compare the resumed tables bit-for-bit against an "
+        "undisturbed solve.  Exit 0 = the drill passed (process died by "
+        "SIGKILL, resume was bit-identical), 1 = it did not.",
     )
     p_drill.add_argument(
         "--workload", choices=sorted(WORKLOADS), default="random",
@@ -353,6 +357,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=1,
         help="worker processes for the drilled solve (crash points are "
         "parent-side, so 1 is enough to exercise them)",
+    )
+    p_drill.add_argument(
+        "--store",
+        choices=("mmap", "ram"),
+        default="mmap",
+        help="store to drill: the mmap spill store (default) or in-RAM "
+        "tables committing to a --checkpoint directory",
     )
     p_drill.add_argument(
         "--commit-mode",
@@ -639,6 +650,7 @@ def _crash_drill(args, out) -> int:
                     workers=args.workers,
                     commit=args.commit_mode,
                     congest=args.congest,
+                    store=args.store,
                 )
             )
     finally:
@@ -652,7 +664,7 @@ def _crash_drill(args, out) -> int:
             status = "PASS" if (r["killed"] and r["identical"]) else "FAIL"
             print(
                 f"{status} {r['point']:>12} layer={r['layer']} "
-                f"commit={r['commit']}: "
+                f"store={r['store']} commit={r['commit']}: "
                 f"killed={r['killed']} committed_at_kill={r['committed_at_kill']} "
                 f"rederived={r['rederived']} identical={r['identical']}",
                 file=out,

@@ -58,9 +58,7 @@ from .supervisor import (
     RecoveryLog,
     ResiliencePolicy,
     SharedTables,
-    load_checkpoint,
     problem_content_hash,
-    save_checkpoint,
 )
 from .problem import Action, ActionKind, TTProblem
 from .transforms import (
@@ -114,8 +112,6 @@ __all__ = [
     "Fault",
     "parse_fault_spec",
     "problem_content_hash",
-    "save_checkpoint",
-    "load_checkpoint",
     "solve_dp",
     "solve_dp_reference",
     "solve_dp_parallel",

@@ -197,15 +197,16 @@ def solve(
     ``policy`` (a :class:`~repro.core.supervisor.ResiliencePolicy`)
     configures the parallel backend's fault handling — per-shard timeout,
     bounded retries, in-process fallback — and ``checkpoint`` is a
-    shorthand for ``policy.checkpoint``: the path of a ``.ckpt`` file
-    written after every layer barrier and resumed from (after a content-
-    hash check) when the file already exists.  Checkpointing is a
-    parallel-supervisor feature: requesting it under ``"auto"`` forces
-    the parallel backend (even below the auto size threshold, so the
-    checkpoint is actually written and resumed), and requesting it with
-    an explicit single-process backend raises :class:`InvalidProblem`
-    rather than silently running without checkpoint support — a resume
-    that silently never happens is indistinguishable from divergence.
+    shorthand for ``policy.checkpoint``: a directory the in-RAM tables
+    commit every layer into (the spill store's slab journal), resumed
+    from (after a content-hash check) when it already holds verified
+    layers.  Checkpointing is a parallel-supervisor feature: requesting
+    it under ``"auto"`` forces the parallel backend (even below the auto
+    size threshold, so the checkpoint is actually written and resumed),
+    and requesting it with an explicit single-process backend raises
+    :class:`InvalidProblem` rather than silently running without
+    checkpoint support — a resume that silently never happens is
+    indistinguishable from divergence.
 
     ``store`` / ``spill_dir`` select where the DP tables live (see
     :mod:`repro.store`): ``store`` is one of ``"auto"`` / ``"ram"`` /

@@ -1,4 +1,4 @@
-"""Durable-write primitives shared by checkpoints and the layer store.
+"""Durable-write primitives of the layer stores' slab journal.
 
 The atomic-rename idiom alone (``write tmp -> os.replace``) survives a
 *process* crash but not a *power* loss: without an ``fsync`` the renamed
@@ -22,13 +22,12 @@ mistaken for committed state.
 from __future__ import annotations
 
 import os
-from typing import Callable, Iterable
+from typing import Iterable
 
 __all__ = [
     "TMP_SUFFIX",
     "fsync_dir",
     "atomic_write_bytes",
-    "atomic_write_file",
     "sweep_tmp_files",
 ]
 
@@ -54,24 +53,20 @@ def fsync_dir(path: str | os.PathLike) -> None:
         os.close(fd)
 
 
-def atomic_write_file(
-    path: str | os.PathLike,
-    writer: Callable,
-    *,
-    fsync: bool = True,
+def atomic_write_bytes(
+    path: str | os.PathLike, payload: bytes, *, fsync: bool = True
 ) -> None:
-    """Atomically (and durably) create ``path`` via a writer callback.
+    """Atomically (and durably) replace ``path`` with ``payload``.
 
-    ``writer(fh)`` receives the open binary temp-file handle and writes
-    the payload; this function then flushes, fsyncs, renames over
-    ``path``, and fsyncs the directory.  On any failure the temp file is
-    removed and ``path`` is untouched.
+    The payload goes to ``path + ".tmp"``, is flushed and fsynced, then
+    renamed over ``path`` and the directory fsynced.  On any failure the
+    temp file is removed and ``path`` is untouched.
     """
     path = os.fspath(path)
     tmp = path + TMP_SUFFIX
     try:
         with open(tmp, "wb") as fh:
-            writer(fh)
+            fh.write(payload)
             fh.flush()
             if fsync:
                 os.fsync(fh.fileno())
@@ -86,42 +81,24 @@ def atomic_write_file(
         fsync_dir(os.path.dirname(path) or ".")
 
 
-def atomic_write_bytes(
-    path: str | os.PathLike, payload: bytes, *, fsync: bool = True
-) -> None:
-    """Atomically (and durably) replace ``path`` with ``payload``."""
-    atomic_write_file(path, lambda fh: fh.write(payload), fsync=fsync)
-
-
-def sweep_tmp_files(paths: Iterable[str | os.PathLike]) -> list:
+def sweep_tmp_files(dirs: Iterable[str | os.PathLike]) -> list:
     """Remove orphaned ``.tmp`` files; returns the paths actually removed.
 
-    ``paths`` may mix directories (swept non-recursively) and candidate
-    file paths (removed when they carry the temp suffix and exist).
-    Missing entries are ignored — the sweep runs on every startup.
+    Each directory is swept non-recursively.  Missing entries are
+    ignored — the sweep runs on every startup.
     """
     removed: list = []
-    for entry in paths:
-        entry = os.fspath(entry)
-        if os.path.isdir(entry):
-            try:
-                children = os.listdir(entry)
-            except OSError:
-                continue
-            for name in children:
-                if name.endswith(TMP_SUFFIX):
-                    victim = os.path.join(entry, name)
-                    try:
-                        os.unlink(victim)
-                        removed.append(victim)
-                    except OSError:
-                        pass
-        elif entry.endswith(TMP_SUFFIX):
-            try:
-                os.unlink(entry)
-                removed.append(entry)
-            except FileNotFoundError:
-                pass
-            except OSError:
-                pass
+    for entry in dirs:
+        try:
+            children = os.listdir(entry)
+        except OSError:
+            continue
+        for name in children:
+            if name.endswith(TMP_SUFFIX):
+                victim = os.path.join(os.fspath(entry), name)
+                try:
+                    os.unlink(victim)
+                    removed.append(victim)
+                except OSError:
+                    pass
     return removed

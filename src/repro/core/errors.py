@@ -8,12 +8,12 @@ Every failure the supervised parallel engine can surface is a
   ``os._exit``) and the shard exhausted its retries;
 * :class:`ShardTimeout` — a shard exceeded the per-shard deadline of the
   active :class:`~repro.core.supervisor.ResiliencePolicy` too many times;
-* :class:`CheckpointMismatch` — a ``.ckpt`` file (or a spill-store
-  manifest) exists but was written for a different problem (content
-  hash differs) or is unreadable;
+* :class:`CheckpointMismatch` — a journal manifest (checkpoint or
+  spill directory) was written for a different problem (content hash
+  differs), or a regular file sits where the journal directory belongs;
 * :class:`StoreCorruption` — a layer store's *control* state (the
   manifest) is unreadable or internally inconsistent, so nothing in the
-  spill directory can be trusted; layer *payload* corruption is
+  journal directory can be trusted; layer *payload* corruption is
   recoverable (re-derived) and does not raise;
 * :class:`StoreWriteError` — a durable layer-store write failed
   (``ENOSPC``, I/O error); the solver may degrade gracefully to RAM
@@ -63,7 +63,7 @@ class ShardTimeout(SolverError):
 
 
 class CheckpointMismatch(SolverError):
-    """A checkpoint file does not belong to the problem being solved."""
+    """A checkpoint or spill directory does not belong to this solve."""
 
 
 class StoreCorruption(SolverError):

@@ -204,8 +204,8 @@ class LayerPlan:
     selection produced), and ``starts[j] : starts[j+1]`` brackets layer
     ``j``.  Both arrays are frozen: they are shared by every solve of
     the same ``k``, including the multiprocess engine (which copies
-    ``order`` into shared memory once) and checkpoint resume (which
-    restarts at ``starts[completed + 1]``).
+    ``order`` into shared memory once) and the checkpoint journal
+    (whose slabs store each layer in this order).
     """
 
     __slots__ = ("k", "order", "starts")

@@ -51,18 +51,21 @@ bytes of copy traffic per layer.
 
 Where the tables live is delegated to a :class:`~repro.store.LayerStore`
 (``store=``): shared memory by default, or memory-mapped spill files
-(``StoreSpec(kind="mmap", spill_dir=...)``) for out-of-core solves with
-durable, checksummed per-layer commits.  The loop itself is store
+(``StoreSpec(kind="mmap", spill_dir=...)``) for out-of-core solves.
+Either may carry a :class:`~repro.store.journal.SlabJournal` of durable,
+checksummed per-layer commits (the spill store always; shared memory
+under ``policy.checkpoint``).  The loop itself is store
 agnostic — ``open()`` reports which layers already hold trusted values
-(checkpoint prefix, validated slabs), the loop computes every other
+(the journal's validated slabs), the loop computes every other
 layer in ascending order and ``commit_layer``'s each, and that single
 *skip-valid, compute-the-rest* mechanism covers cold solves, resume
 after SIGKILL, and re-derivation of corrupted layers alike.  Spill
 shards are always strict regardless of the discipline knob: the
 file-backed table may hold arbitrary resume garbage in the layer being
-computed, which only strict mode tolerates.  A spill store that fails
-mid-solve (``ENOSPC``) degrades to an in-RAM store when the tables fit
-under ``REPRO_RAM_BUDGET_BYTES``, else the solve fails loudly.
+computed, which only strict mode tolerates.  A journaled store whose
+commit fails mid-solve (``ENOSPC``) degrades to an unpersisted in-RAM
+store when the tables fit under ``REPRO_RAM_BUDGET_BYTES``, else the
+solve fails loudly.
 
 Persistence is pipelined by default (``commit="async"`` /
 ``REPRO_COMMIT_MODE``): layer ``j``'s durable commit runs on a
@@ -346,7 +349,7 @@ def solve_dp_parallel(
     :func:`subset_weights`.
 
     ``policy`` configures fault handling (per-shard timeout, bounded
-    retries, in-process fallback) and layer-granular checkpointing; the
+    retries, in-process fallback) and the checkpoint journal; the
     default :class:`ResiliencePolicy` retries crashed shards and falls
     back to the in-process kernel rather than failing the solve.  The
     recovery log lands on ``DPResult.recovery``.
@@ -420,7 +423,7 @@ def solve_dp_parallel(
     arena = LayerArena()
 
     def degrade_to_ram(current, exc) -> "store_mod.RamStore":
-        """Swap a dying spill store for in-RAM tables (budget allowing).
+        """Swap a store whose journal failed for unpersisted RAM tables.
 
         The tables' current contents — including every layer computed so
         far — carry over, so nothing is recomputed; the remaining layers
@@ -434,8 +437,8 @@ def solve_dp_parallel(
             )
         except SolverError as budget_exc:
             raise SolverError(
-                f"spill store failed ({exc}) and falling back to RAM is not "
-                f"possible: {budget_exc}"
+                f"{current.kind} store failed ({exc}) and falling back to "
+                f"RAM is not possible: {budget_exc}"
             ) from exc
         adopted.bind_telemetry(tr, reg)
         adopted.set_discipline(discipline)
@@ -444,16 +447,17 @@ def solve_dp_parallel(
         log.event("store-degraded", reason=str(exc), fallback="ram")
         return adopted
 
-    # Open the store.  A spill store that cannot even allocate its files
-    # (ENOSPC up front) degrades to a fresh in-RAM solve when the tables
-    # fit the budget; otherwise the original failure surfaces.
+    # Open the store.  A journaled store that cannot even write its
+    # directory (ENOSPC up front) degrades to a fresh unpersisted in-RAM
+    # solve when the tables fit the budget; otherwise the original
+    # failure surfaces.
     try:
         with tr.span("store.open", cat="store", kind=store.kind):
             report = store.open()
     except store_mod.StoreWriteError as exc:
-        if store.kind != "mmap":
+        if not store.persists:
             raise
-        fallback = store_mod.RamStore(problem, policy=policy, p=p)
+        fallback = store_mod.RamStore(problem, p=p)
         fallback.bind_telemetry(tr, reg)
         fallback.set_discipline(discipline)
         try:
@@ -461,8 +465,8 @@ def solve_dp_parallel(
                 report = fallback.open()
         except SolverError as budget_exc:
             raise SolverError(
-                f"spill store failed to open ({exc}) and falling back to "
-                f"RAM is not possible: {budget_exc}"
+                f"{store.kind} store failed to open ({exc}) and falling "
+                f"back to RAM is not possible: {budget_exc}"
             ) from exc
         store.close()
         store = fallback
@@ -474,7 +478,7 @@ def solve_dp_parallel(
     supervisor = None
     # Pipelined persistence: layer j's commit_layer runs on this thread
     # while the pool computes layer j+1.  Only worth spinning up when
-    # commits do real I/O (slab writes, checkpoint saves).
+    # commits do real I/O (a journaled store's slab writes).
     committer = None
     if commit == "async" and store.persists:
         committer = store_mod.AsyncCommitter(store, tracer=tr, metrics=reg)

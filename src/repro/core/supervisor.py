@@ -19,10 +19,9 @@ module supplies the machinery that makes those failures survivable:
 * :class:`SharedTables` — a leak-proof owner of the shared-memory
   blocks: ``atexit`` + SIGTERM/SIGINT guards unlink the segments even
   when the parent is torn down mid-solve;
-* layer-granular checkpointing — after each barrier the completed-layer
-  prefix of ``C``/``best`` is written atomically next to a content hash
-  of the problem; a resumed solve validates the hash and restarts at the
-  first incomplete layer;
+* :func:`problem_content_hash` — the problem identity every durable
+  layer journal (:mod:`repro.store.journal`) is bound to, so resuming
+  against a different instance is refused;
 * :class:`RecoveryLog` — the machine-readable account (retries,
   respawns, timeouts, fallbacks, per-layer wall clock) attached to
   ``DPResult.recovery``.
@@ -51,8 +50,7 @@ import numpy as np
 
 from ..obs.metrics import NULL_METRICS
 from ..obs.trace import NULL
-from .durable import atomic_write_file
-from .errors import CheckpointMismatch, ShardTimeout, SolverError, WorkerCrash
+from .errors import ShardTimeout, SolverError, WorkerCrash
 from .problem import TTProblem
 
 __all__ = [
@@ -61,10 +59,6 @@ __all__ = [
     "SharedTables",
     "Supervisor",
     "problem_content_hash",
-    "checkpoint_payload_sha",
-    "save_checkpoint",
-    "load_checkpoint",
-    "CHECKPOINT_VERSION",
 ]
 
 # Upper bound on how long the supervisor blocks before re-checking
@@ -72,12 +66,6 @@ __all__ = [
 # (it blocks in ``AsyncResult.wait``, not a sleep), so this only bounds
 # the latency of timeout and crash detection.
 _POLL_SECONDS = 0.02
-
-# Version 2 added the payload checksum (sha256 over the table bytes +
-# completed layer) so on-disk bit corruption raises CheckpointMismatch
-# instead of silently resuming from garbage tables.  Version-1 files are
-# rejected loudly (re-solve; checkpoints are disposable by design).
-CHECKPOINT_VERSION = 2
 
 
 # ----------------------------------------------------------------------
@@ -106,16 +94,16 @@ class ResiliencePolicy:
         respawned), finish it on the in-process numpy kernel — same
         kernel, same bytes — instead of raising.
     checkpoint:
-        Path of the ``.ckpt`` file; ``None`` disables checkpointing.
-    checkpoint_every:
-        Write the checkpoint after every Nth completed layer (the final
-        layer is always written).
+        Directory of the checkpoint journal — every computed layer is
+        committed there as a checksummed slab (the spill store's format,
+        :mod:`repro.store.journal`) and resumed from when it verifies;
+        ``None`` disables checkpointing.
     keep_checkpoint:
-        A finished solve removes its checkpoint file by default — the
-        checkpoint exists to survive a *crash*, and a completed solve
-        leaving ``.ckpt`` litter behind silently grows into gigabytes of
-        stale tables.  Set ``True`` to keep the completed checkpoint
-        (instant re-resume of the same problem).
+        A finished solve removes its journal's manifest and slabs by
+        default — the checkpoint exists to survive a *crash*, and a
+        completed solve leaving slabs behind silently accumulates stale
+        tables.  Set ``True`` to keep the completed journal (instant
+        re-resume of the same problem).
     """
 
     timeout: float | None = None
@@ -124,7 +112,6 @@ class ResiliencePolicy:
     backoff_max: float = 2.0
     fallback: bool = True
     checkpoint: str | os.PathLike | None = None
-    checkpoint_every: int = 1
     keep_checkpoint: bool = False
 
     def __post_init__(self) -> None:
@@ -134,8 +121,6 @@ class ResiliencePolicy:
             raise SolverError("policy max_retries must be >= 0")
         if self.backoff < 0 or self.backoff_max < 0:
             raise SolverError("policy backoff values must be >= 0")
-        if self.checkpoint_every < 1:
-            raise SolverError("policy checkpoint_every must be >= 1")
 
 
 @dataclass
@@ -298,7 +283,7 @@ class SharedTables:
 
 
 # ----------------------------------------------------------------------
-# Checkpointing
+# Problem identity
 # ----------------------------------------------------------------------
 
 
@@ -311,116 +296,6 @@ def problem_content_hash(problem: TTProblem) -> str:
     }
     text = json.dumps(payload, separators=(",", ":"), sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()
-
-
-def checkpoint_payload_sha(cost: np.ndarray, best: np.ndarray, completed_layer: int) -> str:
-    """Checksum binding the table bytes to the completed-layer claim."""
-    h = hashlib.sha256()
-    h.update(np.ascontiguousarray(cost, dtype=np.float64).data)
-    h.update(np.ascontiguousarray(best, dtype=np.int64).data)
-    h.update(int(completed_layer).to_bytes(8, "little", signed=True))
-    return h.hexdigest()
-
-
-def save_checkpoint(
-    path: str | os.PathLike,
-    problem: TTProblem,
-    cost: np.ndarray,
-    best: np.ndarray,
-    completed_layer: int,
-) -> None:
-    """Atomically *and durably* persist the completed-layer table prefix.
-
-    Written to ``path + ".tmp"``, flushed, fsynced, then ``os.replace``d
-    with a directory fsync — atomic rename alone survives a process
-    crash, but only the fsync pair makes the checkpoint survive power
-    loss (without it the renamed file's data, or the rename itself, may
-    still live only in the page cache).  The previous checkpoint stays
-    intact until the new one is fully on disk either way.
-
-    The payload checksum stored alongside lets :func:`load_checkpoint`
-    reject bit corruption of the table bytes.
-
-    The tables are snapshotted *once*, and the checksum is computed over
-    that snapshot — not over the live arrays a second time.  This matters
-    under the async commit pipeline: ``save_checkpoint`` runs on the
-    committer thread while pool workers are already scattering layer
-    ``completed_layer + 1`` into the shared tables, so hashing the live
-    arrays and then letting ``np.savez`` re-read them could bind the
-    checksum to different bytes than the file holds — a false
-    :class:`CheckpointMismatch` on resume.  (Torn values *above* the
-    completed layer inside one consistent snapshot are harmless: resume
-    recomputes every layer past the prefix from the layers below.)
-    """
-    cost_snap = np.array(cost, dtype=np.float64)
-    best_snap = np.array(best, dtype=np.int64)
-
-    def write(fh) -> None:
-        np.savez(
-            fh,
-            version=np.int64(CHECKPOINT_VERSION),
-            problem_sha=np.array(problem_content_hash(problem)),
-            payload_sha=np.array(
-                checkpoint_payload_sha(cost_snap, best_snap, completed_layer)
-            ),
-            completed_layer=np.int64(completed_layer),
-            cost=cost_snap,
-            best=best_snap,
-        )
-
-    atomic_write_file(path, write)
-
-
-def load_checkpoint(
-    path: str | os.PathLike, problem: TTProblem
-) -> tuple[np.ndarray, np.ndarray, int] | None:
-    """Load and validate a checkpoint; ``None`` when the file is absent.
-
-    Raises :class:`CheckpointMismatch` when the file exists but is
-    unreadable, from a different checkpoint version, or — the important
-    case — written for a *different problem* (content hash differs):
-    resuming tables from the wrong instance would silently corrupt the
-    solve, so it must be loud.
-    """
-    path = os.fspath(path)
-    if not os.path.exists(path):
-        return None
-    try:
-        with np.load(path, allow_pickle=False) as data:
-            version = int(data["version"])
-            sha = str(data["problem_sha"])
-            completed_layer = int(data["completed_layer"])
-            cost = np.array(data["cost"], dtype=np.float64)
-            best = np.array(data["best"], dtype=np.int64)
-            payload_sha = str(data["payload_sha"]) if "payload_sha" in data else None
-    except Exception as exc:
-        raise CheckpointMismatch(f"unreadable checkpoint {path!r}: {exc}") from exc
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointMismatch(
-            f"checkpoint {path!r} has version {version}, expected {CHECKPOINT_VERSION}"
-        )
-    if sha != problem_content_hash(problem):
-        raise CheckpointMismatch(
-            f"checkpoint {path!r} was written for a different problem "
-            "(content hash mismatch)"
-        )
-    if payload_sha != checkpoint_payload_sha(cost, best, completed_layer):
-        raise CheckpointMismatch(
-            f"checkpoint {path!r} payload checksum mismatch — the table "
-            "bytes were corrupted on disk; refusing to resume from garbage"
-        )
-    n_sub = 1 << problem.k
-    if cost.shape != (n_sub,) or best.shape != (n_sub,):
-        raise CheckpointMismatch(
-            f"checkpoint {path!r} table shapes {cost.shape}/{best.shape} "
-            f"do not match 2^k = {n_sub}"
-        )
-    if not (0 <= completed_layer <= problem.k):
-        raise CheckpointMismatch(
-            f"checkpoint {path!r} records completed_layer={completed_layer}, "
-            f"outside [0, {problem.k}]"
-        )
-    return cost, best, completed_layer
 
 
 # ----------------------------------------------------------------------

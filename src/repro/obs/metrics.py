@@ -228,7 +228,6 @@ METRIC_HISTOGRAMS = (
     "commit.async_s",
     "store.fsync_s",
     "store.rehash_s",
-    "store.checkpoint_s",
 )
 
 

@@ -3,11 +3,14 @@
 Two backends behind one contract (:class:`~repro.store.base.LayerStore`):
 
 * :class:`~repro.store.ram.RamStore` — shared-memory tables (the
-  classic path) plus legacy ``.ckpt`` checkpoint handling;
+  classic path), journaled to a checkpoint directory on request;
 * :class:`~repro.store.spill.MmapStore` — memory-mapped tables spilled
-  to a directory with durable, checksummed per-layer commits, so large
-  ``k`` runs out-of-core and any crash or corruption is recovered by
-  re-deriving layers from the layers below.
+  to a directory, so large ``k`` runs out-of-core.
+
+Both persist through one format, the
+:class:`~repro.store.journal.SlabJournal`: durable, checksummed
+per-layer slab commits and a manifest, so any crash or corruption is
+recovered by re-deriving layers from the layers below.
 
 The solve loop (:func:`repro.core.parallel.solve_dp_parallel`) is
 backend-agnostic; pick a store with

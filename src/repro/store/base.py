@@ -7,13 +7,14 @@ in :mod:`repro.core.parallel` is written against this contract only:
 
 1. ``open()`` materializes the tables and returns an
    :class:`OpenReport` saying which popcount layers already hold
-   *trusted* values (validated against checksums for the spill backend,
-   a validated checkpoint prefix for the RAM backend);
+   *trusted* values — layers whose slabs in the store's
+   :class:`~repro.store.journal.SlabJournal` verify against their
+   checksums (none for an unjournaled RAM store);
 2. the loop computes every layer **not** in ``valid_layers`` — in
    ascending order, so any layer being computed only reads finalized
    layers below it — and calls ``commit_layer(j)`` after each;
 3. ``finish(success)`` runs cleanup (durably mark the manifest
-   complete / delete a completed checkpoint);
+   complete / delete a finished checkpoint journal);
 4. ``close()`` releases OS resources (idempotent, crash-ordered before
    table teardown).
 
@@ -128,7 +129,7 @@ class StoreSpec:
 
 @dataclass
 class OpenReport:
-    """What ``LayerStore.open()`` found on disk (or in a checkpoint).
+    """What ``LayerStore.open()`` found in the store's journal.
 
     ``valid_layers`` holds every popcount layer whose values are already
     in the tables *and* trusted; the solve loop skips exactly these.
@@ -172,6 +173,10 @@ class LayerStore:
     _tracer = None
     _metrics = None
 
+    # The SlabJournal that durably commits this store's layers (see
+    # repro.store.journal); None for a store that persists nothing.
+    _journal = None
+
     # Shard discipline for in-parent slices over these tables.  "strict"
     # (the default — explicit validity masks, no table snapshot) or
     # "snapshot" (the legacy copy + re-INF pass, kept one release behind
@@ -212,11 +217,14 @@ class LayerStore:
         whose commits do real I/O — pipelining no-op commits would add a
         thread for nothing.
         """
-        return False
+        return self._journal is not None
 
     def commit_nbytes(self, j: int) -> int:
         """Bytes ``commit_layer(j)`` will durably write (0 for a no-op)."""
-        return 0
+        if self._journal is None:
+            return 0
+        lo, hi = self.bounds(j)
+        return (hi - lo) * 16
 
     def note_commit_queued(self, j: int) -> None:
         """Record layer ``j`` as queued behind an asynchronous commit."""
@@ -242,11 +250,11 @@ class LayerStore:
 
     def _committed_nbytes(self) -> int:
         """Durably-written bytes; called with ``_commit_mutex`` held."""
-        return 0
+        return 0 if self._journal is None else self._journal.written
 
     @property
     def spilled_nbytes(self) -> int:
-        """Bytes durably written to the spill directory so far (0 for RAM)."""
+        """Bytes durably written to the journal so far (0 without one)."""
         with self._commit_mutex:
             return self._committed_nbytes()
 
@@ -262,6 +270,8 @@ class LayerStore:
 
     def commit_layer(self, j: int) -> None:
         """Persist layer ``j`` (a no-op for an unpersisted store)."""
+        if self._journal is not None:
+            self._journal.commit(j)
 
     def run_parent_slice(self, lo, hi, subsets, costs, is_test, arena) -> int:
         """Solve ``order[lo:hi]`` in-process over this store's tables."""

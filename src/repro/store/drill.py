@@ -1,11 +1,15 @@
 """Crash drills: prove resume-after-SIGKILL is bit-identical.
 
-A drill runs one ``--store=mmap`` solve in a *subprocess* with
-``REPRO_STORE_CRASH`` armed at a chosen point of the slab commit
-protocol (see :mod:`repro.core.faults`), lets the process SIGKILL itself
-there — a real, unhandleable kill, not an exception — then reopens the
-surviving spill directory in-process and compares the resumed tables
-byte-for-byte against an undisturbed solve of the same instance.
+A drill runs one journaled solve in a *subprocess* — ``--store=mmap``
+into a spill directory, or (``store="ram"``) shared-memory tables with
+``--checkpoint DIR`` — with ``REPRO_STORE_CRASH`` armed at a chosen
+point of the slab commit protocol (see :mod:`repro.core.faults`), lets
+the process SIGKILL itself there — a real, unhandleable kill, not an
+exception — then reopens the surviving journal directory in-process and
+compares the resumed tables byte-for-byte against an undisturbed solve
+of the same instance.  Both stores commit through the same
+:class:`~repro.store.journal.SlabJournal`, so the four points mean the
+same thing for each.
 
 The four crash points bracket the commit protocol's two durability
 boundaries:
@@ -48,16 +52,20 @@ import sys
 from ..core.dispatch import solve
 from ..core.errors import InvalidProblem
 from ..core.faults import CRASH_POINT_ENV, CRASH_POINTS, FAULT_SPEC_ENV
+from .journal import MANIFEST_NAME
 from .pipeline import COMMIT_MODE_ENV, commit_mode
-from .spill import MANIFEST_NAME
 
-__all__ = ["run_crash_drill"]
+__all__ = ["run_crash_drill", "DRILL_STORES"]
+
+# Which journaled store a drill kills: the mmap spill store, or the
+# in-RAM store checkpointing to a journal directory.
+DRILL_STORES = ("mmap", "ram")
 
 
-def _committed_layers(spill_dir: str) -> int:
+def _committed_layers(journal_dir: str) -> int:
     """How many layers the manifest vouches for (0 if none/unreadable)."""
     try:
-        with open(os.path.join(spill_dir, MANIFEST_NAME), encoding="utf-8") as fh:
+        with open(os.path.join(journal_dir, MANIFEST_NAME), encoding="utf-8") as fh:
             manifest = json.load(fh)
         return len(manifest.get("layers", {}))
     except (OSError, ValueError, AttributeError):
@@ -74,16 +82,19 @@ def run_crash_drill(
     timeout: float = 600.0,
     commit: str | None = None,
     congest: bool = False,
+    store: str = "mmap",
 ) -> dict:
-    """SIGKILL a spilled solve at ``point``, resume, compare bit-for-bit.
+    """SIGKILL a journaled solve at ``point``, resume, compare bit-for-bit.
 
-    ``commit`` selects the drilled commit mode (``"async"`` default /
-    ``"sync"``); ``congest=True`` slows every commit (``slow-io``) so the
-    async kill fires while a further layer is queued behind it.
+    ``store`` selects the drilled store (``"mmap"`` default / ``"ram"``
+    with a checkpoint journal); ``commit`` the drilled commit mode
+    (``"async"`` default / ``"sync"``); ``congest=True`` slows every
+    commit (``slow-io``) so the async kill fires while a further layer
+    is queued behind it.
 
-    Returns a report dict: ``point``, ``layer``, ``killed`` (the
-    subprocess actually died by SIGKILL), ``committed_at_kill`` (layers
-    the surviving manifest vouches for), ``resumed_from_layer`` and
+    Returns a report dict: ``point``, ``layer``, ``store``, ``killed``
+    (the subprocess actually died by SIGKILL), ``committed_at_kill``
+    (layers the surviving manifest vouches for), ``resumed_from_layer`` and
     ``rederived`` (from the resume's recovery log), and ``identical``
     (resumed tables == undisturbed tables, byte-for-byte).  A drill
     *passes* iff ``killed and identical``.
@@ -91,6 +102,10 @@ def run_crash_drill(
     if point not in CRASH_POINTS:
         raise InvalidProblem(
             f"unknown crash point {point!r}; expected one of {CRASH_POINTS}"
+        )
+    if store not in DRILL_STORES:
+        raise InvalidProblem(
+            f"unknown drill store {store!r}; expected one of {DRILL_STORES}"
         )
     commit = commit_mode(commit)
     if layer is None:
@@ -101,7 +116,13 @@ def run_crash_drill(
         )
 
     os.makedirs(workdir, exist_ok=True)
-    spill_dir = os.path.join(workdir, "spill")
+    journal_dir = os.path.join(workdir, "spill" if store == "mmap" else "checkpoint")
+    if store == "mmap":
+        store_args = ["--store", "mmap", "--spill-dir", journal_dir]
+        store_kwargs = {"store": "mmap", "spill_dir": journal_dir}
+    else:
+        store_args = ["--checkpoint", journal_dir]
+        store_kwargs = {"checkpoint": journal_dir}
     problem_file = os.path.join(workdir, "problem.json")
     with open(problem_file, "w", encoding="utf-8") as fh:
         fh.write(problem.to_json())
@@ -127,8 +148,7 @@ def run_crash_drill(
             "--file", problem_file,
             "--backend", "parallel",
             "--workers", str(workers),
-            "--store", "mmap",
-            "--spill-dir", spill_dir,
+            *store_args,
             "--json",
         ],
         env=env,
@@ -136,7 +156,7 @@ def run_crash_drill(
         timeout=timeout,
     )
     killed = proc.returncode == -signal.SIGKILL
-    committed = _committed_layers(spill_dir)
+    committed = _committed_layers(journal_dir)
 
     # Resume in-process from whatever the kill left behind.  The crash
     # trap is gone here (env untouched), so the resume runs to the end.
@@ -144,9 +164,8 @@ def run_crash_drill(
         problem,
         backend="parallel",
         workers=workers,
-        store="mmap",
-        spill_dir=spill_dir,
         commit=commit,
+        **store_kwargs,
     )
     recovery = result.recovery or {}
     identical = (
@@ -156,6 +175,7 @@ def run_crash_drill(
     return {
         "point": point,
         "layer": layer,
+        "store": store,
         "workers": workers,
         "commit": commit,
         "congest": congest,

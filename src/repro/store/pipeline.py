@@ -1,12 +1,12 @@
 """Pipelined layer commits: persistence overlapped with compute.
 
 The solve loop's per-layer barrier used to be two serial phases — compute
-the layer, then durably commit it (slab write + incremental sha256 +
-fsync + rename + manifest for the spill store; checkpoint save for the
-RAM store).  Nothing forces that ordering between *adjacent* layers:
-layer ``j``'s table entries are final at its barrier and the pool
-computing layer ``j + 1`` only ever writes layer ``j + 1``'s own masks,
-so committing ``j`` can run concurrently with computing ``j + 1``.
+the layer, then durably commit it (the slab journal's slab write +
+incremental sha256 + fsync + rename + manifest).  Nothing forces that
+ordering between *adjacent* layers: layer ``j``'s table entries are
+final at its barrier and the pool computing layer ``j + 1`` only ever
+writes layer ``j + 1``'s own masks, so committing ``j`` can run
+concurrently with computing ``j + 1``.
 
 :class:`AsyncCommitter` is that overlap: one background thread draining
 a bounded FIFO of layer indices, calling the store's own

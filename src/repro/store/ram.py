@@ -1,13 +1,16 @@
-"""In-RAM layer store: shared-memory tables + the legacy checkpoint.
+"""In-RAM layer store: shared-memory tables, optionally journaled.
 
 This wraps what the parallel engine always did — tables in
 ``multiprocessing.shared_memory`` owned by a leak-proof
-:class:`~repro.core.supervisor.SharedTables`, with optional
-layer-granular ``.ckpt`` persistence — behind the :class:`LayerStore`
-contract, and adds the checkpoint-hygiene rules:
+:class:`~repro.core.supervisor.SharedTables` — behind the
+:class:`LayerStore` contract, and adds:
 
-* stale ``.ckpt.tmp`` files (a crash mid-write) are swept on open;
-* a finished solve removes its checkpoint unless the policy opts out
+* ``checkpoint=DIR`` persistence: the tables stay in shared memory, but
+  every computed layer is committed to ``DIR`` through the
+  :class:`~repro.store.journal.SlabJournal` — the spill store's own slab
+  and manifest protocol — so a checkpoint resumes, and recovers from
+  corruption, exactly like a spill directory;
+* a finished solve removes its journal unless the policy opts out
   (``keep_checkpoint``) — checkpoints exist to survive crashes, not to
   accumulate;
 * the RAM budget (``REPRO_RAM_BUDGET_BYTES``) is enforced up front: when
@@ -16,22 +19,19 @@ contract, and adds the checkpoint-hygiene rules:
 
 A second, shared-memory-free mode backs the ``ENOSPC`` degradation path:
 :meth:`RamStore.adopt` builds a store around plain-RAM copies of another
-store's tables so a solve whose spill directory filled up mid-run can
+store's tables so a solve whose journal could not be written mid-run can
 finish single-process (when the budget allows).
 """
 
 from __future__ import annotations
 
-import os
-import time
-
 import numpy as np
 
-from ..core.durable import sweep_tmp_files
 from ..core.kernels import layer_plan, solve_layer_kernel_fused
 from ..core.sequential import INF, subset_weights
-from ..core.supervisor import SharedTables, load_checkpoint, save_checkpoint
+from ..core.supervisor import SharedTables
 from .base import LayerStore, OpenReport, tables_nbytes
+from .journal import SlabJournal, order_digest
 
 __all__ = ["RamStore"]
 
@@ -42,14 +42,12 @@ class RamStore(LayerStore):
     def __init__(self, problem, *, policy=None, p=None, use_shm=True):
         super().__init__()
         self._problem = problem
-        self._policy = policy
         self._p_in = p
         self._use_shm = use_shm
         self._tables: SharedTables | None = None
-        self._ckpt = None
+        self._keep = policy is not None and policy.keep_checkpoint
         if policy is not None and policy.checkpoint is not None:
-            self._ckpt = os.fspath(policy.checkpoint)
-        self._ckpt_base = 1  # first non-resumed layer, for the every-Nth schedule
+            self._journal = SlabJournal(self, policy.checkpoint, problem)
         self.k = problem.k
         self.n_sub = 1 << problem.k
 
@@ -60,14 +58,9 @@ class RamStore(LayerStore):
         )
         plan = layer_plan(self.k)
         self.starts = plan.starts
-
-        events: list = []
-        resume = None
-        if self._ckpt is not None:
-            swept = sweep_tmp_files([self._ckpt + ".tmp"])
-            if swept:
-                events.append({"kind": "tmp-swept", "count": len(swept)})
-            resume = load_checkpoint(self._ckpt, self._problem)
+        # Loud journal failures (a foreign manifest, a legacy file at the
+        # path) surface before any shared memory exists.
+        events = [] if self._journal is None else self._journal.load()
 
         if self._use_shm:
             self._tables = SharedTables(self.n_sub)
@@ -83,37 +76,32 @@ class RamStore(LayerStore):
 
         self.order[:] = plan.order
         self.p[:] = subset_weights(self._problem) if self._p_in is None else self._p_in
-
-        completed = 0
-        if resume is not None:
-            ckpt_cost, ckpt_best, completed = resume
-            self.cost[:] = ckpt_cost
-            self.best[:] = ckpt_best
-        else:
-            self.cost[:] = INF
-            self.cost[0] = 0.0
-            self.best[:] = -1
-        self._ckpt_base = completed + 1
-        return OpenReport(
-            valid_layers=frozenset(range(1, completed + 1)),
-            completed_prefix=completed,
-            resumed=resume is not None,
-            events=events,
-        )
+        self.cost[:] = INF
+        self.cost[0] = 0.0
+        self.best[:] = -1
+        if self._journal is None:
+            return OpenReport()
+        try:
+            self._journal.start(order_digest(self.k))
+            return self._journal.replay(events)
+        except BaseException:
+            self.close()
+            raise
 
     @classmethod
     def adopt(cls, problem, cost, best, p, order, starts) -> "RamStore":
         """A ready (already-open) store around RAM copies of live tables.
 
-        Used when a spill store dies mid-solve (``ENOSPC``): the solve
-        keeps the layers it already computed and finishes in RAM.  The
-        budget gate applies — degrading must not blow the limit the
-        spill store existed to honor.
+        Used when a journaled store's commit fails mid-solve
+        (``ENOSPC``): the solve keeps the layers it already computed and
+        finishes in RAM, unpersisted.  The budget gate applies —
+        degrading must not blow the limit the spill store existed to
+        honor.
         """
         self = cls(problem, use_shm=False)
         self.check_budget(
             tables_nbytes(problem.k),
-            "falling back from the spill store to in-RAM tables",
+            "falling back from a failed durable store to in-RAM tables",
         )
         self.cost = np.array(cost, dtype=np.float64)
         self.best = np.array(best, dtype=np.int64)
@@ -126,27 +114,6 @@ class RamStore(LayerStore):
         if self._tables is None:
             return None
         return {"mode": "shm", "names": dict(self._tables.names), "n_sub": self.n_sub}
-
-    @property
-    def persists(self) -> bool:
-        return self._ckpt is not None
-
-    def commit_layer(self, j: int) -> None:
-        if self._ckpt is None:
-            return
-        policy = self._policy
-        if j == self.k or (j - self._ckpt_base) % policy.checkpoint_every == 0:
-            t0 = time.monotonic()
-            save_checkpoint(self._ckpt, self._problem, self.cost, self.best, j)
-            t1 = time.monotonic()
-            if self._metrics is not None:
-                self._metrics.inc("store.commits")
-                self._metrics.observe("store.checkpoint_s", t1 - t0)
-            if self._tracer is not None and self._tracer.collecting:
-                self._tracer.complete(
-                    "store.checkpoint", "store", t0, t1,
-                    layer=j, bytes=int(self.cost.nbytes + self.best.nbytes),
-                )
 
     def run_parent_slice(self, lo, hi, subsets, costs, is_test, arena) -> int:
         # Strict by default: explicit validity masks make the result
@@ -173,15 +140,12 @@ class RamStore(LayerStore):
         return hi - lo
 
     def finish(self, success: bool) -> None:
-        if not success or self._ckpt is None:
+        if not success or self._journal is None:
             return
-        if self._policy is not None and self._policy.keep_checkpoint:
-            return
-        for path in (self._ckpt, self._ckpt + ".tmp"):
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
+        if self._keep:
+            self._journal.mark_complete()
+        else:
+            self._journal.remove()
 
     def result_tables(self) -> tuple[np.ndarray, np.ndarray]:
         if self._tables is None:

@@ -3,14 +3,14 @@
 Layout of a spill directory::
 
     <spill-dir>/
-      manifest.json     control state (see below) — atomic + fsync'd
+      manifest.json     slab journal control state (see journal.py)
       cost.dat          float64[2^k]   C table        (np.memmap, r+)
       best.dat          int64[2^k]     argmin table
       p.dat             float64[2^k]   subset weights (recomputed on open)
       order.dat         int64[2^k]     popcount-sorted masks (checksummed)
       layers/
-        layer_07.slab   committed layer payloads (cost then best bytes,
-        ...             in layer order), one file per popcount layer
+        layer_07.slab   committed layer payloads (the slab journal)
+        ...
 
 The tables are plain ``MAP_SHARED`` file mappings, so pool workers
 attach by path and parent/worker writes are coherent; the pages are
@@ -19,75 +19,32 @@ RAM budget far below ``32 * 2^k`` bytes.  All streaming I/O (order
 generation, slab commit/validate/scatter, the in-parent kernel path)
 moves through fixed-size chunks, never a full table.
 
-Durability model (DESIGN.md §5.5)
----------------------------------
-
-The memmapped tables are *scratch*: nothing guarantees what subset of
-their pages hit disk before a crash.  Truth lives in the slab files and
-the manifest, and a layer counts as committed only after the full
-protocol ran::
-
-    write layer_J.slab.tmp -> flush -> fsync -> rename -> fsync(dir)
-    manifest.json gains layers[J] = {sha256, nbytes}   (same protocol)
-
-A crash at any point leaves either no manifest entry (the layer is
-simply recomputed — slab bytes without a manifest entry are ignored) or
-a full entry whose checksum the next open verifies.  ``open()`` trusts a
-layer only when its slab exists, has the recorded size, and hashes to
-the recorded sha256; everything else — torn writes, flipped bits,
-deleted slabs, a crashed process's half-written temp — lands in the
-re-derivation set and is recomputed from the layers below, which is
-always sound because layer ``j`` is a pure bit-reproducible function of
-layers ``< j``.  Only two failures are loud: a manifest that cannot be
-parsed (:class:`StoreCorruption` — control state is gone, nothing can
-be trusted) and a manifest written for a *different problem*
-(:class:`CheckpointMismatch` — resuming someone else's tables would be
-silent corruption).
-
-``order.dat`` is checksummed in the manifest too: every slab stores
-values *in layer order*, so a rotted order file would scatter good slabs
-to wrong masks.  A mismatch regenerates the file (it is derivable from
-``k`` alone) rather than failing.
-
-Storage faults from ``REPRO_FAULT_SPEC`` (``torn-write``, ``bitflip``,
-``enospc``, ``slow-io``) are applied at commit time; the first two
-corrupt the slab bytes while the manifest records the checksum of the
-*true* payload — exactly the shape of real torn writes and bit rot.
-``REPRO_STORE_CRASH`` SIGKILLs the process at a named point of the
-protocol (the crash-drill harness drives this).
+The memmapped tables are *scratch*: truth lives in the slabs and the
+manifest, written by the :class:`~repro.store.journal.SlabJournal` that
+the in-RAM store's ``checkpoint=`` uses too (its module docstring holds
+the durability model).  What this store adds is ``order.dat``: every
+slab stores values *in layer order*, so a rotted order file would
+scatter good slabs to wrong masks.  It is checksummed in the manifest,
+and a mismatch regenerates the file (it is derivable from ``k`` alone)
+rather than failing.
 """
 
 from __future__ import annotations
 
-import errno as errno_mod
 import hashlib
-import json
 import math
 import os
-import time
-from itertools import islice
 
 import numpy as np
 
-from ..core import faults
-from ..core.durable import atomic_write_bytes, fsync_dir, sweep_tmp_files
-from ..core.errors import CheckpointMismatch, StoreCorruption, StoreWriteError
+from ..core.errors import StoreWriteError
 from ..core.kernels import solve_layer_kernel_fused
 from ..core.sequential import INF
-from ..core.supervisor import problem_content_hash
-from ..util.bitops import subsets_of_size
+from ..util.bitops import popcount_array
 from .base import LayerStore, OpenReport
+from .journal import CHUNK, SlabJournal
 
-__all__ = ["MmapStore", "MANIFEST_NAME", "SPILL_FORMAT"]
-
-MANIFEST_NAME = "manifest.json"
-SPILL_FORMAT = 1
-
-# Subsets per streamed chunk for every table-sized pass (order
-# generation/hashing, slab gather/scatter): 2^18 masks = 2 MiB of
-# float64 per buffer, so the store's anonymous scratch stays a few MiB
-# regardless of k.
-CHUNK = 1 << 18
+__all__ = ["MmapStore", "popcount_order_into"]
 
 # Subsets per in-parent kernel call: bounds the arena's full-layer
 # output buffers the same way (each subset's argmin is independent, so
@@ -102,6 +59,30 @@ _DATA_FILES = (
 )
 
 
+def popcount_order_into(out, k: int) -> None:
+    """Fill ``out[:2^k]`` with every mask sorted stably by popcount.
+
+    Byte-identical to ``LayerPlan(k).order`` without its ``2^k``
+    argsort.  Masks are placed one power-of-two-aligned chunk
+    ``[lo, lo + 2^c)`` at a time: there ``popcount(lo + i) =
+    popcount(lo) + popcount(i)``, so one stable popcount sort of
+    ``arange(2^c)`` splits every chunk into ascending runs, one per
+    layer.  Chunks are visited in ascending order and each run is
+    appended at its layer's cursor, so every layer stays ascending.
+    """
+    c = min(k, CHUNK.bit_length() - 1)
+    runs = np.argsort(popcount_array(np.arange(1 << c), c), kind="stable")
+    run_starts = np.cumsum([0] + [math.comb(c, p) for p in range(c + 1)])
+    cursor = np.cumsum([0] + [math.comb(k, j) for j in range(k)])
+    for lo in range(0, 1 << k, 1 << c):
+        base = bin(lo).count("1")
+        for p in range(c + 1):
+            a, b = run_starts[p], run_starts[p + 1]
+            at = cursor[base + p]
+            out[at:at + b - a] = runs[a:b] + lo
+            cursor[base + p] += b - a
+
+
 class MmapStore(LayerStore):
     kind = "mmap"
 
@@ -109,50 +90,15 @@ class MmapStore(LayerStore):
         super().__init__()
         self._problem = problem
         self._dir = os.fspath(spill_dir)
-        self._layers_dir = os.path.join(self._dir, "layers")
-        self._fsync = fsync
-        self._sha = problem_content_hash(problem)
-        self._manifest: dict | None = None
-        self._commit_attempts: dict = {}
-        self._spilled = 0
+        self._journal = SlabJournal(self, self._dir, problem, fsync=fsync)
         self.k = problem.k
         self.n_sub = 1 << problem.k
-
-    @property
-    def persists(self) -> bool:
-        return True
-
-    def commit_nbytes(self, j: int) -> int:
-        lo, hi = self.bounds(j)
-        return (hi - lo) * 16
-
-    def _committed_nbytes(self) -> int:
-        return self._spilled
-
-    # -- paths ----------------------------------------------------------
 
     def _data_path(self, name: str) -> str:
         return os.path.join(self._dir, name + ".dat")
 
-    def _slab_path(self, j: int) -> str:
-        return os.path.join(self._layers_dir, f"layer_{j:02d}.slab")
-
-    @property
-    def _manifest_path(self) -> str:
-        return os.path.join(self._dir, MANIFEST_NAME)
-
-    # -- open -----------------------------------------------------------
-
     def open(self) -> OpenReport:
-        os.makedirs(self._layers_dir, exist_ok=True)
-        events: list = []
-        swept = sweep_tmp_files([self._dir, self._layers_dir])
-        if swept:
-            events.append({"kind": "tmp-swept", "count": len(swept)})
-
-        manifest = self._load_manifest()
-        fresh = manifest is None
-
+        events = self._journal.load()
         self._allocate_data_files()
         for name, dtype in _DATA_FILES:
             setattr(
@@ -165,24 +111,18 @@ class MmapStore(LayerStore):
             [0] + [math.comb(self.k, j) for j in range(self.k + 1)], dtype=np.int64
         )
 
-        if fresh:
+        manifest = self._journal.manifest
+        if manifest is None:
             order_sha = self._generate_order()
-            manifest = {
-                "format": SPILL_FORMAT,
-                "problem_sha": self._sha,
-                "k": self.k,
-                "order_sha": order_sha,
-                "layers": {},
-                "complete": False,
-            }
-        elif self._hash_order() != manifest["order_sha"]:
-            # order.dat rotted (or vanished into fresh zero pages): every
-            # slab indexes through it, but it is derivable from k alone —
-            # rebuild rather than fail.
-            manifest["order_sha"] = self._generate_order()
-            events.append({"kind": "order-rebuilt"})
-        self._manifest = manifest
-        self._write_manifest()
+        else:
+            order_sha = manifest["order_sha"]
+            if self._hash_order() != order_sha:
+                # order.dat rotted (or vanished into fresh zero pages):
+                # every slab indexes through it, but it is derivable from
+                # k alone — rebuild rather than fail.
+                order_sha = self._generate_order()
+                events.append({"kind": "order-rebuilt"})
+        self._journal.start(order_sha)
 
         # The mapped tables are scratch: wipe and re-scatter only what
         # the manifest can vouch for.
@@ -190,74 +130,7 @@ class MmapStore(LayerStore):
         self.cost[0] = 0.0
         self.best[:] = -1
         self._fill_p()
-
-        valid: set = set()
-        rederive: list = []
-        try:
-            layer_keys = sorted(manifest["layers"], key=int)
-        except (TypeError, ValueError) as exc:
-            raise StoreCorruption(
-                f"spill manifest {self._manifest_path!r} holds a non-integer "
-                f"layer key: {exc}"
-            ) from exc
-        for key in layer_keys:
-            j = int(key)
-            if not (1 <= j <= self.k):
-                raise StoreCorruption(
-                    f"spill manifest {self._manifest_path!r} records layer "
-                    f"{j}, outside [1, {self.k}]"
-                )
-            status = self._validate_slab(j, manifest["layers"][key])
-            if status == "ok":
-                self._scatter_slab(j)
-                valid.add(j)
-            else:
-                events.append({"kind": f"slab-{status}", "layer": j})
-                rederive.append(j)
-
-        completed = 0
-        while completed + 1 in valid:
-            completed += 1
-        return OpenReport(
-            valid_layers=frozenset(valid),
-            completed_prefix=completed,
-            rederive_layers=tuple(rederive),
-            resumed=not fresh and bool(valid),
-            events=events,
-        )
-
-    def _load_manifest(self) -> dict | None:
-        path = self._manifest_path
-        if not os.path.exists(path):
-            return None
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except (OSError, ValueError) as exc:
-            raise StoreCorruption(
-                f"unreadable spill manifest {path!r}: {exc} — the store's "
-                "control state cannot be trusted; remove the spill "
-                "directory to start over"
-            ) from exc
-        if not isinstance(data, dict) or data.get("format") != SPILL_FORMAT:
-            raise StoreCorruption(
-                f"spill manifest {path!r} has format "
-                f"{data.get('format') if isinstance(data, dict) else data!r}, "
-                f"expected {SPILL_FORMAT}"
-            )
-        for key, typ in (("problem_sha", str), ("k", int), ("order_sha", str),
-                         ("layers", dict)):
-            if not isinstance(data.get(key), typ):
-                raise StoreCorruption(
-                    f"spill manifest {path!r} is missing or mistypes {key!r}"
-                )
-        if data["problem_sha"] != self._sha or data["k"] != self.k:
-            raise CheckpointMismatch(
-                f"spill directory {self._dir!r} was written for a different "
-                "problem (content hash mismatch) — refusing to resume from "
-                "someone else's tables"
-            )
-        return data
+        return self._journal.replay(events)
 
     def _allocate_data_files(self) -> None:
         """Create + fully allocate the table files up front.
@@ -291,27 +164,13 @@ class MmapStore(LayerStore):
                 os.close(fd)
 
     def _generate_order(self) -> str:
-        """Stream the popcount-sorted mask order into ``order.dat``.
+        """Write the popcount-sorted mask order into ``order.dat``.
 
-        Chunked Gosper enumeration — identical to ``LayerPlan.order``
-        (stable popcount sort keeps masks ascending within a layer, and
-        Gosper's hack walks each layer ascending) but never materializes
-        the ``2^k`` argsort in RAM.  Returns the sha256 of the bytes.
+        Returns the sha256 of the written bytes.
         """
-        h = hashlib.sha256()
-        pos = 0
-        for j in range(self.k + 1):
-            gen = subsets_of_size(self.k, j)
-            remaining = math.comb(self.k, j)
-            while remaining:
-                n = min(CHUNK, remaining)
-                chunk = np.fromiter(islice(gen, n), dtype=np.int64, count=n)
-                self.order[pos:pos + n] = chunk
-                h.update(chunk.tobytes())
-                pos += n
-                remaining -= n
+        popcount_order_into(self.order, self.k)
         self.order.flush()
-        return h.hexdigest()
+        return self._hash_order()
 
     def _hash_order(self) -> str:
         h = hashlib.sha256()
@@ -326,146 +185,6 @@ class MmapStore(LayerStore):
         for j, w in enumerate(self._problem.weights):
             half = 1 << j
             p.reshape(-1, 2 * half)[:, half:] += w
-
-    # -- slabs ----------------------------------------------------------
-
-    def _validate_slab(self, j: int, entry: dict) -> str:
-        """``"ok"`` | ``"missing"`` | ``"corrupt"`` for one manifest entry."""
-        if not isinstance(entry, dict):
-            return "corrupt"
-        lo, hi = self.bounds(j)
-        expect = (hi - lo) * 16
-        path = self._slab_path(j)
-        try:
-            size = os.path.getsize(path)
-        except OSError:
-            return "missing"
-        if size != expect or entry.get("nbytes") != expect:
-            return "corrupt"
-        t0 = time.monotonic()
-        h = hashlib.sha256()
-        with open(path, "rb") as fh:
-            for block in iter(lambda: fh.read(1 << 20), b""):
-                h.update(block)
-        if self._metrics is not None:
-            self._metrics.observe("store.rehash_s", time.monotonic() - t0)
-        return "ok" if h.hexdigest() == entry.get("sha256") else "corrupt"
-
-    def _scatter_slab(self, j: int) -> None:
-        """Stream a validated slab back into the mapped tables."""
-        lo, hi = self.bounds(j)
-        size = hi - lo
-        with open(self._slab_path(j), "rb") as fh:
-            for table, dtype in ((self.cost, np.float64), (self.best, np.int64)):
-                for off in range(0, size, CHUNK):
-                    n = min(CHUNK, size - off)
-                    block = np.frombuffer(fh.read(n * 8), dtype=dtype)
-                    table[self.order[lo + off:lo + off + n]] = block
-
-    def commit_layer(self, j: int) -> None:
-        """Durably persist layer ``j``: slab protocol + manifest entry."""
-        t0 = time.monotonic()
-        attempt = self._commit_attempts.get(j, 0)
-        self._commit_attempts[j] = attempt + 1
-        torn = flip = False
-        for fault in faults.storage_faults_for(j, attempt):
-            if fault.kind == "slow-io":
-                time.sleep(fault.ms / 1000.0)
-            elif fault.kind == "enospc":
-                raise StoreWriteError(
-                    f"injected ENOSPC committing layer {j}",
-                    layer=j, errno=errno_mod.ENOSPC,
-                )
-            elif fault.kind == "torn-write":
-                torn = True
-            elif fault.kind == "bitflip":
-                flip = True
-
-        lo, hi = self.bounds(j)
-        size = hi - lo
-        total = size * 16
-        # A torn write stops half-way; a bitflip corrupts the first byte.
-        # Both happen *after* hashing, so the manifest records the true
-        # payload's checksum and the next open must catch the mismatch.
-        write_budget = total // 2 if torn else total
-        written = 0
-        first = True
-        h = hashlib.sha256()
-        path = self._slab_path(j)
-        tmp = path + ".tmp"
-        try:
-            with open(tmp, "wb") as fh:
-                for table in (self.cost, self.best):
-                    for off in range(0, size, CHUNK):
-                        n = min(CHUNK, size - off)
-                        idx = self.order[lo + off:lo + off + n]
-                        data = np.ascontiguousarray(table[idx]).tobytes()
-                        h.update(data)
-                        if flip and first:
-                            buf = bytearray(data)
-                            buf[0] ^= 0x01
-                            data = bytes(buf)
-                        first = False
-                        room = write_budget - written
-                        if room > 0:
-                            fh.write(data[:room])
-                            written += min(len(data), room)
-                    if table is self.cost:
-                        faults.maybe_crash("mid-write", j)
-                fh.flush()
-                t_write = time.monotonic()
-                if self._fsync:
-                    os.fsync(fh.fileno())
-                t_fsync = time.monotonic()
-            faults.maybe_crash("pre-rename", j)
-            os.replace(tmp, path)
-            if self._fsync:
-                fsync_dir(self._layers_dir)
-            t_rename = time.monotonic()
-        except OSError as exc:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise StoreWriteError(
-                f"slab write failed for layer {j}: {exc}",
-                layer=j, errno=exc.errno,
-            ) from exc
-        faults.maybe_crash("post-rename", j)
-        self._manifest["layers"][str(j)] = {"sha256": h.hexdigest(), "nbytes": total}
-        self._write_manifest()
-        t_manifest = time.monotonic()
-        # Under the commit mutex: the async committer runs this method on
-        # its own thread while the solve thread snapshots progress.
-        with self._commit_mutex:
-            self._spilled += written
-        if self._metrics is not None:
-            m = self._metrics
-            m.inc("store.commits")
-            m.inc("store.bytes_written", written)
-            m.observe("store.commit_s", t_manifest - t0)
-            m.observe("store.fsync_s", t_fsync - t_write)
-        if self._tracer is not None and self._tracer.collecting:
-            # One span per commit with the protocol phases broken out in
-            # args: write+hash, fsync, rename+dirsync, manifest.
-            self._tracer.complete(
-                "store.commit", "store", t0, t_manifest,
-                layer=j, bytes=written,
-                write_ms=round((t_write - t0) * 1e3, 3),
-                fsync_ms=round((t_fsync - t_write) * 1e3, 3),
-                rename_ms=round((t_rename - t_fsync) * 1e3, 3),
-                manifest_ms=round((t_manifest - t_rename) * 1e3, 3),
-            )
-        faults.maybe_crash("post-commit", j)
-
-    def _write_manifest(self) -> None:
-        payload = json.dumps(self._manifest, indent=1, sort_keys=True).encode()
-        try:
-            atomic_write_bytes(self._manifest_path, payload, fsync=self._fsync)
-        except OSError as exc:
-            raise StoreWriteError(
-                f"manifest write failed: {exc}", errno=exc.errno
-            ) from exc
 
     # -- solve-loop hooks -----------------------------------------------
 
@@ -490,9 +209,8 @@ class MmapStore(LayerStore):
         return done
 
     def finish(self, success: bool) -> None:
-        if success and self._manifest is not None:
-            self._manifest["complete"] = True
-            self._write_manifest()
+        if success:
+            self._journal.mark_complete()
 
     def result_tables(self) -> tuple[np.ndarray, np.ndarray]:
         # Fresh read-only mappings: valid after close(), and the result

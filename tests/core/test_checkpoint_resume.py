@@ -1,13 +1,16 @@
-"""Checkpoint resume across backend/worker configurations.
+"""Checkpoint resume across backend/worker configurations and stores.
 
-The contract under test (satellite of the verification-harness PR): a
-supervisor checkpoint written by one solver configuration and resumed by
-*any* other must either produce tables bit-for-bit identical to a cold
-solve or fail loudly with a :class:`SolverError` — never silently
-diverge, and never silently skip the checkpoint.  Shards are pure
-functions of the (problem, completed-prefix) state, so worker count must
-not matter; single-process backends cannot honour a checkpoint at all,
-so requesting one there must raise instead of quietly doing nothing.
+The contract under test: a checkpoint journal written by one solver
+configuration and resumed by *any* other must either produce tables
+bit-for-bit identical to a cold solve or fail loudly with a
+:class:`SolverError` — never silently diverge, and never silently skip
+the checkpoint.  Shards are pure functions of the (problem,
+completed-prefix) state, so worker count must not matter; single-process
+backends cannot honour a checkpoint at all, so requesting one there must
+raise instead of quietly doing nothing.  Both durable stores — in-RAM
+tables under ``checkpoint=DIR`` and the mmap spill store — commit
+through the same slab journal, so they are held to the same resume
+behaviour.
 """
 
 import dataclasses
@@ -16,17 +19,12 @@ import numpy as np
 import pytest
 
 from repro.core import solve
-from repro.core.errors import CheckpointMismatch, InvalidProblem
+from repro.core.errors import CheckpointMismatch, InvalidProblem, StoreCorruption
 from repro.core.generators import random_instance
 from repro.core.parallel import solve_dp_parallel
 from repro.core.sequential import solve_dp_reference
-from repro.core.supervisor import (
-    ResiliencePolicy,
-    load_checkpoint,
-    save_checkpoint,
-)
-from repro.store import MmapStore, StoreSpec
-from repro.util.bitops import popcount_array
+from repro.core.supervisor import ResiliencePolicy
+from repro.store import MmapStore, RamStore, StoreSpec
 
 PROBLEM = random_instance(6, n_tests=6, n_treatments=4, seed=11)
 REF = solve_dp_reference(PROBLEM)
@@ -34,28 +32,18 @@ REF = solve_dp_reference(PROBLEM)
 QUICK = ResiliencePolicy(timeout=5.0, max_retries=1, backoff=0.01, backoff_max=0.05)
 
 
-def partial_checkpoint(path, problem, ref, completed_layer):
-    """Write the exact on-disk state of a solve stopped after a layer.
-
-    Layers ``popcount(S) > completed_layer`` are reset to the sentinel
-    state the resume path expects (``INF`` cost, ``-1`` policy).
-    """
-    cost = np.array(ref.cost, dtype=np.float64, copy=True)
-    best = np.array(ref.best_action, dtype=np.int64, copy=True)
-    layers = popcount_array(np.arange(1 << problem.k), problem.k)
-    todo = layers > completed_layer
-    cost[todo] = np.inf
-    best[todo] = -1
-    save_checkpoint(path, problem, cost, best, completed_layer)
-
-
-def partial_spill(spill_dir, problem, ref, completed_layer):
-    """Seed a spill directory with ``completed_layer`` committed layers.
+def partial_journal(directory, problem, ref, completed_layer, kind="ram"):
+    """Seed a journal directory with ``completed_layer`` committed layers.
 
     Goes through the store's own commit protocol — the state on disk is
     exactly what a solve SIGKILLed after that layer's commit leaves.
+    ``kind="ram"`` seeds a checkpoint directory, ``"mmap"`` a spill
+    directory.
     """
-    store = MmapStore(problem, spill_dir=spill_dir)
+    if kind == "ram":
+        store = RamStore(problem, policy=ResiliencePolicy(checkpoint=directory))
+    else:
+        store = MmapStore(problem, spill_dir=directory)
     store.open()
     try:
         for j in range(1, completed_layer + 1):
@@ -71,8 +59,8 @@ def partial_spill(spill_dir, problem, ref, completed_layer):
 class TestResumeAcrossWorkerCounts:
     @pytest.mark.parametrize("resume_workers", [1, 2, 3])
     def test_partial_resume_bit_identical(self, tmp_path, resume_workers):
-        path = tmp_path / "partial.ckpt"
-        partial_checkpoint(path, PROBLEM, REF, completed_layer=3)
+        path = tmp_path / "partial-ckpt"
+        partial_journal(path, PROBLEM, REF, completed_layer=3)
         policy = dataclasses.replace(QUICK, checkpoint=str(path))
         result = solve_dp_parallel(
             PROBLEM, workers=resume_workers, min_shard=1, policy=policy
@@ -81,7 +69,7 @@ class TestResumeAcrossWorkerCounts:
         assert np.array_equal(result.best_action, REF.best_action)
 
     def test_checkpoint_written_by_one_config_resumed_by_another(self, tmp_path):
-        path = tmp_path / "cross.ckpt"
+        path = tmp_path / "cross-ckpt"
         policy = dataclasses.replace(
             QUICK, checkpoint=str(path), keep_checkpoint=True
         )
@@ -93,8 +81,8 @@ class TestResumeAcrossWorkerCounts:
         assert np.array_equal(resumed.cost, REF.cost)
 
     def test_resume_skips_completed_layers(self, tmp_path):
-        path = tmp_path / "done.ckpt"
-        partial_checkpoint(path, PROBLEM, REF, completed_layer=PROBLEM.k)
+        path = tmp_path / "done-ckpt"
+        partial_journal(path, PROBLEM, REF, completed_layer=PROBLEM.k)
         policy = dataclasses.replace(QUICK, checkpoint=str(path))
         result = solve_dp_parallel(PROBLEM, workers=2, min_shard=1, policy=policy)
         # Fully-completed checkpoint: no layer was recomputed.
@@ -108,46 +96,62 @@ class TestResumeAcrossWorkerCounts:
 class TestEveryPrefixResume:
     """Resume from *every* layer prefix, across both durable stores.
 
-    A crash can land after any layer's barrier, so every prefix length
+    A crash can land after any layer's commit, so every prefix length
     must resume to bit-identical tables with exactly the remaining
-    layers recomputed — on the legacy ``.ckpt`` store and on the mmap
-    spill store, under both the in-parent and the pooled execution
-    paths.
+    layers recomputed — for a checkpoint journal over in-RAM tables and
+    for the mmap spill store, under both the in-parent and the pooled
+    execution paths.
     """
+
+    @staticmethod
+    def resume_from_prefix(tmp_path, kind, prefix, workers):
+        directory = str(tmp_path / "journal")
+        partial_journal(directory, PROBLEM, REF, prefix, kind=kind)
+        if kind == "ram":
+            policy = dataclasses.replace(QUICK, checkpoint=directory)
+            result = solve_dp_parallel(
+                PROBLEM, workers=workers, min_shard=1, policy=policy
+            )
+        else:
+            spec = StoreSpec(kind="mmap", spill_dir=directory)
+            result = solve_dp_parallel(
+                PROBLEM, workers=workers, min_shard=1, store=spec
+            )
+        assert np.array_equal(result.cost, REF.cost)
+        assert np.array_equal(result.best_action, REF.best_action)
+        assert result.recovery["store"] == kind
+        assert result.recovery["resumed_from_layer"] == (prefix or None)
+        assert [e["layer"] for e in result.recovery["layers"]] == list(
+            range(prefix + 1, PROBLEM.k + 1)
+        )
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("prefix", range(0, 7))
     def test_ckpt_resume_from_every_prefix(self, tmp_path, prefix, workers):
-        path = tmp_path / "prefix.ckpt"
-        partial_checkpoint(path, PROBLEM, REF, completed_layer=prefix)
-        policy = dataclasses.replace(QUICK, checkpoint=str(path))
-        result = solve_dp_parallel(
-            PROBLEM, workers=workers, min_shard=1, policy=policy
-        )
-        assert np.array_equal(result.cost, REF.cost)
-        assert np.array_equal(result.best_action, REF.best_action)
-        assert result.recovery["resumed_from_layer"] == prefix
-        assert [e["layer"] for e in result.recovery["layers"]] == list(
-            range(prefix + 1, PROBLEM.k + 1)
-        )
+        self.resume_from_prefix(tmp_path, "ram", prefix, workers)
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("prefix", range(0, 7))
     def test_mmap_resume_from_every_prefix(self, tmp_path, prefix, workers):
-        spill = str(tmp_path / "spill")
-        partial_spill(spill, PROBLEM, REF, completed_layer=prefix)
-        spec = StoreSpec(kind="mmap", spill_dir=spill)
-        result = solve_dp_parallel(
-            PROBLEM, workers=workers, min_shard=1, store=spec
-        )
+        self.resume_from_prefix(tmp_path, "mmap", prefix, workers)
+
+    @pytest.mark.parametrize("writer,reader", [("ram", "mmap"), ("mmap", "ram")])
+    def test_one_format_resumes_across_stores(self, tmp_path, writer, reader):
+        # A checkpoint directory and a spill directory are the same
+        # journal, so either store resumes what the other committed (the
+        # spill store rebuilds the order.dat a checkpoint never had).
+        directory = str(tmp_path / "journal")
+        partial_journal(directory, PROBLEM, REF, 4, kind=writer)
+        if reader == "ram":
+            policy = dataclasses.replace(QUICK, checkpoint=directory)
+            result = solve_dp_parallel(PROBLEM, workers=1, policy=policy)
+        else:
+            spec = StoreSpec(kind="mmap", spill_dir=directory)
+            result = solve_dp_parallel(PROBLEM, workers=1, store=spec)
         assert np.array_equal(result.cost, REF.cost)
         assert np.array_equal(result.best_action, REF.best_action)
-        assert result.recovery["store"] == "mmap"
-        if prefix:
-            assert result.recovery["resumed_from_layer"] == prefix
-        assert [e["layer"] for e in result.recovery["layers"]] == list(
-            range(prefix + 1, PROBLEM.k + 1)
-        )
+        assert result.recovery["resumed_from_layer"] == 4
+        assert [e["layer"] for e in result.recovery["layers"]] == [5, 6]
 
 
 class TestDispatchCheckpointRouting:
@@ -156,7 +160,7 @@ class TestDispatchCheckpointRouting:
         # numpy backend would run and the checkpoint silently never
         # appear on disk.
         small = random_instance(4, n_tests=3, n_treatments=3, seed=7)
-        path = tmp_path / "auto.ckpt"
+        path = tmp_path / "auto-ckpt"
         keep = ResiliencePolicy(keep_checkpoint=True)
         result = solve(
             small, backend="auto", workers=2, checkpoint=str(path), policy=keep
@@ -175,14 +179,14 @@ class TestDispatchCheckpointRouting:
 
     @pytest.mark.parametrize("backend", ["numpy", "reference"])
     def test_single_process_backend_with_checkpoint_raises(self, tmp_path, backend):
-        path = tmp_path / "nope.ckpt"
+        path = tmp_path / "nope-ckpt"
         with pytest.raises(InvalidProblem, match="parallel backend"):
             solve(PROBLEM, backend=backend, checkpoint=str(path))
         assert not path.exists()
 
     @pytest.mark.parametrize("backend", ["numpy", "reference"])
     def test_policy_checkpoint_also_raises(self, tmp_path, backend):
-        policy = dataclasses.replace(QUICK, checkpoint=str(tmp_path / "p.ckpt"))
+        policy = dataclasses.replace(QUICK, checkpoint=str(tmp_path / "p-ckpt"))
         with pytest.raises(InvalidProblem, match="parallel backend"):
             solve(PROBLEM, backend=backend, policy=policy)
 
@@ -195,17 +199,21 @@ class TestDispatchCheckpointRouting:
 
 class TestMismatchIsLoud:
     def test_resume_with_different_problem_raises(self, tmp_path):
-        path = tmp_path / "stale.ckpt"
-        partial_checkpoint(path, PROBLEM, REF, completed_layer=2)
+        path = tmp_path / "stale-ckpt"
+        partial_journal(path, PROBLEM, REF, completed_layer=2)
         other = random_instance(6, n_tests=6, n_treatments=4, seed=99)
         policy = dataclasses.replace(QUICK, checkpoint=str(path))
-        with pytest.raises(CheckpointMismatch):
+        with pytest.raises(CheckpointMismatch, match="different problem"):
             solve_dp_parallel(other, workers=2, min_shard=1, policy=policy)
 
     def test_truncated_file_raises(self, tmp_path):
-        path = tmp_path / "trunc.ckpt"
-        partial_checkpoint(path, PROBLEM, REF, completed_layer=2)
-        raw = path.read_bytes()
-        path.write_bytes(raw[: len(raw) // 2])
-        with pytest.raises(CheckpointMismatch):
-            load_checkpoint(path, PROBLEM)
+        # A torn manifest is control state that cannot be trusted: loud,
+        # unlike a torn slab, which is re-derived.
+        path = tmp_path / "trunc-ckpt"
+        partial_journal(path, PROBLEM, REF, completed_layer=2)
+        manifest = path / "manifest.json"
+        raw = manifest.read_bytes()
+        manifest.write_bytes(raw[: len(raw) // 2])
+        policy = dataclasses.replace(QUICK, checkpoint=str(path))
+        with pytest.raises(StoreCorruption, match="unreadable"):
+            solve_dp_parallel(PROBLEM, workers=1, policy=policy)

@@ -4,13 +4,14 @@ The contract: with ``kill``, ``hang``, ``slow`` and ``exc`` faults
 injected at arbitrary layers/shards, ``solve(backend="parallel")`` still
 returns ``cost``/``best_action`` tables **bit-for-bit** identical to
 ``solve_dp_reference``; a solve interrupted after layer ``j`` resumes
-from its checkpoint without recomputing layers ``<= j``; and no failure
+from its checkpoint journal without recomputing layers ``<= j``; and no failure
 mode — including injected crashes — leaks a shared-memory segment (the
 autouse ``shm_leak_guard`` in ``tests/core/conftest.py`` asserts that
 for every test here).
 """
 
 import dataclasses
+import json
 import os
 import signal
 import subprocess
@@ -26,6 +27,7 @@ from repro.core.errors import (
     InvalidProblem,
     ShardTimeout,
     SolverError,
+    StoreCorruption,
     WorkerCrash,
 )
 from repro.core.faults import Fault, inject, parse_fault_spec
@@ -35,10 +37,9 @@ from repro.core.sequential import solve_dp_reference
 from repro.core.supervisor import (
     ResiliencePolicy,
     SharedTables,
-    load_checkpoint,
     problem_content_hash,
-    save_checkpoint,
 )
+from repro.store import RamStore
 
 PROBLEM = random_instance(6, n_tests=6, n_treatments=4, seed=3)
 REF = solve_dp_reference(PROBLEM)
@@ -58,6 +59,18 @@ def solve_with_fault(spec, policy=QUICK, problem=PROBLEM, workers=2):
 def assert_bit_for_bit(result, ref=REF):
     assert np.array_equal(result.cost, ref.cost)
     assert np.array_equal(result.best_action, ref.best_action)
+
+
+def committed_layers(path) -> list:
+    """The layers a checkpoint journal's manifest vouches for."""
+    manifest = json.loads((path / "manifest.json").read_text())
+    return sorted(int(j) for j in manifest["layers"])
+
+
+def open_checkpoint(path, problem=PROBLEM) -> tuple:
+    """Open a RamStore over the journal at ``path``: ``(store, report)``."""
+    store = RamStore(problem, policy=ResiliencePolicy(checkpoint=path))
+    return store, store.open()
 
 
 class TestExceptionTaxonomy:
@@ -238,39 +251,54 @@ class TestCheckpointing:
         assert problem_content_hash(other) != problem_content_hash(PROBLEM)
 
     def test_save_load_roundtrip(self, tmp_path):
-        path = tmp_path / "solve.ckpt"
-        save_checkpoint(path, PROBLEM, REF.cost, REF.best_action, 4)
-        cost, best, completed = load_checkpoint(path, PROBLEM)
-        assert completed == 4
-        assert np.array_equal(cost, REF.cost)
-        assert np.array_equal(best, REF.best_action)
+        # Every layer committed, then reopened by a fresh store: the
+        # journal scatters back exactly the committed tables.
+        path = tmp_path / "solve-ckpt"
+        keep = dataclasses.replace(QUICK, checkpoint=path, keep_checkpoint=True)
+        solve_dp_parallel(PROBLEM, workers=1, policy=keep)
+        store, report = open_checkpoint(path)
+        try:
+            assert report.completed_prefix == PROBLEM.k
+            assert np.array_equal(store.cost, REF.cost)
+            assert np.array_equal(store.best, REF.best_action)
+        finally:
+            store.close()
 
     def test_missing_file_means_fresh_start(self, tmp_path):
-        assert load_checkpoint(tmp_path / "absent.ckpt", PROBLEM) is None
+        store, report = open_checkpoint(tmp_path / "absent-ckpt")
+        store.close()
+        assert report.valid_layers == frozenset()
+        assert report.resumed is False
 
     def test_wrong_problem_rejected(self, tmp_path):
-        path = tmp_path / "solve.ckpt"
-        save_checkpoint(path, PROBLEM, REF.cost, REF.best_action, 4)
+        path = tmp_path / "solve-ckpt"
+        keep = dataclasses.replace(QUICK, checkpoint=path, keep_checkpoint=True)
+        solve_dp_parallel(PROBLEM, workers=1, policy=keep)
         other = random_instance(6, 6, 4, seed=4)
         with pytest.raises(CheckpointMismatch, match="different problem"):
-            load_checkpoint(path, other)
+            open_checkpoint(path, other)
 
     def test_corrupt_file_rejected(self, tmp_path):
+        # A regular file where the journal directory belongs — such as a
+        # single-file checkpoint from an older release — is refused by
+        # name, and left alone.
         path = tmp_path / "solve.ckpt"
         path.write_bytes(b"not a checkpoint")
-        with pytest.raises(CheckpointMismatch, match="unreadable"):
-            load_checkpoint(path, PROBLEM)
+        with pytest.raises(CheckpointMismatch, match="regular file") as info:
+            solve(PROBLEM, backend="parallel", workers=2, checkpoint=str(path))
+        assert str(path) in str(info.value)
+        assert path.read_bytes() == b"not a checkpoint"
 
     def test_interrupted_solve_resumes_without_recomputing(self, tmp_path):
         """Interrupt after layer j; the resume starts at j+1, not layer 1."""
-        path = tmp_path / "solve.ckpt"
+        path = tmp_path / "solve-ckpt"
         policy = dataclasses.replace(
             QUICK, timeout=0.3, max_retries=0, fallback=False, checkpoint=path
         )
         with pytest.raises(ShardTimeout):
             solve_with_fault("hang:layer=4", policy)
-        _, _, completed = load_checkpoint(path, PROBLEM)
-        assert completed == 3  # layers 1..3 done, 4 was interrupted
+        # layers 1..3 done, 4 was interrupted
+        assert committed_layers(path) == [1, 2, 3]
 
         resumed = solve_dp_parallel(
             PROBLEM, workers=2, min_shard=1,
@@ -282,7 +310,7 @@ class TestCheckpointing:
         assert [e["layer"] for e in resumed.recovery["layers"]] == [4, 5, 6]
 
     def test_completed_checkpoint_resumes_instantly(self, tmp_path):
-        path = tmp_path / "solve.ckpt"
+        path = tmp_path / "solve-ckpt"
         keep = dataclasses.replace(QUICK, checkpoint=path, keep_checkpoint=True)
         first = solve_dp_parallel(PROBLEM, workers=2, min_shard=1, policy=keep)
         assert_bit_for_bit(first)
@@ -292,7 +320,7 @@ class TestCheckpointing:
         assert again.recovery["layers"] == []  # nothing recomputed
 
     def test_checkpoint_through_solve_kwarg(self, tmp_path):
-        path = tmp_path / "solve.ckpt"
+        path = tmp_path / "solve-ckpt"
         keep = ResiliencePolicy(keep_checkpoint=True)
         result = solve(
             PROBLEM, backend="parallel", workers=2,
@@ -307,7 +335,7 @@ class TestCheckpointing:
         assert resumed.recovery["resumed_from_layer"] == PROBLEM.k
 
     def test_checkpoint_removed_after_success_by_default(self, tmp_path):
-        path = tmp_path / "solve.ckpt"
+        path = tmp_path / "solve-ckpt"
         result = solve(PROBLEM, backend="parallel", workers=2, checkpoint=str(path))
         assert_bit_for_bit(result)
         assert not path.exists()
@@ -315,7 +343,7 @@ class TestCheckpointing:
     def test_interrupted_solve_keeps_checkpoint(self, tmp_path):
         # Deletion is success-only: a failed solve leaves the checkpoint
         # for the next attempt even without keep_checkpoint.
-        path = tmp_path / "solve.ckpt"
+        path = tmp_path / "solve-ckpt"
         policy = dataclasses.replace(
             QUICK, timeout=0.3, max_retries=0, fallback=False, checkpoint=path
         )
@@ -324,49 +352,56 @@ class TestCheckpointing:
         assert path.exists()
 
     def test_stale_tmp_swept_on_open(self, tmp_path):
-        path = tmp_path / "solve.ckpt"
-        stale = tmp_path / "solve.ckpt.tmp"
-        stale.write_bytes(b"half-written checkpoint from a dead process")
+        path = tmp_path / "solve-ckpt"
+        (path / "layers").mkdir(parents=True)
+        (path / "layers" / "layer_03.slab.tmp").write_bytes(
+            b"half-written slab from a dead process"
+        )
+        (path / "manifest.json.tmp").write_bytes(b"half a manifest")
         result = solve_dp_parallel(
             PROBLEM, workers=2, min_shard=1,
             policy=dataclasses.replace(QUICK, checkpoint=path),
         )
         assert_bit_for_bit(result)
-        assert not stale.exists()
-        assert {"kind": "tmp-swept", "count": 1} in result.recovery["events"]
+        assert not path.exists()
+        assert {"kind": "tmp-swept", "count": 2} in result.recovery["events"]
 
     def test_payload_checksum_detects_corruption(self, tmp_path):
-        # The npz container can be internally consistent while the
-        # payload it carries is not the payload that was saved; the
-        # checksum closes that gap.
-        path = tmp_path / "solve.ckpt"
-        save_checkpoint(path, PROBLEM, REF.cost, REF.best_action, 4)
-        with np.load(path) as npz:
-            data = {key: np.array(npz[key]) for key in npz.files}
-        data["cost"][3] += 1.0
-        with open(path, "wb") as fh:
-            np.savez(fh, **data)
-        with pytest.raises(CheckpointMismatch, match="payload checksum"):
-            load_checkpoint(path, PROBLEM)
+        # A corrupt slab is derivable state: detected by its checksum,
+        # logged, and re-derived from the layers below — not trusted and
+        # not fatal.
+        path = tmp_path / "solve-ckpt"
+        keep = dataclasses.replace(QUICK, checkpoint=path, keep_checkpoint=True)
+        solve_dp_parallel(PROBLEM, workers=2, min_shard=1, policy=keep)
+        slab = path / "layers" / "layer_04.slab"
+        raw = bytearray(slab.read_bytes())
+        raw[3] ^= 0x10
+        slab.write_bytes(bytes(raw))
+        again = solve_dp_parallel(PROBLEM, workers=2, min_shard=1, policy=keep)
+        assert_bit_for_bit(again)
+        assert {"kind": "slab-corrupt", "layer": 4} in again.recovery["events"]
+        assert again.recovery["rederived"] == 1
+        assert [e["layer"] for e in again.recovery["layers"]] == [4]
 
     def test_version_1_checkpoint_rejected(self, tmp_path):
-        # Pre-checksum files cannot be verified, so they are refused
-        # (recomputing is always safe; trusting stale bytes is not).
-        path = tmp_path / "solve.ckpt"
-        save_checkpoint(path, PROBLEM, REF.cost, REF.best_action, 4)
-        with np.load(path) as npz:
-            data = {key: np.array(npz[key]) for key in npz.files}
-        data["version"] = np.int64(1)
-        del data["payload_sha"]
-        with open(path, "wb") as fh:
-            np.savez(fh, **data)
-        with pytest.raises(CheckpointMismatch, match="version"):
-            load_checkpoint(path, PROBLEM)
+        # A manifest of another format version cannot be interpreted, so
+        # it is refused loudly (recomputing is always safe; trusting
+        # stale bytes is not).
+        path = tmp_path / "solve-ckpt"
+        keep = dataclasses.replace(QUICK, checkpoint=path, keep_checkpoint=True)
+        solve_dp_parallel(PROBLEM, workers=1, policy=keep)
+        manifest = json.loads((path / "manifest.json").read_text())
+        manifest["format"] = 0
+        (path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(StoreCorruption, match="format"):
+            solve_dp_parallel(PROBLEM, workers=1, policy=keep)
 
     def test_atomic_write_leaves_no_tmp(self, tmp_path):
-        path = tmp_path / "solve.ckpt"
-        save_checkpoint(path, PROBLEM, REF.cost, REF.best_action, 2)
-        assert not (tmp_path / "solve.ckpt.tmp").exists()
+        path = tmp_path / "solve-ckpt"
+        keep = dataclasses.replace(QUICK, checkpoint=path, keep_checkpoint=True)
+        solve_dp_parallel(PROBLEM, workers=2, min_shard=1, policy=keep)
+        assert not [p for p in path.rglob("*") if p.name.endswith(".tmp")]
+        assert committed_layers(path) == list(range(1, PROBLEM.k + 1))
 
 
 class TestSharedTablesLifecycle:
@@ -477,7 +512,7 @@ class TestPolicyValidation:
             {"timeout": -1.0},
             {"max_retries": -1},
             {"backoff": -0.1},
-            {"checkpoint_every": 0},
+            {"backoff_max": -1.0},
         ],
     )
     def test_bad_policy_rejected(self, kwargs):

@@ -1,10 +1,11 @@
 """SIGKILL crash drills through the real commit protocol.
 
 Each drill SIGKILLs a subprocess solve at one point of the slab commit
-protocol (``REPRO_STORE_CRASH``), resumes from the surviving spill
+protocol (``REPRO_STORE_CRASH``), resumes from the surviving journal
 directory, and holds the resumed tables bit-for-bit to an undisturbed
 solve.  The four points bracket both durability boundaries of the
-protocol — see :mod:`repro.store.drill`.
+protocol — see :mod:`repro.store.drill` — and mean the same for the
+spill store and for in-RAM tables under ``--checkpoint``.
 """
 
 import pytest
@@ -38,9 +39,18 @@ class TestCrashSpecParsing:
 class TestDrills:
     @pytest.mark.parametrize("point", CRASH_POINTS)
     def test_sigkill_then_resume_is_bit_identical(self, tmp_path, point):
+        self.drill(tmp_path, point, "mmap")
+
+    @pytest.mark.parametrize("point", CRASH_POINTS)
+    def test_checkpoint_sigkill_then_resume_is_bit_identical(self, tmp_path, point):
+        self.drill(tmp_path, point, "ram")
+
+    @staticmethod
+    def drill(tmp_path, point, store):
         report = run_crash_drill(
-            PROBLEM, point, workdir=str(tmp_path / point), layer=3
+            PROBLEM, point, workdir=str(tmp_path / point), layer=3, store=store
         )
+        assert report["store"] == store
         assert report["killed"], report
         assert report["identical"], report
         if point == "post-commit":
@@ -57,6 +67,10 @@ class TestDrills:
     def test_unknown_point_raises(self, tmp_path):
         with pytest.raises(InvalidProblem, match="crash point"):
             run_crash_drill(PROBLEM, "post-fsync", workdir=str(tmp_path))
+
+    def test_unknown_store_raises(self, tmp_path):
+        with pytest.raises(InvalidProblem, match="drill store"):
+            run_crash_drill(PROBLEM, "pre-rename", workdir=str(tmp_path), store="tape")
 
     def test_out_of_range_layer_raises(self, tmp_path):
         with pytest.raises(InvalidProblem, match="layer"):

@@ -281,9 +281,9 @@ class TestEndToEnd:
             self._solve(tmp_path, "t", None)
 
     def test_checkpointed_ram_solve_async(self, tmp_path):
-        # The RAM store persists through .ckpt saves; async mode must
-        # produce the same tables and clean up its checkpoint on success.
-        ckpt = tmp_path / "solve.ckpt"
+        # The RAM store persists through its checkpoint journal; async
+        # mode must produce the same tables and clean up on success.
+        ckpt = tmp_path / "ckpt"
         result = solve(
             PROBLEM,
             backend="parallel",

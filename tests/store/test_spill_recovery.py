@@ -19,7 +19,7 @@ from repro.core.generators import random_instance
 from repro.core.parallel import solve_dp_parallel
 from repro.core.sequential import solve_dp_reference
 from repro.store import StoreSpec
-from repro.store.spill import MANIFEST_NAME
+from repro.store.journal import MANIFEST_NAME
 
 PROBLEM = random_instance(6, n_tests=6, n_treatments=4, seed=31)
 REF = solve_dp_reference(PROBLEM)

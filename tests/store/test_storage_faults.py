@@ -1,7 +1,9 @@
 """Injected storage faults: detected or recovered, never silent.
 
 ``REPRO_FAULT_SPEC`` carries four storage fault kinds fired at slab
-commit time (see :mod:`repro.core.faults`).  The contract for each:
+commit time (see :mod:`repro.core.faults`).  Both journaled stores — the
+mmap spill store and in-RAM tables under ``checkpoint=DIR`` — commit
+through the same slab journal, so the contract holds for each:
 
 * ``torn-write`` / ``bitflip`` — the bytes on disk are corrupted while
   the manifest records the true payload's checksum, so the *next open*
@@ -21,20 +23,29 @@ from repro.core.faults import FAULT_SPEC_ENV, parse_fault_spec, storage_faults_f
 from repro.core.generators import random_instance
 from repro.core.parallel import solve_dp_parallel
 from repro.core.sequential import solve_dp_reference
+from repro.core.supervisor import ResiliencePolicy
 from repro.store import RAM_BUDGET_ENV, StoreSpec
 
 PROBLEM = random_instance(6, n_tests=6, n_treatments=4, seed=41)
 REF = solve_dp_reference(PROBLEM)
 
 
-def spilled_solve(spill_dir, monkeypatch=None, fault=None, workers=1):
+def spilled_solve(spill_dir, monkeypatch=None, fault=None, workers=1, store="mmap"):
+    """Solve into the journal at ``spill_dir`` with ``fault`` armed.
+
+    ``store="mmap"`` spills there; ``store="ram"`` keeps the tables in
+    RAM and checkpoints there (kept after success, so it can be
+    reopened).
+    """
+    if store == "mmap":
+        where = {"store": StoreSpec(kind="mmap", spill_dir=str(spill_dir))}
+    else:
+        policy = ResiliencePolicy(checkpoint=str(spill_dir), keep_checkpoint=True)
+        where = {"policy": policy}
     if fault is not None:
         monkeypatch.setenv(FAULT_SPEC_ENV, fault)
     try:
-        return solve_dp_parallel(
-            PROBLEM, workers=workers,
-            store=StoreSpec(kind="mmap", spill_dir=str(spill_dir)),
-        )
+        return solve_dp_parallel(PROBLEM, workers=workers, **where)
     finally:
         if fault is not None:
             monkeypatch.delenv(FAULT_SPEC_ENV)
@@ -74,17 +85,22 @@ class TestSpecGrammar:
 
 
 class TestCorruptingFaultsAreCaughtOnReopen:
+    @pytest.mark.parametrize("store", ["mmap", "ram"])
     @pytest.mark.parametrize("kind", ["torn-write", "bitflip"])
-    def test_corruption_detected_and_rederived(self, tmp_path, monkeypatch, kind):
+    def test_corruption_detected_and_rederived(
+        self, tmp_path, monkeypatch, kind, store
+    ):
         spill = tmp_path / "spill"
         # The writing solve is unaffected: its tables never held the
         # corrupted bytes.
-        first = spilled_solve(spill, monkeypatch, fault=f"{kind}:layer=3")
+        first = spilled_solve(
+            spill, monkeypatch, fault=f"{kind}:layer=3", store=store
+        )
         assert np.array_equal(first.cost, REF.cost)
 
         # The next open must catch the checksum mismatch — silence here
         # would resume from rotted bytes.
-        second = spilled_solve(spill)
+        second = spilled_solve(spill, store=store)
         assert np.array_equal(second.cost, REF.cost)
         assert np.array_equal(second.best_action, REF.best_action)
         assert second.recovery["rederived"] == 1
@@ -93,15 +109,23 @@ class TestCorruptingFaultsAreCaughtOnReopen:
 
 
 class TestEnospc:
-    def test_degrades_to_ram_and_finishes(self, tmp_path, monkeypatch):
-        spill = tmp_path / "spill"
-        result = spilled_solve(spill, monkeypatch, fault="enospc:layer=3")
+    @staticmethod
+    def degrades_and_finishes(spill, monkeypatch, store):
+        result = spilled_solve(spill, monkeypatch, fault="enospc:layer=3", store=store)
         assert np.array_equal(result.cost, REF.cost)
         assert np.array_equal(result.best_action, REF.best_action)
         assert result.recovery["degraded"] is True
         degr = [e for e in result.recovery["events"] if e["kind"] == "store-degraded"]
         assert degr and degr[0]["fallback"] == "ram"
         assert "ENOSPC" in degr[0]["reason"]
+
+    def test_degrades_to_ram_and_finishes(self, tmp_path, monkeypatch):
+        self.degrades_and_finishes(tmp_path / "spill", monkeypatch, "mmap")
+
+    def test_checkpoint_degrades_to_ram_and_finishes(self, tmp_path, monkeypatch):
+        # The in-RAM store's checkpoint journal takes the same path: the
+        # solve finishes unpersisted, with the degradation on record.
+        self.degrades_and_finishes(tmp_path / "ckpt", monkeypatch, "ram")
 
     def test_degradation_respects_ram_budget(self, tmp_path, monkeypatch):
         # Tables over the budget: the spill store existed to honour the

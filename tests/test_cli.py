@@ -108,7 +108,7 @@ class TestSolve:
 
 class TestResilienceFlags:
     def test_checkpoint_and_knobs_through_cli(self, tmp_path):
-        ckpt = tmp_path / "solve.ckpt"
+        ckpt = tmp_path / "ckpt"
         code, text = run_cli(
             "solve", "--workload", "medical", "--k", "5",
             "--backend", "parallel", "--workers", "2",
@@ -132,7 +132,7 @@ class TestResilienceFlags:
         assert json.loads(text)["recovery"]["resumed_from_layer"] == 5
 
     def test_checkpoint_removed_after_success_by_default(self, tmp_path):
-        ckpt = tmp_path / "solve.ckpt"
+        ckpt = tmp_path / "ckpt"
         code, _ = run_cli(
             "solve", "--workload", "medical", "--k", "5",
             "--backend", "parallel", "--workers", "2",
@@ -142,7 +142,6 @@ class TestResilienceFlags:
         # Checkpoints exist to survive crashes, not to accumulate: a
         # successful solve cleans up after itself unless --keep-checkpoint.
         assert not ckpt.exists()
-        assert not (tmp_path / "solve.ckpt.tmp").exists()
 
     def test_mmap_store_through_cli(self, tmp_path):
         spill = tmp_path / "spill"
@@ -175,8 +174,18 @@ class TestResilienceFlags:
         assert code == 0
         (report,) = json.loads(text)["drills"]
         assert report["point"] == "post-commit"
+        assert report["store"] == "mmap"
         assert report["killed"] is True
         assert report["identical"] is True
+
+    def test_crash_drill_ram_store(self, tmp_path):
+        code, text = run_cli(
+            "crash-drill", "--workload", "random", "--k", "6", "--seed", "3",
+            "--point", "pre-rename", "--layer", "2", "--store", "ram",
+            "--dir", str(tmp_path),
+        )
+        assert code == 0
+        assert "PASS" in text and "store=ram" in text
 
     def test_no_fallback_flag_parses(self):
         code, text = run_cli(
