@@ -1,16 +1,9 @@
-"""PIPELINE — what the strict default and the async committer bought.
+"""PIPELINE — what the async committer bought.
 
 Two paired comparisons, each timed with the repo's standard
 paired-adjacent methodology (:mod:`benchmarks._kernel_timer`): the two
 sides of a ratio run back to back within a rep, the order alternates
 between reps, and the claim is the median of per-rep ratios.
-
-**strict vs snapshot (RAM)** — the snapshot discipline copies the full
-cost table and re-``INF``\\ s the own-layer slice before every layer;
-the strict default reads the live table through explicit validity
-masks.  The saved traffic is ``k`` full-table copies per solve, so the
-win grows with ``k`` and shrinks with the number of actions (which set
-the kernel's own gather traffic).  Floor: **>= 1.1x**.
 
 **async vs sync commits (mmap)** — the synchronous protocol serializes
 compute-then-commit at every layer barrier; the async committer runs
@@ -37,8 +30,7 @@ barrier, the async committer hides it behind the next layer.  Floor:
 All comparisons also re-assert bit-identity — the speedups are only
 claimable because the bytes are the same.
 
-Knobs: ``REPRO_BENCH_PIPELINE_K_RAM`` (default 18),
-``REPRO_BENCH_PIPELINE_K_MMAP`` (default 22),
+Knobs: ``REPRO_BENCH_PIPELINE_K_MMAP`` (default 22),
 ``REPRO_BENCH_PIPELINE_K_SLOW`` / ``REPRO_BENCH_PIPELINE_SLOW_MS``
 (defaults 22 / 40), ``REPRO_BENCH_PIPELINE_REPS`` (default 3), and
 ``REPRO_BENCH_PIPELINE_QUICK=1`` for a CI-sized smoke run (small k,
@@ -71,82 +63,8 @@ _OUT = _REPO_ROOT / "BENCH_PIPELINE.json"
 QUICK = os.environ.get("REPRO_BENCH_PIPELINE_QUICK", "").strip() == "1"
 REPS = int(os.environ.get("REPRO_BENCH_PIPELINE_REPS", "2" if QUICK else "3"))
 
-STRICT_FLOOR = 1.1
 ASYNC_FLOOR = 1.15
 OVERLAP_FLOOR = 0.5
-
-
-def _identical(a, b):
-    return (
-        a.cost.tobytes() == b.cost.tobytes()
-        and a.best_action.tobytes() == b.best_action.tobytes()
-    )
-
-
-def test_strict_vs_snapshot_ram():
-    k = int(
-        os.environ.get("REPRO_BENCH_PIPELINE_K_RAM", "12" if QUICK else "18")
-    )
-    problem = random_instance(k, n_tests=6, n_treatments=4, seed=k)
-    # workers=2 exercises the *shard* path the tentpole changed: under
-    # the snapshot discipline every worker copies the full table per
-    # layer, so the saved traffic scales with the worker count.
-    workers = int(os.environ.get("REPRO_BENCH_PIPELINE_WORKERS", "2"))
-
-    def run(discipline):
-        t0 = time.perf_counter()
-        result = solve_dp_parallel(
-            problem, workers=workers, discipline=discipline, min_shard=1
-        )
-        return time.perf_counter() - t0, result
-
-    # Bit-identity first (also warms caches for the timed reps).
-    base = run("snapshot")[1]
-    strict = run("strict")[1]
-    assert _identical(base, strict), "disciplines diverged bit-for-bit"
-
-    pairs = []
-    for rep in range(REPS):
-        first, second = alternate(rep, "snapshot", "strict")
-        times = {first: run(first)[0], second: run(second)[0]}
-        pairs.append((times["snapshot"], times["strict"]))
-
-    summary = summarize_pairs(pairs)
-    payload = bench_payload(
-        "PIPELINE-STRICT",
-        {
-            "k": k,
-            "workers": workers,
-            "reps": REPS,
-            "snapshot_s": summary["baseline_s"],
-            "strict_s": summary["candidate_s"],
-            "speedup": round(summary["speedup"], 3),
-            "ratios": summary["ratios"],
-            "floor": STRICT_FLOOR,
-            "enforced": not QUICK,
-            "bit_identical": True,
-            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        },
-    )
-    print(f"\nBENCH_JSON {json.dumps(payload)}")
-    print_table(
-        f"shard discipline, k={k}, workers={workers}",
-        ["discipline", "median", "speedup"],
-        [
-            ["snapshot (legacy)", f"{summary['baseline_s']:.3f} s", "1.00x"],
-            [
-                "strict (default)",
-                f"{summary['candidate_s']:.3f} s",
-                f"{summary['speedup']:.2f}x",
-            ],
-        ],
-    )
-    merge_bench_json(_OUT, "strict", payload)
-    if not QUICK:
-        assert summary["speedup"] >= STRICT_FLOOR, (
-            f"strict discipline speedup {summary['speedup']:.2f}x is below "
-            f"the {STRICT_FLOOR}x floor"
-        )
 
 
 def test_async_vs_sync_commits_mmap():

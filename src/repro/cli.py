@@ -159,15 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
         "resumes from every layer whose checksum verifies",
     )
     p_solve.add_argument(
-        "--shard-discipline",
-        choices=("strict", "snapshot"),
-        default=None,
-        help="how parallel shards treat the layer being computed: strict "
-        "(default; validity-masked kernel, no per-shard table snapshot) "
-        "or the legacy snapshot copy + re-INF pass (env "
-        "REPRO_SHARD_DISCIPLINE; bit-identical tables either way)",
-    )
-    p_solve.add_argument(
         "--commit-mode",
         choices=("async", "sync"),
         default=None,
@@ -479,7 +470,6 @@ def _solve(args, out) -> int:
                 policy=_policy(args),
                 store=args.store if use_store else None,
                 spill_dir=args.spill_dir,
-                discipline=args.shard_discipline,
                 commit=args.commit_mode,
                 tracer=tracer,
                 progress=progress,

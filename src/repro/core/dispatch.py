@@ -161,10 +161,13 @@ def resolve_backend(
     """Resolve ``(backend, workers)`` the way :func:`solve` will run them.
 
     Exposed so callers (CLI, benchmarks) can report what actually
-    executed when they asked for ``"auto"``.
+    executed when they asked for ``"auto"``.  An explicit ``workers``
+    below 1 raises :class:`InvalidProblem` whatever the backend.
     """
     if backend not in BACKENDS:
         raise InvalidProblem(f"unknown backend {backend!r}; expected one of {BACKENDS}")
+    if workers is not None and workers < 1:
+        raise InvalidProblem("workers must be >= 1")
     eff_workers = workers if workers is not None else default_workers()
     if backend == "auto":
         big = problem.k >= PARALLEL_MIN_K
@@ -174,7 +177,7 @@ def resolve_backend(
         backend = "numpy"
     if backend != "parallel":
         eff_workers = 1
-    return backend, max(1, eff_workers)
+    return backend, eff_workers
 
 
 def solve(
@@ -186,7 +189,6 @@ def solve(
     checkpoint: str | None = None,
     store: str | None = None,
     spill_dir: str | None = None,
-    discipline: str | None = None,
     commit: str | None = None,
     engine=None,
     tracer=None,
@@ -227,13 +229,12 @@ def solve(
     custom-policy or spilled solves carry per-solve failure-domain state
     the warm engine cannot share, so they fall through to the cold path.
 
-    ``discipline`` / ``commit`` tune the parallel solve loop (see
-    :func:`~repro.core.parallel.solve_dp_parallel`): shard discipline
-    ``"strict"`` (default) vs the legacy ``"snapshot"``, and layer-commit
-    mode ``"async"`` (default) vs ``"sync"``.  Both default from
-    ``REPRO_SHARD_DISCIPLINE`` / ``REPRO_COMMIT_MODE`` and are shard/
-    persistence mechanics only — single-process backends ignore them and
-    every combination yields bit-identical tables.
+    ``commit`` tunes the parallel solve loop (see
+    :func:`~repro.core.parallel.solve_dp_parallel`): layer-commit mode
+    ``"async"`` (default) vs ``"sync"``.  It defaults from
+    ``REPRO_COMMIT_MODE`` and is persistence mechanics only —
+    single-process backends ignore it and both modes yield bit-identical
+    tables.
 
     ``tracer`` / ``progress`` attach observability (see :mod:`repro.obs`):
     a :class:`~repro.obs.trace.Tracer` is made ambient around whichever
@@ -325,7 +326,6 @@ def solve(
                 p=p,
                 policy=policy,
                 store=spec,
-                discipline=discipline,
                 commit=commit,
                 tracer=tracer,
                 progress=progress,

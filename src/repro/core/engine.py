@@ -1,23 +1,21 @@
-"""Reusable solver engine: warm pools, shared tables, batched solves.
+"""Reusable solver engine: a warm store and pool for streams of solves.
 
-``solve()`` (PR 1) and ``solve_dp_parallel`` (PR 2) are *one-shot*: every
-call forks a fresh worker pool, allocates fresh ``/dev/shm`` segments,
-and tears both down again — fine for a single solve, ruinous for the
-throughput regime the ROADMAP targets (streams of instances arriving
-faster than the pool spin-up cost).  :class:`SolverEngine` amortizes all
-of that per-``k`` state across solves:
+A cold :func:`repro.core.solve` of the parallel backend opens a fresh
+layer store (new ``/dev/shm`` segments), forks a fresh worker pool and
+tears both down again — fine for a single solve, ruinous for a stream of
+instances arriving faster than the pool spin-up cost.
+:class:`SolverEngine` keeps that per-``k`` state across solves:
 
-* the :class:`~repro.core.supervisor.SharedTables` segments and the
-  initialized worker pool (with its per-worker
-  :class:`~repro.core.kernels.LayerArena`) are created once and reused
-  for every solve of the same ``k``;
-* the per-problem statics (action subsets, costs, test mask — a few
-  hundred bytes) ride along with each shard task instead of the pool
-  initializer, so the pool never needs rebuilding between problems;
-* the supervisor survives across solves too
-  (:meth:`~repro.core.supervisor.Supervisor.rebind`), keeping its
-  fault-handling state machine warm while each solve gets its own
-  recovery log;
+* an opened :class:`~repro.store.RamStore` — the shared-memory tables —
+  and a :class:`~repro.core.supervisor.Supervisor` whose pool maps them
+  (each worker with its own :class:`~repro.core.kernels.LayerArena`),
+  both built once and reused for every solve of the same ``k``;
+* each solve re-arms the store (``RamStore.rearm``: reset ``cost`` and
+  ``best``, write the instance's ``p``), rebinds the supervisor to its
+  own recovery log and telemetry (:meth:`Supervisor.rebind`), and runs
+  the same :func:`~repro.core.parallel.run_layers` barrier loop as the
+  cold path — the per-problem statics ride every shard task, so the pool
+  never needs rebuilding between problems;
 * :meth:`SolverEngine.solve_many` pipelines the ``subset_weights``
   precompute of the *next* instance against the in-flight solve on a
   background thread (the butterfly accumulation is numpy work that
@@ -39,7 +37,6 @@ automatically).
 from __future__ import annotations
 
 import functools
-import signal
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -51,58 +48,13 @@ from . import faults
 from . import parallel as _par
 from .dispatch import cached_subset_weights, resolve_backend
 from .errors import InvalidProblem, SolverError
-from .kernels import (
-    LayerArena,
-    LayerPlan,
-    layer_plan,
-    shard_discipline,
-    solve_layer_kernel_fused,
-)
-from .parallel import MIN_SHARD, _init_worker, _mp_context, _shard_bounds
+from .kernels import LayerArena
+from .parallel import MIN_SHARD, run_layers
 from .problem import TTProblem
-from .sequential import INF, DPResult, solve_dp
-from .supervisor import RecoveryLog, ResiliencePolicy, SharedTables, Supervisor
+from .sequential import DPResult, solve_dp
+from .supervisor import RecoveryLog, ResiliencePolicy
 
 __all__ = ["SolverEngine"]
-
-
-def _engine_shard(subsets, costs, is_test, task):
-    """Worker-side shard entry for engine pools.
-
-    Identical to :func:`repro.core.parallel._solve_shard` except the
-    per-problem statics arrive *with the task* (bound via
-    ``functools.partial`` in the parent) rather than from the pool
-    initializer — the pool outlives any one problem.  Signal masking,
-    fault injection and the optional trace flag (sixth task element,
-    flushed back as a third result element) follow the one-shot path
-    exactly.
-    """
-    lo, hi, layer_idx, shard_idx, attempt = task[:5]
-    traced = len(task) > 5 and bool(task[5])
-    tracer = obs_trace.Tracer(max_events=obs_trace.WORKER_EVENT_CAP) if traced else None
-    t_start = time.monotonic()
-    with obs_trace.tracing(tracer):
-        faults.inject(layer_idx, shard_idx, attempt)
-        blockable = {signal.SIGTERM, signal.SIGINT}
-        old_mask = signal.pthread_sigmask(signal.SIG_BLOCK, blockable)
-        try:
-            done = _par._shard_compute(
-                _par._WORKER,
-                lo,
-                hi,
-                np.asarray(subsets, dtype=np.int64),
-                np.asarray(costs, dtype=np.float64),
-                np.asarray(is_test, dtype=bool),
-            )
-        finally:
-            signal.pthread_sigmask(signal.SIG_SETMASK, old_mask)
-    if tracer is None:
-        return shard_idx, done
-    tracer.complete(
-        "shard", "shard", t_start, time.monotonic(),
-        layer=layer_idx, shard=shard_idx, attempt=attempt, masks=hi - lo,
-    )
-    return shard_idx, done, tracer.raw_events()
 
 
 class SolverEngine:
@@ -124,18 +76,13 @@ class SolverEngine:
         pool's fault handling.  Checkpointing is not supported on the
         warm path (``policy.checkpoint`` must be ``None``).
     min_shard:
-        Minimum masks per worker shard (see :mod:`repro.core.parallel`).
-    discipline:
-        Shard discipline for every solve on this engine: ``"strict"``
-        (default; validity-masked kernel, no per-shard table snapshot)
-        or ``"snapshot"`` (legacy copy + re-``INF``).  Resolved once at
-        construction — a warm pool's workers are initialized with it and
-        never re-read the environment — so ``REPRO_SHARD_DISCIPLINE``
-        applies to engines created after it is set, deliberately.
+        Minimum masks per worker shard (see :mod:`repro.core.parallel`);
+        must be at least 1.
 
     Results are bit-for-bit identical to the cold paths: the engine runs
-    the same fused kernel, the same sharding and the same supervisor
-    machinery — only the *lifetime* of the pool and tables differs.
+    the same barrier loop over the same kind of store with the same
+    supervisor machinery — only the *lifetime* of the store and the pool
+    differs.
     """
 
     def __init__(
@@ -145,29 +92,26 @@ class SolverEngine:
         backend: str = "auto",
         policy: ResiliencePolicy | None = None,
         min_shard: int = MIN_SHARD,
-        discipline: str | None = None,
     ):
         if policy is not None and policy.checkpoint is not None:
             raise SolverError(
                 "SolverEngine does not support checkpointing; use "
                 "repro.core.solve(checkpoint=...) for resumable solves"
             )
+        if min_shard < 1:
+            raise InvalidProblem(f"min_shard must be >= 1, got {min_shard}")
         self.workers = workers if workers is not None else _par.default_workers()
         self.backend = backend
         self.policy = policy if policy is not None else ResiliencePolicy()
         self.min_shard = min_shard
-        self.discipline = shard_discipline(discipline)
         self.solves = 0
         # Warm-state effectiveness counters, exposed on result.metrics:
         # a healthy stream shows pool_reuses == solves - table_rebuilds.
         self.stats = {"pool_reuses": 0, "table_rebuilds": 0}
         self._closed = False
         self._arena = LayerArena()
-        self._k: int | None = None
-        self._plan: LayerPlan | None = None
-        self._tables: SharedTables | None = None
-        self._supervisor: Supervisor | None = None
-        self._pool_factory = None
+        self._store = None  # the opened RamStore of the current k
+        self._supervisor = None
 
     # -- lifecycle -----------------------------------------------------
 
@@ -183,51 +127,13 @@ class SolverEngine:
         self._teardown()
 
     def _teardown(self) -> None:
+        # The pool goes first: its workers map the store's segments.
         supervisor, self._supervisor = self._supervisor, None
         if supervisor is not None:
             supervisor.shutdown()
-        tables, self._tables = self._tables, None
-        if tables is not None:
-            tables.close()
-        self._k = None
-        self._plan = None
-        self._pool_factory = None
-
-    def _ensure_tables(self, k: int) -> bool:
-        """(Re)build the per-``k`` shared state; a ``k`` switch tears down.
-
-        Returns ``True`` when the warm state was reused as-is.
-        """
-        if self._k == k:
-            return True
-        self._teardown()
-        n_sub = 1 << k
-        self._plan = layer_plan(k)
-        tables = SharedTables(n_sub)
-        tables.order[:] = self._plan.order
-        shm_names = dict(tables.names)
-        workers = self.workers
-
-        access = {
-            "mode": "shm",
-            "names": shm_names,
-            "n_sub": n_sub,
-            "discipline": self.discipline,
-        }
-
-        def pool_factory():
-            # Statics ship with each task (see _engine_shard), so the
-            # initializer only maps the shared tables.
-            return _mp_context().Pool(
-                workers,
-                initializer=_init_worker,
-                initargs=(access, None, None, None),
-            )
-
-        self._tables = tables
-        self._pool_factory = pool_factory
-        self._k = k
-        return False
+        store, self._store = self._store, None
+        if store is not None:
+            store.close()
 
     # -- solving -------------------------------------------------------
 
@@ -257,116 +163,60 @@ class SolverEngine:
         return result
 
     def _solve_parallel(self, problem: TTProblem, p: np.ndarray, workers: int) -> DPResult:
-        k, n_act = problem.k, problem.n_actions
-        n_sub = 1 << k
-        # Validate any fault spec in the parent, like the one-shot path.
+        from ..store import RamStore  # runtime import: store builds on core
+
+        # Validate any fault spec in the parent, like the cold path.
         faults.env_fault_spec()
         # Telemetry rides the ambient tracer (the CLI / caller activates
         # one around the solve); each solve gets its own registry so the
         # result's metrics block describes this instance only.
         tr = obs_trace.current()
         reg = obs_metrics.MetricsRegistry()
-        t_solve0 = time.monotonic()
-        grows0 = self._arena.grows
-        reused = self._ensure_tables(k)
+        log = RecoveryLog()
+        log.tracer = tr
+
+        store = self._store
+        reused = store is not None and store.k == problem.k
+        if reused:
+            store.rearm(p)
+        else:
+            self._teardown()
+            store = RamStore(problem, p=p)
+            store.open()
+            self._store = store
         which = "pool_reuses" if reused else "table_rebuilds"
         self.stats[which] += 1
         reg.inc(f"engine.{which}")
-        tables, plan, arena = self._tables, self._plan, self._arena
+        store.bind_telemetry(tr, reg)
 
-        log = RecoveryLog()
-        log.tracer = tr
-        cost, best = tables.cost, tables.best
-        cost[:] = INF
-        cost[0] = 0.0
-        best[:] = -1
-        tables.p[:] = p
-
-        subsets = problem.subset_array
-        costs = problem.cost_array
-        is_test = problem.test_mask_array
-        task = functools.partial(_engine_shard, subsets, costs, is_test)
-
-        if self._supervisor is not None and self._supervisor.degraded:
+        task = functools.partial(
+            _par._solve_shard,
+            problem.subset_array, problem.cost_array, problem.test_mask_array,
+        )
+        supervisor = self._supervisor
+        if supervisor is not None and supervisor.degraded:
             # A previous solve lost its pool; give the next one a fresh
             # chance instead of pinning the whole engine in-process.
-            self._supervisor.shutdown()
-            self._supervisor = None
+            supervisor.shutdown()
+            supervisor = None
             log.event("revive")
-        if self._supervisor is None:
-            self._supervisor = Supervisor(
-                self.policy, self._pool_factory, task, log, tracer=tr, metrics=reg
+        if supervisor is None:
+            supervisor = self._supervisor = _par._pool_supervisor(
+                store, workers, self.policy, task, log, tracer=tr, metrics=reg
             )
-        supervisor = self._supervisor
-        supervisor.rebind(task, log, tracer=tr, metrics=reg)
+        else:
+            supervisor.rebind(task, log, tracer=tr, metrics=reg)
 
-        order, starts = plan.order, plan.starts
-        state = {"layer": 0}
-        reg.inc("layers.total", k)
-
-        strict = self.discipline != "snapshot"
-
-        def solve_in_parent(lo: int, hi: int) -> int:
-            layer = order[lo:hi]
-            ts = time.monotonic()
-            if strict:
-                table = cost
-            else:
-                table = arena.table(n_sub)
-                np.copyto(table, cost)
-                table[layer] = INF
-            layer_best, layer_arg = solve_layer_kernel_fused(
-                layer, p[layer], table, subsets, costs, is_test,
-                arena=arena, strict=strict,
-            )
-            cost[layer] = layer_best
-            best[layer] = layer_arg
-            dt = time.monotonic() - ts
-            reg.inc("time.kernel_s", dt)
-            reg.observe("shard.seconds", dt)
-            if tr.collecting:
-                tr.complete(
-                    "parent-slice", "shard", ts, ts + dt,
-                    layer=state["layer"], masks=hi - lo,
-                )
-            return hi - lo
-
-        for j in range(1, k + 1):
-            state["layer"] = j
-            t0 = time.monotonic()
-            lo, hi = int(starts[j]), int(starts[j + 1])
-            shards = _shard_bounds(lo, hi, workers, self.min_shard)
-            if workers == 1 or len(shards) == 1 or supervisor.degraded:
-                done = solve_in_parent(lo, hi)
-                mode = "degraded" if supervisor.degraded else "parent"
-            else:
-                done = supervisor.run_layer(j, shards, solve_in_parent)
-                mode = "pool"
-            if done != hi - lo:
-                raise SolverError(
-                    f"layer {j} incomplete: {done} of {hi - lo} masks solved"
-                )
-            dt = time.monotonic() - t0
-            log.layer(j, dt, len(shards), mode)
-            reg.inc("layers.computed")
-            reg.observe("layer.seconds", dt)
-            if strict:
-                # Copy traffic the snapshot discipline would have paid:
-                # one full C-table copy per shard of this layer.
-                reg.inc("snapshot.bytes_saved", len(shards) * n_sub * 8)
-            if tr.collecting:
-                tr.complete(
-                    "layer", "layer", t0, t0 + dt,
-                    layer=j, masks=hi - lo, shards=len(shards), mode=mode,
-                )
-
-        reg.set_gauge("time.solve_s", round(time.monotonic() - t_solve0, 6))
-        reg.inc("arena.grows", arena.grows - grows0)
+        cost, best = run_layers(
+            problem, store, supervisor,
+            workers=workers, min_shard=self.min_shard, log=log, tracer=tr,
+            metrics=reg, arena=self._arena,
+        )
         return DPResult(
             problem=problem,
-            cost=cost.copy(),
-            best_action=best.copy(),
-            op_count=(n_sub - 1) * n_act,
+            cost=cost,
+            best_action=best,
+            op_count=((1 << problem.k) - 1) * problem.n_actions,
             recovery=log.as_dict(),
             metrics=reg.as_dict(),
         )

@@ -36,32 +36,38 @@ middle layers are far past glibc's malloc threshold.  The kernel here,
 Table-state invariant
 ---------------------
 
-The fused kernel requires what every in-tree caller already guarantees:
+The non-strict fused kernel needs one precondition from its caller:
 when a layer is evaluated, ``cost[S] == INF`` for every mask ``S`` *in*
-that layer (the layer's results are scattered into the table only after
-the kernel returns — true in ``solve_dp``, in every multiprocess shard,
-and in checkpoint resume).  That makes the legacy validity masks
-redundant: an invalid candidate has ``inter == 0`` or ``rest == 0``,
-and since ``inter | rest == S`` (disjointly), the *other* operand is
-then ``S`` itself — so the gather reads ``cost[S] == INF`` and the
-candidate's value is already ``INF``, exactly what the legacy kernel's
+that layer.  :func:`~repro.core.sequential.solve_dp` guarantees it: it
+fills a fresh table and scatters a layer's results only after the kernel
+returns.  That makes the legacy validity masks redundant: an invalid
+candidate has ``inter == 0`` or ``rest == 0``, and since
+``inter | rest == S`` (disjointly), the *other* operand is then ``S``
+itself — so the gather reads ``cost[S] == INF`` and the candidate's
+value is already ``INF``, exactly what the legacy kernel's
 ``np.where(invalid, INF, value)`` produced.  (``cost[0] == 0`` never
 leaks in: whenever a zero index is gathered, the companion gather hits
 ``cost[S] == INF`` and the sum is ``INF``.)  Dropping the masks removes
 two to three full array passes per action.
 
-Out-of-core callers cannot honor the invariant: a file-backed table
-slice resuming after a crash (or scattered from a corrupt slab) may hold
-*arbitrary bytes* — garbage finite floats, or NaNs that would poison
-``np.minimum`` — and snapshotting the whole table to restore the
-invariant is exactly the RAM spike a spilled solve exists to avoid.  For
-them the kernel takes ``strict=True``: the legacy validity masks come
-back (``inter == 0`` or ``rest == 0`` ⇒ candidate value overwritten with
-``INF`` *after* evaluation), which makes the result independent of the
-table's own-layer contents while remaining bit-for-bit identical to the
+Callers over shared or file-backed tables cannot honor the invariant.
+A replayed shard may find its own slice half written by a predecessor
+that died mid-scatter, or by a stale duplicate still running; a
+file-backed table slice resuming after a crash (or scattered from a
+corrupt slab) may hold *arbitrary bytes* — garbage finite floats, or
+NaNs that would poison ``np.minimum``.  Restoring the invariant would
+take a full table copy per shard and layer, which is also exactly the
+RAM spike a spilled solve exists to avoid.  For them the kernel takes
+``strict=True``: the legacy validity masks come back (``inter == 0`` or
+``rest == 0`` ⇒ candidate value overwritten with ``INF`` *after*
+evaluation), which makes the result independent of the table's
+own-layer contents while remaining bit-for-bit identical to the
 non-strict kernel on a clean table — the differential suite pins both
 properties.  Strict mode costs one to two extra compare passes and a
-masked copy per action; the in-RAM paths keep the invariant and skip it.
+masked copy per action.  Every store-driven path runs it (pool shards
+and ``LayerStore.run_parent_slice``, for the cold parallel solve and
+the warm engine alike); only ``solve_dp`` relies on the invariant and
+skips it.
 
 Bit-for-bit contract
 --------------------
@@ -116,9 +122,6 @@ __all__ = [
     "solve_layer_kernel_fused",
     "DEFAULT_TILE",
     "TILE_ENV",
-    "SHARD_DISCIPLINES",
-    "SHARD_DISCIPLINE_ENV",
-    "shard_discipline",
 ]
 
 INF = np.inf
@@ -134,46 +137,6 @@ DEFAULT_TILE = 16384
 
 # Override the tile size; "0" disables tiling (whole layer per pass).
 TILE_ENV = "REPRO_KERNEL_TILE"
-
-# How shards (and in-parent layer slices) make themselves independent of
-# whatever the cost table holds in the layer being computed:
-#
-# "strict"    run the kernel with explicit validity masks — no snapshot,
-#             no re-INF pass, bit-identical to the snapshot discipline on
-#             every table state a solve can produce.  The default.
-# "snapshot"  the pre-strict discipline: copy the whole table into a
-#             private arena buffer and re-INF the slice's own masks
-#             before evaluating.  Kept for one release as a bisection
-#             aid (REPRO_SHARD_DISCIPLINE=snapshot); the exhaustive
-#             sweep pins both disciplines bit-for-bit to the reference.
-#
-# File-backed (mmap) shards are always strict regardless of this knob —
-# snapshotting a table that exists to stay out of RAM would defeat it.
-SHARD_DISCIPLINES = ("strict", "snapshot")
-SHARD_DISCIPLINE_ENV = "REPRO_SHARD_DISCIPLINE"
-
-
-def shard_discipline(requested: str | None = None) -> str:
-    """Resolve the shard discipline: explicit request, else env, else strict.
-
-    Both the argument and the environment value are validated loudly —
-    a typo'd discipline silently falling back to the default would be
-    indistinguishable from the knob not working.
-    """
-    value = requested
-    source = "shard discipline"
-    if value is None:
-        value = os.environ.get(SHARD_DISCIPLINE_ENV, "").strip().lower()
-        source = SHARD_DISCIPLINE_ENV
-        if not value:
-            return "strict"
-    if value not in SHARD_DISCIPLINES:
-        raise InvalidProblem(
-            f"{source} must be one of {', '.join(SHARD_DISCIPLINES)}, "
-            f"got {value!r}"
-        )
-    return value
-
 
 def _env_tile() -> int:
     """Tile size from the environment, validated loudly."""
@@ -308,7 +271,6 @@ class LayerArena:
         "_out_cap",
         "_scratch_cap",
         "_strict_cap",
-        "_table_cap",
         "grows",
         "best",
         "arg",
@@ -321,14 +283,12 @@ class LayerArena:
         "argdelta",
         "invalid",
         "invalid2",
-        "_table",
     )
 
     def __init__(self) -> None:
         self._out_cap = 0
         self._scratch_cap = 0
         self._strict_cap = 0
-        self._table_cap = 0
         # Pool-growth count: a warm arena should stop growing after its
         # first layer; a nonzero steady-state rate means churn (surfaced
         # as the "arena.grows" metric).
@@ -346,7 +306,6 @@ class LayerArena:
         self.argdelta = np.empty(0, dtype=np.int32)
         self.invalid = np.empty(0, dtype=bool)
         self.invalid2 = np.empty(0, dtype=bool)
-        self._table = np.empty(0, dtype=np.float64)
 
     def out(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """Views of the ``best`` (float64) / ``arg`` (int32) output
@@ -392,23 +351,6 @@ class LayerArena:
             self._strict_cap = n
         return self.invalid[:n], self.invalid2[:n]
 
-    def table(self, n: int) -> np.ndarray:
-        """A full-size private cost-table buffer, length ``n``.
-
-        Used by the multiprocess shards to snapshot the shared ``C``
-        table before computing: a *replayed* shard (or one racing a
-        stale duplicate) can observe its own slice half-scattered by a
-        previous attempt, which would violate the table-state invariant
-        the fused kernel relies on.  Copying into this buffer and
-        re-``INF``-ing the shard's own slice restores the invariant
-        deterministically, whatever a concurrent duplicate writes.
-        """
-        if n > self._table_cap:
-            self.grows += 1
-            self._table = np.empty(n, dtype=np.float64)
-            self._table_cap = n
-        return self._table[:n]
-
     @property
     def nbytes(self) -> int:
         """Bytes currently held (capacity, not live use)."""
@@ -416,7 +358,6 @@ class LayerArena:
             self._out_cap * (8 + 4)
             + self._scratch_cap * (4 + 4 + 4 + 8 + 8 + 1 + 4)
             + self._strict_cap * 2
-            + self._table_cap * 8
         )
 
 

@@ -1,26 +1,39 @@
-"""Multi-core layer-parallel DP engine over shared memory.
+"""Multi-core layer-parallel DP over a layer store: the one barrier loop.
 
 This is the host-side realization of the paper's parallel structure: the
 backward-induction recurrence has *no* dependencies inside a popcount
 layer — ``C(S)`` for ``#S = j`` reads only ``C(S ∩ T_i)`` and
 ``C(S - T_i)``, both of strictly smaller popcount whenever the candidate
 is valid.  The paper maps every ``(S, i)`` pair onto its own PE and runs
-the layers as ASCEND phases (§6); here the same dataflow is mapped onto a
-handful of OS processes:
+the layers as ASCEND phases with one barrier between layers (§6); here
+the same dataflow is mapped onto a handful of OS processes by a single
+loop, :func:`run_layers`:
 
-* the ``C`` table (plus ``best_action``, the subset weights ``p`` and the
-  layer-sorted mask order) lives in ``multiprocessing.shared_memory``,
-  owned by a leak-proof :class:`~repro.core.supervisor.SharedTables`;
+* the tables (``C``, ``best_action``, the subset weights ``p`` and the
+  layer-sorted mask order) live in an opened
+  :class:`~repro.store.LayerStore` — shared memory
+  (:class:`~repro.store.RamStore`) or memory-mapped spill files
+  (:class:`~repro.store.MmapStore`);
 * each layer is sharded into contiguous runs of masks, one task per
-  worker; workers gather ``C`` from completed layers read-only and
-  scatter their shard's results back into the shared table;
+  worker; workers gather ``C`` from completed layers and scatter their
+  shard's results back into the shared table, while a layer too small to
+  amortize IPC runs in the parent on the same tables
+  (``LayerStore.run_parent_slice``);
 * the only synchronization is the per-layer barrier, exactly where the
   paper's ASCEND phases place theirs — but the barrier is *supervised*
   (:class:`~repro.core.supervisor.Supervisor`): shards are dispatched
   via ``apply_async`` with per-shard deadlines, dead workers are
   detected and their shards re-dispatched with bounded retries, a
   wedged pool is respawned, and past the retry budget the layer is
-  finished on the in-process kernel instead of hanging or raising.
+  finished in the parent instead of hanging or raising.
+
+Two callers drive that loop.  :func:`solve_dp_parallel` is the cold
+path: open a store, build a supervisor, run the layers, tear both down.
+:class:`~repro.core.engine.SolverEngine` keeps one opened RAM store and
+its supervisor per ``k`` and re-arms the store for every instance.
+Either way the per-problem statics (action subsets, costs, test mask)
+ride every shard task, so a pool's initializer only maps the store's
+tables and one warm pool serves any problem of its ``k``.
 
 Determinism: each subset's argmin is computed *entirely inside one
 worker* by scanning actions in index order through
@@ -37,35 +50,22 @@ Same-layer reads cannot race across shards: a gather index in the
 *current* layer is only ever the subset's own mask ``S`` (``inter == 0``
 implies ``rest == S`` and vice versa), which lives in the gathering
 shard's own slice — never in another shard's.  Those self-reads are
-resolved by the *strict* fused kernel (the default discipline): explicit
-validity masks computed from the candidate structure make the shard's
-output independent of whatever the table holds inside the layer being
-computed, so a *replayed* shard — even one whose predecessor died
-mid-scatter, even racing a stale duplicate — writes the exact same
-bytes with zero table copying.  The legacy ``snapshot`` discipline
-(``REPRO_SHARD_DISCIPLINE=snapshot``, kept one release) reaches the same
-bytes the old way: snapshot the shared table into a private arena
-buffer, re-``INF`` the shard's own slice, and rely on the non-strict
-kernel's table-state invariant — at the cost of ``workers × 8 × 2^k``
-bytes of copy traffic per layer.
+resolved by the *strict* fused kernel, which every shard and parent
+slice runs: explicit validity masks make the result independent of
+whatever the table holds inside the layer being computed — entries half
+written by a predecessor that died mid-scatter, a stale duplicate's
+writes, or resume garbage in a file-backed table — so a *replayed* shard
+writes the exact same bytes with zero table copying.
 
-Where the tables live is delegated to a :class:`~repro.store.LayerStore`
-(``store=``): shared memory by default, or memory-mapped spill files
-(``StoreSpec(kind="mmap", spill_dir=...)``) for out-of-core solves.
-Either may carry a :class:`~repro.store.journal.SlabJournal` of durable,
-checksummed per-layer commits (the spill store always; shared memory
-under ``policy.checkpoint``).  The loop itself is store
-agnostic — ``open()`` reports which layers already hold trusted values
-(the journal's validated slabs), the loop computes every other
-layer in ascending order and ``commit_layer``'s each, and that single
-*skip-valid, compute-the-rest* mechanism covers cold solves, resume
-after SIGKILL, and re-derivation of corrupted layers alike.  Spill
-shards are always strict regardless of the discipline knob: the
-file-backed table may hold arbitrary resume garbage in the layer being
-computed, which only strict mode tolerates.  A journaled store whose
-commit fails mid-solve (``ENOSPC``) degrades to an unpersisted in-RAM
-store when the tables fit under ``REPRO_RAM_BUDGET_BYTES``, else the
-solve fails loudly.
+The loop is store agnostic: ``open()`` reports which layers already
+hold trusted values (the journal's validated slabs), the loop computes
+every other layer in ascending order and ``commit_layer``'s each, and
+that single *skip-valid, compute-the-rest* mechanism covers cold solves,
+resume after SIGKILL, and re-derivation of corrupted layers alike.  A
+journaled store (the spill store always; shared memory under
+``policy.checkpoint``) whose commit fails mid-solve (``ENOSPC``)
+degrades to an unpersisted in-RAM store when the tables fit under
+``REPRO_RAM_BUDGET_BYTES``, else the solve fails loudly.
 
 Persistence is pipelined by default (``commit="async"`` /
 ``REPRO_COMMIT_MODE``): layer ``j``'s durable commit runs on a
@@ -78,6 +78,7 @@ barrier and a full drain before the manifest is marked complete.
 
 from __future__ import annotations
 
+import functools
 import multiprocessing as mp
 import os
 import signal
@@ -90,13 +91,14 @@ from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from . import faults
 from .errors import InvalidProblem, SolverError
-from .kernels import LayerArena, shard_discipline, solve_layer_kernel_fused
+from .kernels import LayerArena, solve_layer_kernel_fused
 from .problem import TTProblem
-from .sequential import INF, DPResult
+from .sequential import DPResult
 from .supervisor import RecoveryLog, ResiliencePolicy, Supervisor
 
 __all__ = [
     "solve_dp_parallel",
+    "run_layers",
     "default_workers",
     "PARALLEL_MIN_K",
     "MIN_SHARD",
@@ -158,40 +160,30 @@ def _attach(name: str) -> shared_memory.SharedMemory:
     return shared_memory.SharedMemory(name=name)
 
 
-def _init_worker(access, subsets, costs, is_test):
-    """Pool initializer: attach the store's tables, stash static arrays.
+def _init_worker(access):
+    """Pool initializer: map the store's tables into this worker.
 
     ``access`` is the picklable dict from ``LayerStore.worker_spec()``:
     ``mode="shm"`` names shared-memory blocks to map, ``mode="mmap"``
     names a spill directory whose ``.dat`` files the worker memmaps
-    (``MAP_SHARED``, so parent and worker writes are coherent; spill
-    shards additionally run the kernel in strict mode — see
-    ``_shard_compute``).
-
-    ``subsets``/``costs``/``is_test`` may be ``None`` — the engine's warm
-    pools outlive any one problem, so they ship the per-problem statics
-    with each task instead (see :mod:`repro.core.engine`).
-
-    ``access["discipline"]`` (resolved by the parent — workers never
-    consult the environment, so a warm pool cannot change discipline
-    mid-life) selects strict vs snapshot for shared-memory shards;
-    memmapped shards are strict unconditionally.
+    (``MAP_SHARED``, so parent and worker writes are coherent).  The
+    per-problem statics are not here — they ride every task (see
+    :func:`_solve_shard`), so one pool serves every problem of its ``k``.
     """
     global _WORKER
     n_sub = access["n_sub"]
     if access["mode"] == "shm":
         blocks = {key: _attach(name) for key, name in access["names"].items()}
-        tables = {
+        _WORKER = {
             "blocks": blocks,
             "cost": np.ndarray(n_sub, dtype=np.float64, buffer=blocks["cost"].buf),
             "best": np.ndarray(n_sub, dtype=np.int64, buffer=blocks["best"].buf),
             "p": np.ndarray(n_sub, dtype=np.float64, buffer=blocks["p"].buf),
             "order": np.ndarray(n_sub, dtype=np.int64, buffer=blocks["order"].buf),
-            "strict": access.get("discipline", "strict") != "snapshot",
         }
     else:
         spill = access["dir"]
-        tables = {
+        _WORKER = {
             "blocks": {},
             "cost": np.memmap(os.path.join(spill, "cost.dat"),
                               dtype=np.float64, mode="r+", shape=(n_sub,)),
@@ -201,58 +193,29 @@ def _init_worker(access, subsets, costs, is_test):
                            dtype=np.float64, mode="r", shape=(n_sub,)),
             "order": np.memmap(os.path.join(spill, "order.dat"),
                                dtype=np.int64, mode="r", shape=(n_sub,)),
-            "strict": True,
         }
-    _WORKER = {
-        **tables,
-        "subsets": None if subsets is None else np.asarray(subsets, dtype=np.int64),
-        "costs": None if costs is None else np.asarray(costs, dtype=np.float64),
-        "is_test": None if is_test is None else np.asarray(is_test, dtype=bool),
-        "arena": LayerArena(),
-    }
+    _WORKER["arena"] = LayerArena()
 
 
-def _shard_compute(w, lo, hi, subsets, costs, is_test):
-    """Fused-kernel shard body over the worker's mapped tables.
-
-    Strict shards (the default, and all spill shards) run the kernel
-    with explicit validity masks and gather straight from the shared
-    table: the result is independent of whatever the table holds in the
-    layer being computed, so replayed shards and stale duplicates write
-    bit-identical bytes with no table copy.  Legacy ``snapshot`` shards
-    copy the ``C`` table into the worker's private arena and re-``INF``
-    their own slice first, restoring the non-strict kernel's table-state
-    invariant instead — same bytes, ``8 × 2^k`` extra copy traffic per
-    shard (see the module docstring).
-    """
-    arena = w["arena"]
-    layer = np.asarray(w["order"][lo:hi])
-    if w["strict"]:
-        table = w["cost"]
-    else:
-        table = arena.table(w["cost"].size)
-        np.copyto(table, w["cost"])
-        table[layer] = INF
-    layer_best, layer_arg = solve_layer_kernel_fused(
-        layer, w["p"][layer], table, subsets, costs, is_test,
-        arena=arena, strict=w["strict"],
-    )
-    w["cost"][layer] = layer_best
-    w["best"][layer] = layer_arg
-    return hi - lo
-
-
-def _solve_shard(task: tuple) -> tuple:
+def _solve_shard(subsets, costs, is_test, task: tuple) -> tuple:
     """Solve masks ``order[lo:hi]`` (a contiguous slice of one layer).
 
-    ``task`` is ``(lo, hi, layer_index, shard_index, attempt)`` plus an
-    optional sixth ``trace`` flag; the extra coordinates drive
-    deterministic fault injection and let the supervisor attribute
-    completions.  Returns ``(shard_index, count)`` — or, when tracing,
-    ``(shard_index, count, raw_events)``: the worker records its shard
-    span (and any fault instants) into a small private ring buffer and
-    flushes it back through the result channel, which is what makes the
-    cross-process trace one mergeable timeline with no extra IPC.
+    The parent binds the problem's statics with
+    ``functools.partial(_solve_shard, subsets, costs, is_test)``, so they
+    travel with each task.  ``task`` is ``(lo, hi, layer_index,
+    shard_index, attempt)`` plus an optional sixth ``trace`` flag; the
+    extra coordinates drive deterministic fault injection and let the
+    supervisor attribute completions.  Returns ``(shard_index, count)`` —
+    or, when tracing, ``(shard_index, count, raw_events)``: the worker
+    records its shard span (and any fault instants) into a small private
+    ring buffer and flushes it back through the result channel, which is
+    what makes the cross-process trace one mergeable timeline with no
+    extra IPC.
+
+    The kernel runs strict and gathers straight from the shared table:
+    the result is independent of whatever the table holds in the layer
+    being computed, so replayed shards and stale duplicates write
+    bit-identical bytes (see the module docstring).
 
     Termination signals are blocked for the duration of the compute.
     This serves two supervision needs at once: the shard's table writes
@@ -282,16 +245,22 @@ def _solve_shard(task: tuple) -> tuple:
         old_mask = signal.pthread_sigmask(signal.SIG_BLOCK, blockable)
         try:
             w = _WORKER
-            done = _shard_compute(w, lo, hi, w["subsets"], w["costs"], w["is_test"])
+            layer = np.asarray(w["order"][lo:hi])
+            layer_best, layer_arg = solve_layer_kernel_fused(
+                layer, w["p"][layer], w["cost"], subsets, costs, is_test,
+                arena=w["arena"], strict=True,
+            )
+            w["cost"][layer] = layer_best
+            w["best"][layer] = layer_arg
         finally:
             signal.pthread_sigmask(signal.SIG_SETMASK, old_mask)
     if tracer is None:
-        return shard_idx, done
+        return shard_idx, hi - lo
     tracer.complete(
         "shard", "shard", t_start, time.monotonic(),
         layer=layer_idx, shard=shard_idx, attempt=attempt, masks=hi - lo,
     )
-    return shard_idx, done, tracer.raw_events()
+    return shard_idx, hi - lo, tracer.raw_events()
 
 
 # ----------------------------------------------------------------------
@@ -326,6 +295,191 @@ def _mp_context():
     return mp.get_context("fork" if "fork" in methods else "spawn")
 
 
+def _pool_supervisor(store, workers: int, policy, task, log, *, tracer, metrics):
+    """A :class:`Supervisor` whose lazy pool maps ``store``'s tables.
+
+    ``None`` when there is nothing to share: one worker, or a store that
+    cannot hand its tables to other processes (``worker_spec()`` is
+    ``None``) — :func:`run_layers` then solves every layer in the parent.
+    """
+    access = store.worker_spec()
+    if access is None or workers < 2:
+        return None
+
+    def pool_factory():
+        return _mp_context().Pool(workers, initializer=_init_worker, initargs=(access,))
+
+    return Supervisor(policy, pool_factory, task, log, tracer=tracer, metrics=metrics)
+
+
+def run_layers(
+    problem: TTProblem,
+    store,
+    supervisor: Supervisor | None,
+    *,
+    workers: int,
+    min_shard: int,
+    log: RecoveryLog,
+    tracer,
+    metrics,
+    arena: LayerArena,
+    valid=frozenset(),
+    commit: str = "async",
+    progress=None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Run every popcount layer of ``problem`` not in ``valid`` over ``store``.
+
+    ``store`` is an opened :class:`~repro.store.LayerStore`.
+    ``supervisor`` (see :func:`_pool_supervisor`) runs each layer that
+    splits into several shards; single-shard layers, and every layer when
+    there is no supervisor or it has degraded, run in the parent through
+    ``store.run_parent_slice``.  Each computed layer is committed: inline
+    under ``commit="sync"``, else on an :class:`AsyncCommitter` when the
+    store persists anything.  A commit that fails with
+    :class:`~repro.store.StoreWriteError` carries the tables into RAM
+    (:meth:`RamStore.adopt`), shuts the supervisor down and finishes in
+    the parent.  Skipped layers must already hold trusted values.
+
+    Layer spans, ``log`` entries and ``metrics`` are recorded here, the
+    same for every caller.  Returns ``(cost, best)`` from
+    ``result_tables()`` after ``finish(True)``: arrays that stay valid
+    once the caller closes the store.
+    """
+    from .. import store as store_mod  # runtime import: store builds on core
+
+    if min_shard < 1:
+        raise InvalidProblem(f"min_shard must be >= 1, got {min_shard}")
+    k = problem.k
+    subsets = problem.subset_array
+    costs = problem.cost_array
+    is_test = problem.test_mask_array
+    t_start = time.monotonic()
+    grows0 = arena.grows
+    log.store = store.kind
+    layer = 0
+    committer = None
+    if commit == "async" and store.persists:
+        committer = store_mod.AsyncCommitter(store, tracer=tracer, metrics=metrics)
+
+    def solve_in_parent(lo: int, hi: int) -> int:
+        """Small, degraded and fallback slices: same kernel, same bytes,
+        over whichever store currently holds the tables."""
+        ts = time.monotonic()
+        n = store.run_parent_slice(lo, hi, subsets, costs, is_test, arena)
+        dt = time.monotonic() - ts
+        metrics.inc("time.kernel_s", dt)
+        metrics.observe("shard.seconds", dt)
+        tracer.complete("parent-slice", "shard", ts, ts + dt, layer=layer, masks=n)
+        return n
+
+    def degrade_to_ram(exc) -> None:
+        """Swap a store whose journal failed for unpersisted RAM tables.
+
+        The layer values are fine — only persistence failed — so the
+        tables' current contents carry over and nothing is recomputed;
+        the remaining layers finish in the parent.  When the tables do
+        not fit the RAM budget the original failure is what surfaces.
+        """
+        nonlocal store, supervisor, committer
+        if committer is not None:
+            committer.close()
+            committer = None
+        if supervisor is not None:
+            supervisor.shutdown()
+            supervisor = None
+        try:
+            adopted = store_mod.RamStore.adopt(
+                problem, store.cost, store.best, store.p, store.order, store.starts,
+            )
+        except SolverError as budget_exc:
+            raise SolverError(
+                f"{store.kind} store failed ({exc}) and falling back to "
+                f"RAM is not possible: {budget_exc}"
+            ) from exc
+        adopted.bind_telemetry(tracer, metrics)
+        store.close()
+        store = adopted
+        log.degraded = True
+        log.event("store-degraded", reason=str(exc), fallback="ram")
+
+    def report_progress(hi: int) -> None:
+        stats = store.commit_stats()
+        progress.layer_done(layer, hi, stats["committed_bytes"], stats["queued_bytes"])
+
+    metrics.inc("layers.total", k)
+    if progress is not None:
+        progress.begin(k, 1 << k)
+    # The solve's tracer is ambient for the whole loop so parent-side
+    # deep sites (storage fault injection, kernels) reach it without
+    # parameter threading; workers activate their own (see _solve_shard).
+    with obs_trace.tracing(tracer):
+        try:
+            for layer in range(1, k + 1):
+                lo, hi = store.bounds(layer)
+                if layer in valid:
+                    metrics.inc("layers.skipped")
+                    if progress is not None:
+                        report_progress(hi)
+                    continue
+                t0 = time.monotonic()
+                shards = _shard_bounds(lo, hi, workers, min_shard)
+                if len(shards) == 1 or supervisor is None or supervisor.degraded:
+                    # Layer too small to amortize IPC (or no pool, or the
+                    # pool is gone): solve in the parent on the same
+                    # tables — identical kernel, still a barrier.
+                    done = solve_in_parent(lo, hi)
+                    mode = "degraded" if log.degraded or (
+                        supervisor is not None and supervisor.degraded
+                    ) else "parent"
+                else:
+                    done = supervisor.run_layer(layer, shards, solve_in_parent)
+                    mode = "pool"
+                if done != hi - lo:
+                    # Must survive `python -O`: a lost shard is silent
+                    # corruption, the one failure that may never be quiet.
+                    raise SolverError(
+                        f"layer {layer} incomplete: {done} of {hi - lo} masks solved"
+                    )
+                dt = time.monotonic() - t0
+                log.layer(layer, dt, len(shards), mode)
+                metrics.inc("layers.computed")
+                metrics.observe("layer.seconds", dt)
+                tracer.complete("layer", "layer", t0, t0 + dt,
+                                layer=layer, masks=hi - lo, shards=len(shards), mode=mode)
+                try:
+                    if committer is not None:
+                        committer.submit(layer)
+                    else:
+                        store.commit_layer(layer)
+                except store_mod.StoreWriteError as exc:
+                    # An async failure surfaces here one barrier late —
+                    # same handling, one extra computed layer carried over.
+                    degrade_to_ram(exc)
+                if progress is not None:
+                    report_progress(hi)
+            if committer is not None:
+                # Every layer is computed; retire the commit pipeline
+                # before declaring completion — "finish(True)" must imply
+                # "all layers durably committed".
+                try:
+                    committer.drain()
+                except store_mod.StoreWriteError as exc:
+                    degrade_to_ram(exc)
+            store.finish(True)
+            cost, best = store.result_tables()
+        finally:
+            # Before the caller closes the store: an in-flight commit
+            # reads its live tables.  On a fault path queued commits are
+            # dropped (the slabs land on resume).
+            if committer is not None:
+                committer.close()
+            if progress is not None:
+                progress.finish()
+    metrics.set_gauge("time.solve_s", round(time.monotonic() - t_start, 6))
+    metrics.inc("arena.grows", arena.grows - grows0)
+    return cost, best
+
+
 def solve_dp_parallel(
     problem: TTProblem,
     workers: int | None = None,
@@ -334,7 +488,6 @@ def solve_dp_parallel(
     min_shard: int = MIN_SHARD,
     policy: ResiliencePolicy | None = None,
     store=None,
-    discipline: str | None = None,
     commit: str | None = None,
     tracer=None,
     metrics=None,
@@ -346,7 +499,9 @@ def solve_dp_parallel(
     :func:`solve_dp` and :func:`solve_dp_reference` (see the module
     docstring for why), with wall-clock scaling over the large middle
     layers of the subset lattice.  ``p`` may carry precomputed
-    :func:`subset_weights`.
+    :func:`subset_weights`.  This is the cold path around
+    :func:`run_layers`: open the store, build the supervisor, run the
+    layers, tear both down.
 
     ``policy`` configures fault handling (per-shard timeout, bounded
     retries, in-process fallback) and the checkpoint journal; the
@@ -359,14 +514,10 @@ def solve_dp_parallel(
     ``spill_dir`` for a durable out-of-core solve), or an unopened
     :class:`repro.store.LayerStore` instance.
 
-    ``discipline`` selects how shards treat the layer being computed:
-    ``"strict"`` (default; explicit validity masks, no per-shard table
-    snapshot) or ``"snapshot"`` (the legacy copy + re-``INF`` pass, kept
-    one release behind ``REPRO_SHARD_DISCIPLINE``).  ``commit`` selects
-    ``"async"`` (default; layer ``j`` commits on a background thread
-    while layer ``j + 1`` computes, ``REPRO_COMMIT_MODE`` overrides) or
-    ``"sync"`` (commit inline at the barrier).  All four combinations
-    produce bit-identical tables.
+    ``commit`` selects ``"async"`` (default; layer ``j`` commits on a
+    background thread while layer ``j + 1`` computes,
+    ``REPRO_COMMIT_MODE`` overrides) or ``"sync"`` (commit inline at the
+    barrier).  Both produce bit-identical tables.
 
     Telemetry is observational only — a traced solve writes bit-identical
     tables.  ``tracer`` is a :class:`repro.obs.Tracer` (``None`` inherits
@@ -389,12 +540,10 @@ def solve_dp_parallel(
 
     # Validate any fault spec in the *parent*, before work is dispatched:
     # a typo'd REPRO_FAULT_SPEC must fail the solve, not silently never
-    # fire inside a worker.  Discipline and commit mode resolve here for
-    # the same reason — and so workers and stores receive the decision
-    # explicitly instead of re-reading the environment at attach time.
+    # fire inside a worker.  The commit mode resolves here for the same
+    # reason — the store receives the decision explicitly.
     faults.env_fault_spec()
     faults.env_crash_spec()
-    discipline = shard_discipline(discipline)
     commit = store_mod.commit_mode(commit)
 
     tr = tracer if tracer is not None else obs_trace.current()
@@ -414,38 +563,6 @@ def solve_dp_parallel(
     if isinstance(store, store_mod.StoreSpec):
         store = store_mod.open_store(store, problem, policy=policy, p=p)
     store.bind_telemetry(tr, reg)
-    store.set_discipline(discipline)
-    log.store = store.kind
-
-    subsets = problem.subset_array
-    costs = problem.cost_array
-    is_test = problem.test_mask_array
-    arena = LayerArena()
-
-    def degrade_to_ram(current, exc) -> "store_mod.RamStore":
-        """Swap a store whose journal failed for unpersisted RAM tables.
-
-        The tables' current contents — including every layer computed so
-        far — carry over, so nothing is recomputed; the remaining layers
-        finish single-process on the adopted store.  When the tables do
-        not fit the RAM budget the original failure is what surfaces.
-        """
-        try:
-            adopted = store_mod.RamStore.adopt(
-                problem, current.cost, current.best, current.p,
-                current.order, current.starts,
-            )
-        except SolverError as budget_exc:
-            raise SolverError(
-                f"{current.kind} store failed ({exc}) and falling back to "
-                f"RAM is not possible: {budget_exc}"
-            ) from exc
-        adopted.bind_telemetry(tr, reg)
-        adopted.set_discipline(discipline)
-        current.close()
-        log.degraded = True
-        log.event("store-degraded", reason=str(exc), fallback="ram")
-        return adopted
 
     # Open the store.  A journaled store that cannot even write its
     # directory (ENOSPC up front) degrades to a fresh unpersisted in-RAM
@@ -459,7 +576,6 @@ def solve_dp_parallel(
             raise
         fallback = store_mod.RamStore(problem, p=p)
         fallback.bind_telemetry(tr, reg)
-        fallback.set_discipline(discipline)
         try:
             with tr.span("store.open", cat="store", kind=fallback.kind):
                 report = fallback.open()
@@ -470,179 +586,41 @@ def solve_dp_parallel(
             ) from exc
         store.close()
         store = fallback
-        log.store = store.kind
         log.degraded = True
         log.event("store-degraded", reason=str(exc), fallback="ram")
 
-    state = {"store": store, "layer": 0}
-    supervisor = None
-    # Pipelined persistence: layer j's commit_layer runs on this thread
-    # while the pool computes layer j+1.  Only worth spinning up when
-    # commits do real I/O (a journaled store's slab writes).
-    committer = None
-    if commit == "async" and store.persists:
-        committer = store_mod.AsyncCommitter(store, tracer=tr, metrics=reg)
-    t_solve0 = time.monotonic()
-    reg.inc("layers.total", k)
-    # The solve's tracer is ambient for the whole loop so parent-side
-    # deep sites (storage fault injection, kernels) reach it without
-    # parameter threading; workers activate their own (see _solve_shard).
-    with obs_trace.tracing(tr):
-        try:
-            valid = report.valid_layers
-            if report.resumed:
-                log.resumed_from_layer = report.completed_prefix
-                log.event("resume", completed_layer=report.completed_prefix)
-            if report.rederive_layers:
-                log.rederived += len(report.rederive_layers)
-                reg.inc("store.rederived", len(report.rederive_layers))
-                log.event("rederive", layers=list(report.rederive_layers))
-            log.events.extend(report.events)
+    if report.resumed:
+        log.resumed_from_layer = report.completed_prefix
+        log.event("resume", completed_layer=report.completed_prefix)
+    if report.rederive_layers:
+        log.rederived += len(report.rederive_layers)
+        reg.inc("store.rederived", len(report.rederive_layers))
+        log.event("rederive", layers=list(report.rederive_layers))
+    log.events.extend(report.events)
 
-            def solve_in_parent(lo: int, hi: int) -> int:
-                """The small-layer/degraded/fallback path: same kernel,
-                same bytes, running over whichever store currently holds
-                the tables (the store picks snapshot vs strict
-                discipline)."""
-                ts = time.monotonic()
-                n = state["store"].run_parent_slice(
-                    lo, hi, subsets, costs, is_test, arena
-                )
-                dt = time.monotonic() - ts
-                reg.inc("time.kernel_s", dt)
-                reg.observe("shard.seconds", dt)
-                tr.complete("parent-slice", "shard", ts, ts + dt,
-                            layer=state["layer"], masks=n)
-                return n
+    task = functools.partial(
+        _solve_shard, problem.subset_array, problem.cost_array, problem.test_mask_array
+    )
+    supervisor = _pool_supervisor(store, workers, policy, task, log, tracer=tr, metrics=reg)
+    try:
+        out_cost, out_best = run_layers(
+            problem, store, supervisor,
+            workers=workers, min_shard=min_shard, log=log, tracer=tr,
+            metrics=reg, arena=LayerArena(), valid=report.valid_layers,
+            commit=commit, progress=progress,
+        )
+    finally:
+        # Terminate the pool *before* the store tears down its tables,
+        # so a worker being repopulated can never attach vanished blocks.
+        if supervisor is not None:
+            supervisor.shutdown()
+        store.close()
 
-            access = store.worker_spec()
-            if access is not None:
-                # The parent resolved the discipline once; ship it in the
-                # attach spec so workers never consult the environment.
-                access = {**access, "discipline": discipline}
-            if access is not None and workers > 1:
-                def pool_factory():
-                    return _mp_context().Pool(
-                        workers,
-                        initializer=_init_worker,
-                        initargs=(access, subsets, costs, is_test),
-                    )
-
-                supervisor = Supervisor(
-                    policy, pool_factory, _solve_shard, log,
-                    tracer=tr, metrics=reg,
-                )
-
-            if progress is not None:
-                progress.begin(k, n_sub)
-            for j in range(1, k + 1):
-                state["layer"] = j
-                if j in valid:
-                    reg.inc("layers.skipped")
-                    if progress is not None:
-                        stats = state["store"].commit_stats()
-                        progress.layer_done(
-                            j, state["store"].bounds(j)[1],
-                            stats["committed_bytes"], stats["queued_bytes"],
-                        )
-                    continue
-                st = state["store"]
-                t0 = time.monotonic()
-                lo, hi = st.bounds(j)
-                shards = _shard_bounds(lo, hi, workers, min_shard)
-                if len(shards) == 1 or supervisor is None or supervisor.degraded:
-                    # Layer too small to amortize IPC (or the pool is gone,
-                    # or this store cannot share tables with workers): solve
-                    # in-process on the same tables — identical kernel,
-                    # still a barrier.
-                    done = solve_in_parent(lo, hi)
-                    mode = "degraded" if log.degraded or (
-                        supervisor is not None and supervisor.degraded
-                    ) else "parent"
-                else:
-                    done = supervisor.run_layer(j, shards, solve_in_parent)
-                    mode = "pool"
-                if done != hi - lo:
-                    # Must survive `python -O`: a lost shard is silent
-                    # corruption, the one failure that may never be quiet.
-                    raise SolverError(
-                        f"layer {j} incomplete: {done} of {hi - lo} masks solved"
-                    )
-                dt = time.monotonic() - t0
-                log.layer(j, dt, len(shards), mode)
-                reg.inc("layers.computed")
-                reg.observe("layer.seconds", dt)
-                tr.complete("layer", "layer", t0, t0 + dt,
-                            layer=j, masks=hi - lo, shards=len(shards), mode=mode)
-                if discipline == "strict" and state["store"].kind == "ram":
-                    # Copy traffic the snapshot discipline would have paid
-                    # for this layer: one full C-table copy per shard.
-                    reg.inc("snapshot.bytes_saved", len(shards) * n_sub * 8)
-                try:
-                    if committer is not None:
-                        committer.submit(j)
-                    else:
-                        st.commit_layer(j)
-                except store_mod.StoreWriteError as exc:
-                    # Mid-solve disk failure: the layer's *values* are fine
-                    # (they live in the tables; only persistence failed), so
-                    # carry everything into RAM and finish single-process.
-                    # An async failure surfaces here one barrier late —
-                    # same handling, one extra computed layer carried over.
-                    if committer is not None:
-                        committer.close()
-                        committer = None
-                    if supervisor is not None:
-                        supervisor.shutdown()
-                        supervisor = None
-                    state["store"] = degrade_to_ram(st, exc)
-                if progress is not None:
-                    stats = state["store"].commit_stats()
-                    progress.layer_done(
-                        j, hi, stats["committed_bytes"], stats["queued_bytes"]
-                    )
-            if committer is not None:
-                # Every layer is computed; retire the commit pipeline
-                # before declaring completion — "finish(True)" must imply
-                # "all layers durably committed".
-                try:
-                    committer.drain()
-                except store_mod.StoreWriteError as exc:
-                    st = state["store"]
-                    committer.close()
-                    committer = None
-                    if supervisor is not None:
-                        supervisor.shutdown()
-                        supervisor = None
-                    state["store"] = degrade_to_ram(st, exc)
-                else:
-                    committer.close()
-                    committer = None
-            final = state["store"]
-            final.finish(True)
-            out_cost, out_best = final.result_tables()
-        finally:
-            # Terminate the pool *before* the store tears down its tables,
-            # so a worker being repopulated can never attach vanished
-            # blocks — and the committer before close(), because an
-            # in-flight commit reads the store's live tables.  On a fault
-            # path queued commits are dropped (the slabs land on resume).
-            if supervisor is not None:
-                supervisor.shutdown()
-            if committer is not None:
-                committer.close()
-            state["store"].close()
-            if progress is not None:
-                progress.finish()
-
-    reg.set_gauge("time.solve_s", round(time.monotonic() - t_solve0, 6))
-    reg.inc("arena.grows", arena.grows)
-    op_count = (n_sub - 1) * n_act
     return DPResult(
         problem=problem,
         cost=out_cost,
         best_action=out_best,
-        op_count=op_count,
+        op_count=(n_sub - 1) * n_act,
         recovery=log.as_dict(),
         metrics=reg.as_dict(),
     )

@@ -209,7 +209,6 @@ METRIC_COUNTERS = (
     "store.bytes_written",
     "store.rederived",
     "commit.async",
-    "snapshot.bytes_saved",
     "cache.weights_hits",
     "cache.weights_misses",
     "cache.plan_hits",

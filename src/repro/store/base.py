@@ -47,6 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core.errors import InvalidProblem, SolverError
+from ..core.kernels import solve_layer_kernel_fused
 
 __all__ = [
     "RAM_BUDGET_ENV",
@@ -61,6 +62,9 @@ __all__ = [
 RAM_BUDGET_ENV = "REPRO_RAM_BUDGET_BYTES"
 
 STORE_KINDS = ("auto", "ram", "mmap")
+
+# Subsets per in-parent kernel call (see LayerStore.run_parent_slice).
+PARENT_CHUNK = 1 << 18
 
 
 def ram_budget() -> int | None:
@@ -158,11 +162,7 @@ class LayerStore:
     offsets).  ``worker_spec()`` returns a picklable description pool
     workers use to attach to the same tables, or ``None`` when this
     store cannot be shared with workers (the solve then runs
-    single-process).  ``set_discipline`` selects how shards treat the
-    layer being computed — strict validity masks (the default) or the
-    legacy snapshot copy (see :mod:`repro.core.kernels`); file-backed
-    stores are always strict because their tables may hold resume
-    garbage in the current layer, which only strict mode tolerates.
+    single-process).
     """
 
     kind: str = "?"
@@ -176,14 +176,6 @@ class LayerStore:
     # The SlabJournal that durably commits this store's layers (see
     # repro.store.journal); None for a store that persists nothing.
     _journal = None
-
-    # Shard discipline for in-parent slices over these tables.  "strict"
-    # (the default — explicit validity masks, no table snapshot) or
-    # "snapshot" (the legacy copy + re-INF pass, kept one release behind
-    # REPRO_SHARD_DISCIPLINE).  File-backed stores ignore this and stay
-    # strict: their tables may hold resume garbage in the layer being
-    # computed, which only strict mode tolerates.
-    _discipline = "strict"
 
     cost: np.ndarray
     best: np.ndarray
@@ -204,10 +196,6 @@ class LayerStore:
         """Attach the solve's tracer/metrics registry (observational only)."""
         self._tracer = tracer
         self._metrics = metrics
-
-    def set_discipline(self, discipline: str) -> None:
-        """Select snapshot vs strict for in-parent slices (see kernels)."""
-        self._discipline = discipline
 
     @property
     def persists(self) -> bool:
@@ -274,8 +262,29 @@ class LayerStore:
             self._journal.commit(j)
 
     def run_parent_slice(self, lo, hi, subsets, costs, is_test, arena) -> int:
-        """Solve ``order[lo:hi]`` in-process over this store's tables."""
-        raise NotImplementedError
+        """Solve ``order[lo:hi]`` in-process over this store's tables.
+
+        The kernel runs strict and gathers straight from the live table:
+        explicit validity masks make the result independent of whatever
+        this layer's own entries hold — resume garbage in a file-backed
+        table, or a stale duplicate shard's writes racing a fallback —
+        so it needs no private copy of the table.  Chunks of
+        :data:`PARENT_CHUNK` subsets bound the arena's output buffers
+        (each subset's argmin is independent, so chunking cannot change
+        a result).  Returns the number of masks solved.
+        """
+        done = 0
+        for off in range(lo, hi, PARENT_CHUNK):
+            end = min(off + PARENT_CHUNK, hi)
+            layer = np.asarray(self.order[off:end])
+            layer_best, layer_arg = solve_layer_kernel_fused(
+                layer, self.p[layer], self.cost, subsets, costs, is_test,
+                arena=arena, strict=True,
+            )
+            self.cost[layer] = layer_best
+            self.best[layer] = layer_arg
+            done += end - off
+        return done
 
     def finish(self, success: bool) -> None:
         """Post-solve cleanup; ``success=False`` must leave resume state."""

@@ -15,7 +15,11 @@ This wraps what the parallel engine always did — tables in
   accumulate;
 * the RAM budget (``REPRO_RAM_BUDGET_BYTES``) is enforced up front: when
   the four ``2^k`` tables exceed it, opening fails loudly and points at
-  the spill store.
+  the spill store;
+* :meth:`RamStore.rearm` resets open tables for another instance of the
+  same ``k``, which is how the warm
+  :class:`~repro.core.engine.SolverEngine` keeps one store open across a
+  stream of solves.
 
 A second, shared-memory-free mode backs the ``ENOSPC`` degradation path:
 :meth:`RamStore.adopt` builds a store around plain-RAM copies of another
@@ -27,7 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.kernels import layer_plan, solve_layer_kernel_fused
+from ..core.kernels import layer_plan
 from ..core.sequential import INF, subset_weights
 from ..core.supervisor import SharedTables
 from .base import LayerStore, OpenReport, tables_nbytes
@@ -75,10 +79,7 @@ class RamStore(LayerStore):
             self.order = np.empty(self.n_sub, dtype=np.int64)
 
         self.order[:] = plan.order
-        self.p[:] = subset_weights(self._problem) if self._p_in is None else self._p_in
-        self.cost[:] = INF
-        self.cost[0] = 0.0
-        self.best[:] = -1
+        self.rearm(subset_weights(self._problem) if self._p_in is None else self._p_in)
         if self._journal is None:
             return OpenReport()
         try:
@@ -87,6 +88,18 @@ class RamStore(LayerStore):
         except BaseException:
             self.close()
             raise
+
+    def rearm(self, p) -> None:
+        """Reset the open tables to a fresh solve with subset weights ``p``.
+
+        ``open()`` starts every solve here; the warm
+        :class:`~repro.core.engine.SolverEngine` calls it again for each
+        further instance of the same ``k`` over the same shared tables.
+        """
+        self.p[:] = p
+        self.cost[:] = INF
+        self.cost[0] = 0.0
+        self.best[:] = -1
 
     @classmethod
     def adopt(cls, problem, cost, best, p, order, starts) -> "RamStore":
@@ -114,30 +127,6 @@ class RamStore(LayerStore):
         if self._tables is None:
             return None
         return {"mode": "shm", "names": dict(self._tables.names), "n_sub": self.n_sub}
-
-    def run_parent_slice(self, lo, hi, subsets, costs, is_test, arena) -> int:
-        # Strict by default: explicit validity masks make the result
-        # independent of whatever this layer's table entries hold, so no
-        # table snapshot and no re-INF pass are needed even while a stale
-        # duplicate shard races us.  The legacy snapshot discipline
-        # (REPRO_SHARD_DISCIPLINE=snapshot) keeps the old copy + re-INF
-        # route for one release: same bytes either way, pinned by the
-        # exhaustive sweep.
-        layer = self.order[lo:hi]
-        strict = self._discipline != "snapshot"
-        if strict:
-            table = self.cost
-        else:
-            table = arena.table(self.n_sub)
-            np.copyto(table, self.cost)
-            table[layer] = INF
-        layer_best, layer_arg = solve_layer_kernel_fused(
-            layer, self.p[layer], table, subsets, costs, is_test,
-            arena=arena, strict=strict,
-        )
-        self.cost[layer] = layer_best
-        self.best[layer] = layer_arg
-        return hi - lo
 
     def finish(self, success: bool) -> None:
         if not success or self._journal is None:

@@ -38,18 +38,12 @@ import os
 import numpy as np
 
 from ..core.errors import StoreWriteError
-from ..core.kernels import solve_layer_kernel_fused
 from ..core.sequential import INF
 from ..util.bitops import popcount_array
 from .base import LayerStore, OpenReport
 from .journal import CHUNK, SlabJournal
 
 __all__ = ["MmapStore", "popcount_order_into"]
-
-# Subsets per in-parent kernel call: bounds the arena's full-layer
-# output buffers the same way (each subset's argmin is independent, so
-# chunking the layer cannot change a result).
-PARENT_CHUNK = 1 << 18
 
 _DATA_FILES = (
     ("cost", np.float64),
@@ -190,23 +184,6 @@ class MmapStore(LayerStore):
 
     def worker_spec(self) -> dict | None:
         return {"mode": "mmap", "dir": self._dir, "n_sub": self.n_sub}
-
-    def run_parent_slice(self, lo, hi, subsets, costs, is_test, arena) -> int:
-        # Strict mode: gathers run directly against the file-backed
-        # table, whose entries inside this layer may be resume garbage —
-        # no snapshot, no re-INF pass, bounded scratch via chunking.
-        done = 0
-        for off in range(lo, hi, PARENT_CHUNK):
-            end = min(off + PARENT_CHUNK, hi)
-            layer = np.asarray(self.order[off:end])
-            layer_best, layer_arg = solve_layer_kernel_fused(
-                layer, self.p[layer], self.cost, subsets, costs, is_test,
-                arena=arena, strict=True,
-            )
-            self.cost[layer] = layer_best
-            self.best[layer] = layer_arg
-            done += end - off
-        return done
 
     def finish(self, success: bool) -> None:
         if success:

@@ -164,22 +164,16 @@ class _ParallelBackend(VerifyBackend):
     below ``MIN_SHARD``, so without it the "parallel" engine would
     quietly run the in-process kernel and verify nothing.
 
-    Runs the default *strict* shard discipline; ``parallel-snapshot``
-    pins the deprecated snapshot discipline to the same bit-for-bit
-    contract for as long as ``REPRO_SHARD_DISCIPLINE=snapshot`` remains
-    accepted.  The discipline is passed explicitly (never via the env
-    var): each warm engine's pool bakes its discipline in at creation,
-    and an env flip mid-sweep must not leak between backends.
+    Solves run on one warm engine, so every instance drives
+    :func:`~repro.core.parallel.run_layers` — the barrier loop the cold
+    parallel path shares — through a store and pool reused across the
+    sweep.
     """
 
     name = "parallel"
-    discipline = "strict"
 
     def __init__(self):
-        self._engine = SolverEngine(
-            workers=2, backend="parallel", min_shard=1,
-            discipline=self.discipline,
-        )
+        self._engine = SolverEngine(workers=2, backend="parallel", min_shard=1)
 
     def tables(self, problem):
         r = self._engine.solve(problem)
@@ -187,11 +181,6 @@ class _ParallelBackend(VerifyBackend):
 
     def close(self):
         self._engine.close()
-
-
-class _ParallelSnapshotBackend(_ParallelBackend):
-    name = "parallel-snapshot"
-    discipline = "snapshot"
 
 
 class _MmapStoreBackend(VerifyBackend):
@@ -344,7 +333,6 @@ BACKEND_FACTORIES: dict[str, type | object] = {
     "engine": _EngineBackend,
     "engine-batch": _EngineBatchBackend,
     "parallel": _ParallelBackend,
-    "parallel-snapshot": _ParallelSnapshotBackend,
     "store-mmap": _MmapStoreBackend,
     "bvm-bool": lambda: _BVMBackend("bool"),
     "bvm-packed": lambda: _BVMBackend("packed"),

@@ -1,11 +1,10 @@
-"""Strict shard discipline as the default on the RAM paths.
+"""The strict shard discipline on every store-driven path.
 
-The spill store's strict kernel already has a poisoned-table
-differential suite (``tests/core/test_kernels.py::TestStrictMode``);
-these tests mirror it for the paths the strict-by-default change
-touched: ``RamStore.run_parent_slice``, the engine's in-parent closure,
-and the sharded ``solve()`` entry point — plus the
-``REPRO_SHARD_DISCIPLINE`` resolver itself.
+The kernel's own poisoned-table differential lives in
+``tests/core/test_kernels.py::TestStrictMode``; these tests pin the
+paths that run it: ``LayerStore.run_parent_slice`` over both stores, in
+one chunk per layer and in many, the sharded ``solve()`` entry point, and
+the warm engine.
 """
 
 import numpy as np
@@ -13,54 +12,39 @@ import pytest
 
 from repro.core import solve
 from repro.core.engine import SolverEngine
-from repro.core.errors import InvalidProblem
 from repro.core.generators import random_instance
-from repro.core.kernels import (
-    SHARD_DISCIPLINE_ENV,
-    LayerArena,
-    shard_discipline,
-)
+from repro.core.kernels import LayerArena
 from repro.core.sequential import solve_dp_reference
-from repro.store import RamStore
+from repro.store import MmapStore, RamStore
+from repro.store import base as store_base
 
 PROBLEM = random_instance(6, n_tests=6, n_treatments=4, seed=61)
 REF = solve_dp_reference(PROBLEM)
 
 GARBAGE = [np.nan, -np.inf, 0.0, -1e300, 3.25]
 
+# (store kind, PARENT_CHUNK): no layer of a k <= 6 problem reaches the
+# default chunk, so only the override of 3 runs the multi-chunk branch.
+LAYOUTS = [
+    ("ram", store_base.PARENT_CHUNK),
+    ("ram", 3),
+    ("mmap", store_base.PARENT_CHUNK),
+    ("mmap", 3),
+]
 
-class TestShardDisciplineResolver:
-    def test_default_is_strict(self, monkeypatch):
-        monkeypatch.delenv(SHARD_DISCIPLINE_ENV, raising=False)
-        assert shard_discipline() == "strict"
 
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv(SHARD_DISCIPLINE_ENV, "snapshot")
-        assert shard_discipline() == "snapshot"
-
-    def test_explicit_request_wins(self, monkeypatch):
-        monkeypatch.setenv(SHARD_DISCIPLINE_ENV, "snapshot")
-        assert shard_discipline("strict") == "strict"
-
-    def test_env_typo_fails_loudly(self, monkeypatch):
-        monkeypatch.setenv(SHARD_DISCIPLINE_ENV, "laxist")
-        with pytest.raises(InvalidProblem, match=SHARD_DISCIPLINE_ENV):
-            shard_discipline()
-
-    def test_explicit_typo_fails_loudly(self):
-        with pytest.raises(InvalidProblem, match="shard discipline"):
-            shard_discipline("relaxed")
+def _open(kind, spill_dir=None):
+    if kind == "ram":
+        store = RamStore(PROBLEM, use_shm=False)
+    else:
+        store = MmapStore(PROBLEM, spill_dir=spill_dir, fsync=False)
+    store.open()
+    return store
 
 
 class TestRamStoreStrict:
-    """``run_parent_slice`` under the strict default reads the live
-    table — own-layer garbage must not leak into the results."""
-
-    def _open(self, discipline):
-        store = RamStore(PROBLEM, use_shm=False)
-        store.set_discipline(discipline)
-        store.open()
-        return store
+    """``run_parent_slice`` reads the live table — own-layer garbage
+    must not leak into the results."""
 
     def _run_layers(self, store, poison=None):
         args = (
@@ -73,22 +57,28 @@ class TestRamStoreStrict:
             lo, hi = store.bounds(j)
             if poison is not None:
                 store.cost[store.order[lo:hi]] = poison
-            store.run_parent_slice(lo, hi, *args, arena)
+            assert store.run_parent_slice(lo, hi, *args, arena) == hi - lo
         return store
 
     @pytest.mark.parametrize("garbage", GARBAGE)
-    def test_own_layer_garbage_does_not_leak(self, garbage):
-        store = self._open("strict")
-        try:
-            self._run_layers(store, poison=garbage)
-            np.testing.assert_array_equal(store.cost, REF.cost)
-            np.testing.assert_array_equal(store.best, REF.best_action)
-        finally:
-            store.close()
+    def test_own_layer_garbage_does_not_leak(self, garbage, monkeypatch, tmp_path):
+        # The layouts loop inside the test, so each garbage value keeps
+        # one test id.
+        for kind, chunk in LAYOUTS:
+            monkeypatch.setattr(store_base, "PARENT_CHUNK", chunk)
+            store = _open(kind, tmp_path / f"{kind}-{chunk}")
+            where = f"{kind} store, PARENT_CHUNK={chunk}"
+            try:
+                self._run_layers(store, poison=garbage)
+                np.testing.assert_array_equal(store.cost, REF.cost, err_msg=where)
+                np.testing.assert_array_equal(
+                    store.best, REF.best_action, err_msg=where
+                )
+            finally:
+                store.close()
 
-    @pytest.mark.parametrize("discipline", ["strict", "snapshot"])
-    def test_clean_tables_match_reference(self, discipline):
-        store = self._open(discipline)
+    def test_clean_tables_match_reference(self):
+        store = _open("ram")
         try:
             self._run_layers(store)
             np.testing.assert_array_equal(store.cost, REF.cost)
@@ -96,70 +86,18 @@ class TestRamStoreStrict:
         finally:
             store.close()
 
-    def test_snapshot_discipline_survives_garbage_too(self):
-        # The legacy discipline re-INFs its snapshot, so it is *also*
-        # immune to own-layer garbage — the bit-identity contract the
-        # sweep pins holds from both directions.
-        store = self._open("snapshot")
-        try:
-            self._run_layers(store, poison=np.nan)
-            np.testing.assert_array_equal(store.cost, REF.cost)
-        finally:
-            store.close()
-
 
 class TestSolveLevelDiscipline:
     @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("discipline", ["strict", "snapshot"])
-    def test_bit_identity_across_disciplines(self, workers, discipline):
-        result = solve(
-            PROBLEM,
-            backend="parallel",
-            workers=workers,
-            discipline=discipline,
-        )
+    def test_bit_identity(self, workers):
+        result = solve(PROBLEM, backend="parallel", workers=workers)
         np.testing.assert_array_equal(result.cost, REF.cost)
         np.testing.assert_array_equal(result.best_action, REF.best_action)
 
-    def test_env_typo_fails_before_any_work(self, monkeypatch):
-        monkeypatch.setenv(SHARD_DISCIPLINE_ENV, "strct")
-        with pytest.raises(InvalidProblem, match=SHARD_DISCIPLINE_ENV):
-            solve(PROBLEM, backend="parallel", workers=1)
-
-    def test_strict_reports_snapshot_bytes_saved(self):
-        result = solve(PROBLEM, backend="parallel", workers=1)
-        assert result.metrics.get("snapshot.bytes_saved", 0) > 0
-
-    def test_snapshot_discipline_saves_nothing(self):
-        result = solve(
-            PROBLEM, backend="parallel", workers=1, discipline="snapshot"
-        )
-        assert result.metrics.get("snapshot.bytes_saved", 0) == 0
-
 
 class TestEngineDiscipline:
-    @pytest.mark.parametrize("discipline", ["strict", "snapshot"])
-    def test_engine_discipline_param(self, discipline):
-        engine = SolverEngine(
-            backend="parallel", workers=2, min_shard=1, discipline=discipline
-        )
-        try:
+    def test_engine_sharded_matches_reference(self):
+        with SolverEngine(backend="parallel", workers=2, min_shard=1) as engine:
             result = engine.solve(PROBLEM)
-            np.testing.assert_array_equal(result.cost, REF.cost)
-            np.testing.assert_array_equal(result.best_action, REF.best_action)
-        finally:
-            engine.close()
-
-    def test_explicit_discipline_ignores_env(self, monkeypatch):
-        # The engine resolves its discipline once at construction from
-        # the explicit argument; a (bogus) env value set afterwards must
-        # never be consulted by a warm pool.
-        engine = SolverEngine(
-            backend="parallel", workers=2, min_shard=1, discipline="strict"
-        )
-        try:
-            monkeypatch.setenv(SHARD_DISCIPLINE_ENV, "not-a-discipline")
-            result = engine.solve(PROBLEM)
-            np.testing.assert_array_equal(result.cost, REF.cost)
-        finally:
-            engine.close()
+        np.testing.assert_array_equal(result.cost, REF.cost)
+        np.testing.assert_array_equal(result.best_action, REF.best_action)

@@ -12,8 +12,11 @@ import pytest
 from repro.core import SolverEngine, solve
 from repro.core.errors import SolverError
 from repro.core.generators import random_instance
+from repro.core.parallel import solve_dp_parallel
 from repro.core.sequential import solve_dp
 from repro.core.supervisor import ResiliencePolicy
+from repro.obs import Tracer, tracing
+from repro.obs.export import normalized_events
 
 
 def assert_same(cold, warm):
@@ -79,6 +82,40 @@ class TestParallelEngine:
             result = engine.solve(problem)
         assert result.recovery is not None
         assert len(result.recovery["layers"]) == problem.k
+
+
+class TestEngineColdParity:
+    def test_warm_and_cold_run_one_layer_loop(self):
+        problem = random_instance(6, 4, 3, seed=21)
+        other = random_instance(6, 3, 2, seed=22)
+        cold_tracer, warm_tracer = Tracer(), Tracer()
+        cold = solve_dp_parallel(problem, workers=2, min_shard=1, tracer=cold_tracer)
+        with SolverEngine(workers=2, backend="parallel", min_shard=1) as engine:
+            with tracing(warm_tracer):
+                warm = engine.solve(problem)
+            again = engine.solve(other)
+
+        assert warm.cost.tobytes() == cold.cost.tobytes()
+        assert warm.best_action.tobytes() == cold.best_action.tobytes()
+        assert warm.metrics.keys() == cold.metrics.keys()
+        assert warm.recovery.keys() == cold.recovery.keys()
+        assert warm.recovery["store"] == cold.recovery["store"] == "ram"
+        for tracer in (cold_tracer, warm_tracer):
+            events = [e for e in normalized_events(tracer) if e["ph"] == "X"]
+            layers = sorted(
+                (e for e in events if e["name"] == "layer"),
+                key=lambda e: e["args"]["layer"],
+            )
+            assert [e["args"]["layer"] for e in layers] == list(range(1, problem.k + 1))
+            # min_shard=1 sends every layer of two or more masks to the
+            # pool; the top layer is the single full set.
+            modes = [e["args"]["mode"] for e in layers]
+            assert modes == ["pool"] * (problem.k - 1) + ["parent"]
+            assert any(e["name"] == "shard" for e in events)
+
+        assert warm.metrics["engine.table_rebuilds"] == 1
+        assert again.metrics["engine.pool_reuses"] == 1
+        assert_same(solve_dp(other), again)
 
 
 class TestEngineLifecycle:

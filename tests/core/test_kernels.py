@@ -150,20 +150,13 @@ class TestLayerArena:
         assert len(rows) == 7
         assert all(r.shape == (6,) for r in rows)
 
-    def test_table_buffer(self):
-        arena = LayerArena()
-        t = arena.table(16)
-        assert t.shape == (16,) and t.dtype == np.float64
-        t2 = arena.table(8)
-        assert t2.base is arena._table
-
     def test_nbytes_accounts_every_pool(self):
         arena = LayerArena()
         assert arena.nbytes == 0
         arena.out(4)
         arena.scratch(4)
-        arena.table(4)
-        assert arena.nbytes == 4 * (8 + 4) + 4 * (4 + 4 + 4 + 8 + 8 + 1 + 4) + 4 * 8
+        arena.strict_scratch(4)
+        assert arena.nbytes == 4 * (8 + 4) + 4 * (4 + 4 + 4 + 8 + 8 + 1 + 4) + 4 * 2
 
 
 class TestFusedKernelDifferential:

@@ -8,11 +8,15 @@ specifications.  See the determinism contract in
 `repro.core.sequential`'s module docstring.
 """
 
+import io
 import types
 
 import numpy as np
 import pytest
 
+from repro.cli import main
+from repro.core import SolverEngine, solve
+from repro.core.errors import InvalidProblem
 from repro.core.generators import random_instance
 from repro.core.parallel import (
     _shard_bounds,
@@ -21,6 +25,31 @@ from repro.core.parallel import (
 )
 from repro.core.problem import Action, TTProblem
 from repro.core.sequential import solve_dp, solve_dp_reference
+
+
+TINY = TTProblem.build([1.0], [Action.treatment({0}, 1.0)])
+
+
+def _engine_solve(**kwargs):
+    with SolverEngine(backend="parallel", **kwargs) as engine:
+        return engine.solve(TINY)
+
+
+# entry id -> (the knob named in the error, call taking the bad value)
+BELOW_ONE_ENTRY_POINTS = {
+    "parallel-workers": ("workers", lambda n: solve_dp_parallel(TINY, workers=n)),
+    "solve-workers": ("workers", lambda n: solve(TINY, backend="parallel", workers=n)),
+    "engine-workers": ("workers", lambda n: _engine_solve(workers=n)),
+    "cli-workers": ("workers", lambda n: main(
+        ["solve", "--workload", "random", "--k", "3",
+         "--backend", "parallel", "--workers", str(n)],
+        out=io.StringIO(),
+    )),
+    "parallel-min_shard": (
+        "min_shard", lambda n: solve_dp_parallel(TINY, workers=2, min_shard=n)
+    ),
+    "engine-min_shard": ("min_shard", lambda n: SolverEngine(workers=2, min_shard=n)),
+}
 
 
 def assert_backends_identical(problem, workers=2, min_shard=16):
@@ -188,10 +217,18 @@ class TestDegenerate:
             assert result.best_action.tolist() == [-1]
             assert result.op_count == 0
 
-    def test_workers_validation(self):
-        problem = TTProblem.build([1.0], [Action.treatment({0}, 1.0)])
-        with pytest.raises(ValueError):
-            solve_dp_parallel(problem, workers=0)
+    @pytest.mark.parametrize("value", [0, -2])
+    @pytest.mark.parametrize("entry", sorted(BELOW_ONE_ENTRY_POINTS))
+    def test_workers_validation(self, entry, value, capsys):
+        # An explicit worker count or shard floor below 1 fails loudly on
+        # every entry point, never clamped to 1 or silently unsharded.
+        knob, call = BELOW_ONE_ENTRY_POINTS[entry]
+        if entry == "cli-workers":
+            assert call(value) == 2
+            assert f"{knob} must be >= 1" in capsys.readouterr().err
+        else:
+            with pytest.raises(InvalidProblem, match=f"^{knob} must be >= 1"):
+                call(value)
 
 
 class TestSharding:
