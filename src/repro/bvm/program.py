@@ -23,6 +23,8 @@ traffic will overwrite the poked values during execution.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+
 from .isa import FN, Instruction, Operand, Reg
 from .machine import BVM
 from .topology import CCCTopology
@@ -42,11 +44,18 @@ class CompiledProgram:
     loop over flat tuples; compiling once and replaying many times is
     the intended pattern for benchmarks and batch solves.
 
+    Each distinct instruction is lowered once per compile: equal
+    instructions share one step tuple.  ``reuse`` holds ``(start, cp)``
+    pairs, in program order, whose compiled steps stand for
+    ``instructions[start:start + len(cp)]`` (a spliced program's, see
+    :meth:`ProgramBuilder.splice`); only the rest is lowered here, under
+    one ``bvm.compile`` span, and none when nothing is left to lower.
+
     The slot mapping depends on ``L``, so a compiled program binds to
     machines of exactly the geometry it was compiled for.
     """
 
-    def __init__(self, instructions, r: int, L: int):
+    def __init__(self, instructions, r: int, L: int, reuse=()):
         from ..obs import trace as _trace
         from .packed import compile_step
 
@@ -54,10 +63,34 @@ class CompiledProgram:
         self.L = L
         self.instructions = list(instructions)
         topo = CCCTopology.shared(r)
-        with _trace.current().span(
-            "bvm.compile", cat="bvm", r=r, L=L, instructions=len(self.instructions)
-        ):
-            self.steps = [compile_step(i, topo, L) for i in self.instructions]
+        memo: dict[Instruction, tuple] = {}
+
+        def lower(instrs) -> list[tuple]:
+            out = []
+            for instr in instrs:
+                step = memo.get(instr)
+                if step is None:
+                    step = memo[instr] = compile_step(instr, topo, L)
+                out.append(step)
+            return out
+
+        fresh = len(self.instructions) - sum(len(cp) for _, cp in reuse)
+        span = (
+            _trace.current().span(
+                "bvm.compile", cat="bvm", r=r, L=L, instructions=fresh,
+                reused=len(self.instructions) - fresh,
+            )
+            if fresh else nullcontext()
+        )
+        steps: list[tuple] = []
+        with span:
+            pos = 0
+            for start, cp in reuse:  # in program order
+                steps += lower(self.instructions[pos:start])
+                steps += cp.steps
+                pos = start + len(cp)
+            steps += lower(self.instructions[pos:])
+        self.steps = steps
 
     def __len__(self) -> int:
         return len(self.instructions)
@@ -110,18 +143,39 @@ class RegisterPool:
     def in_use(self) -> int:
         return (self.hi - self.lo) - len(self._free)
 
+    def state(self) -> tuple[tuple[int, ...], int]:
+        """Hashable allocator state: the free list (in pop order) and the
+        high-water mark — everything that decides future allocations."""
+        return tuple(self._free), self.high_water
+
+    def restore(self, state: tuple[tuple[int, ...], int]) -> None:
+        """Return to a :meth:`state` taken from a pool of the same range."""
+        free, self.high_water = state
+        self._free = list(free)
+
 
 class ProgramBuilder:
-    """Accumulates instructions for a CCC(r) machine of ``L`` registers."""
+    """Accumulates instructions for a CCC(r) machine of ``L`` registers.
 
-    def __init__(self, r: int, L: int = 256, reserved: int = 0):
+    ``pool_state`` starts the allocator from a :meth:`RegisterPool.state`
+    instead of empty: the builder then emits a *continuation* of a
+    program left in that state, to be :meth:`splice`-d into it.
+    """
+
+    def __init__(
+        self, r: int, L: int = 256, reserved: int = 0, pool_state=None
+    ):
         self.r = r
         self.Q = 1 << r
         self.L = L
         self.instructions: list[Instruction] = []
         self.pool = RegisterPool(reserved, L)
+        if pool_state is not None:
+            self.pool.restore(pool_state)
+        self._entry_state = self.pool.state()
         self._marks: list[tuple[str, int]] = []
         self._compiled: dict[int, tuple[int, CompiledProgram]] = {}
+        self._spliced: list[tuple[int, ProgramBuilder]] = []
 
     # ------------------------------------------------------------------
     # Raw emit
@@ -148,6 +202,36 @@ class ProgramBuilder:
 
     def __len__(self) -> int:
         return len(self.instructions)
+
+    def splice(self, other: ProgramBuilder) -> None:
+        """Append ``other``, a continuation emitted from this builder's
+        current allocator state: its instructions, its phase marks and
+        its allocator state on exit.
+
+        The instruction objects are shared, not copied, and
+        :meth:`compiled` reuses ``other``'s compiled steps — so splicing
+        a cached program costs neither an emit nor a compile.
+        """
+        if (other.r, other.L) != (self.r, self.L):
+            raise ValueError("spliced program targets another machine geometry")
+        if other._entry_state != self.pool.state():
+            raise ValueError("spliced program starts from another allocator state")
+        base = len(self.instructions)
+        self.instructions += other.instructions
+        self._marks += [(label, base + at) for label, at in other._marks]
+        self.pool.restore(other.pool.state())
+        self._spliced.append((base, other))
+
+    def intern(self) -> None:
+        """Make equal instructions (notes included) one shared object.
+
+        Emitted loops repeat a few hundred distinct instructions tens of
+        thousands of times; a program kept in a cache holds each once.
+        """
+        table: dict[tuple[Instruction, str], Instruction] = {}
+        self.instructions = [
+            table.setdefault((i, i.note), i) for i in self.instructions
+        ]
 
     # ------------------------------------------------------------------
     # Common macros
@@ -241,12 +325,18 @@ class ProgramBuilder:
         return machine.run(self.instructions)
 
     def compiled(self, L: int | None = None) -> CompiledProgram:
-        """The program lowered for packed replay (cached per ``L``)."""
+        """The program lowered for packed replay (cached per ``L``).
+
+        Spliced programs contribute their own (cached) compiled steps
+        when ``L`` is the builder's own; any other ``L`` compiles them
+        from the instructions.
+        """
         L = self.L if L is None else L
         cached = self._compiled.get(L)
         if cached is not None and cached[0] == len(self.instructions):
             return cached[1]
-        cp = CompiledProgram(self.instructions, self.r, L)
+        reuse = [(at, seg.compiled()) for at, seg in self._spliced] if L == self.L else []
+        cp = CompiledProgram(self.instructions, self.r, L, reuse)
         self._compiled[L] = (len(self.instructions), cp)
         return cp
 

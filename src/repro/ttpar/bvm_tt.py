@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -42,7 +43,6 @@ from ..bvm.primitives import processor_id
 from ..bvm.program import ProgramBuilder
 from ..core.errors import InvalidProblem
 from ..core.problem import TTProblem
-from ..obs import trace as _trace
 from ..util.bitops import popcount_array
 from ..util.fixedpoint import FixedPointScale, choose_scale
 from .layout import TTLayout, pad_actions
@@ -90,11 +90,17 @@ class BVMTTResult:
         return tree_from_tables(self.problem, self.cost, self.best_action)
 
 
-def _choose_r(dims: int) -> int:
-    for r in range(1, 5):
-        if r + (1 << r) >= dims:
-            return r
-    raise ValueError(f"problem needs {dims} hypercube dims; CCC(r<=4) is the cap")
+def _choose_r(dims: int, r: int | None = None) -> int:
+    """The CCC order for ``dims`` hypercube dims: the smallest that fits,
+    or ``r`` itself once checked to fit."""
+    if r is None:
+        for r in range(1, 5):
+            if r + (1 << r) >= dims:
+                return r
+        raise InvalidProblem(f"problem needs {dims} hypercube dims; CCC(r<=4) is the cap")
+    if r + (1 << r) < dims:
+        raise InvalidProblem(f"CCC(r={r}) too small for {dims} dims")
+    return r
 
 
 @dataclass
@@ -140,15 +146,100 @@ def _encode_instance(
     return scale, enc_costs, enc_weights
 
 
+class _LoopRegs(NamedTuple):
+    """The register map the §6 loop reads and writes."""
+
+    M: Sequence[Reg]
+    Rw: Sequence[Reg]
+    Qw: Sequence[Reg]
+    TP: Sequence[Reg]
+    PB: Sequence[Reg]        # shared partner-copy buffer (R/Q/M routes)
+    ARG: Sequence[Reg]
+    ARG0: Sequence[Reg]
+    PARG: Sequence[Reg]
+    LAYER: Sequence[Reg]
+    TB: Sequence[Reg]
+    IS_TEST: Reg
+    GATE: Reg
+    GATE2: Reg
+    SBITS: Sequence[Reg]     # subset-membership bits of the PE address
+
+
+def _emit_tt_loop(prog: ProgramBuilder, layout: TTLayout, regs: _LoopRegs) -> None:
+    """Emit the §6 TT() loop: k layers of e-loop, finalize and min-ASCEND.
+
+    Every immediate is a shape fact (layer indices, subset dimensions);
+    instance data reaches the loop only through the registers.
+    """
+    M, Rw, Qw, TP, PB, ARG, ARG0, PARG, LAYER, TB, IS_TEST, GATE, GATE2, SBITS = regs
+    for j in range(1, layout.k + 1):
+        prog.mark("copy-buffers")
+        bs.copy_word(prog, Rw, M)
+        bs.copy_word(prog, Qw, M)
+
+        # e-loop: R[S,i] = R[S-{e},i] if e ∈ S∩T_i ; Q likewise for S-T_i.
+        prog.mark("e-loop")
+        for e in range(layout.k):
+            dim = layout.subset_dim(e)
+            # cond_r = s_bit_e & TB[e] ; cond_q = s_bit_e & ~TB[e]
+            route_dim(prog, Rw, PB, dim)
+            prog.logic(GATE2, FN.AND, SBITS[e], TB[e])
+            bs.select_word(prog, Rw, GATE2, PB, Rw)
+            route_dim(prog, Qw, PB, dim)
+            prog.logic(GATE2, FN.ANDN, SBITS[e], TB[e])
+            bs.select_word(prog, Qw, GATE2, PB, Qw)
+
+        # finalize layer j: M = R + TP (+ Q if test), ARG = own index.
+        prog.mark("finalize")
+        bs.equals_const(prog, LAYER, j, GATE)
+        prog.enable_from(GATE)
+        bs.copy_word(prog, M, Rw)
+        bs.add_into(prog, M, TP)
+        prog.enable_all()
+        prog.logic(GATE2, FN.AND, GATE, IS_TEST)
+        prog.enable_from(GATE2)
+        bs.add_into(prog, M, Qw)
+        prog.enable_all()
+        prog.enable_from(GATE)
+        bs.copy_word(prog, ARG, ARG0)
+        prog.enable_all()
+
+        # §6 ASCEND minimization over the i dimensions, argmin riding along.
+        prog.mark("min-ascend")
+        for t in range(layout.p):
+            route_dim(prog, M, PB, t)
+            route_dim(prog, ARG, PARG, t)
+            bs.min_tagged_into(prog, M, ARG, PB, PARG, gate=GATE)
+
+
+@lru_cache(maxsize=16)
+def _tt_loop(
+    r: int, k: int, p: int, width: int, L: int, regs: _LoopRegs, pool_state
+) -> ProgramBuilder:
+    """The §6 loop for one key, emitted, interned and (on first packed
+    use) compiled once per process.
+
+    The key is everything the loop reads: the machine shape ``(r, k, p,
+    width, L)``, the register map, and the allocator's free list and
+    high-water mark on entry (the loop's scratch allocations depend on
+    them).  Instance data never enters, so every instance of a shape
+    splices the same program.  Interning makes a cached loop *smaller*
+    than one emitted per instance: at k=4, N=16 its 14,316 instructions
+    are 542 objects and its compiled steps 541 tuples.
+    """
+    loop = ProgramBuilder(r, L=L, pool_state=pool_state)
+    _emit_tt_loop(loop, TTLayout(k=k, p=p), regs)
+    loop.intern()
+    return loop
+
+
 def build_bvm_tt(problem: TTProblem, width: int = 16, r: int | None = None) -> _Plan:
     """Emit the full TT program for ``problem`` (no execution)."""
     problem.require_adequate()
     padded = pad_actions(problem)
     layout = TTLayout.for_problem(problem)
     k, p = layout.k, layout.p
-    r = _choose_r(layout.dims) if r is None else r
-    if r + (1 << r) < layout.dims:
-        raise ValueError(f"CCC(r={r}) too small for {layout.dims} dims")
+    r = _choose_r(layout.dims, r)
 
     scale, enc_costs, enc_weights = _encode_instance(problem, padded, k, width)
 
@@ -243,46 +334,15 @@ def build_bvm_tt(problem: TTProblem, width: int = 16, r: int | None = None) -> _
     bs.copy_word(prog, ARG, ARG0)
 
     # ------------------------------------------------------------------
-    # Phase 3: the §6 TT() loop.
+    # Phase 3: the §6 TT() loop — instance-free, so emitted and compiled
+    # once per key and spliced in.
     # ------------------------------------------------------------------
-    for j in range(1, k + 1):
-        prog.mark("copy-buffers")
-        bs.copy_word(prog, Rw, M)
-        bs.copy_word(prog, Qw, M)
-
-        # e-loop: R[S,i] = R[S-{e},i] if e ∈ S∩T_i ; Q likewise for S-T_i.
-        prog.mark("e-loop")
-        for e in range(k):
-            dim = layout.subset_dim(e)
-            # cond_r = s_bit_e & TB[e] ; cond_q = s_bit_e & ~TB[e]
-            route_dim(prog, Rw, PB, dim)
-            prog.logic(GATE2, FN.AND, s_bits[e], TB[e])
-            bs.select_word(prog, Rw, GATE2, PB, Rw)
-            route_dim(prog, Qw, PB, dim)
-            prog.logic(GATE2, FN.ANDN, s_bits[e], TB[e])
-            bs.select_word(prog, Qw, GATE2, PB, Qw)
-
-        # finalize layer j: M = R + TP (+ Q if test), ARG = own index.
-        prog.mark("finalize")
-        bs.equals_const(prog, LAYER, j, GATE)
-        prog.enable_from(GATE)
-        bs.copy_word(prog, M, Rw)
-        bs.add_into(prog, M, TP)
-        prog.enable_all()
-        prog.logic(GATE2, FN.AND, GATE, IS_TEST)
-        prog.enable_from(GATE2)
-        bs.add_into(prog, M, Qw)
-        prog.enable_all()
-        prog.enable_from(GATE)
-        bs.copy_word(prog, ARG, ARG0)
-        prog.enable_all()
-
-        # §6 ASCEND minimization over the i dimensions, argmin riding along.
-        prog.mark("min-ascend")
-        for t in range(p):
-            route_dim(prog, M, PB, t)
-            route_dim(prog, ARG, PARG, t)
-            bs.min_tagged_into(prog, M, ARG, PB, PARG, gate=GATE)
+    regs = _LoopRegs(
+        tuple(M), tuple(Rw), tuple(Qw), tuple(TP), tuple(PB), tuple(ARG),
+        tuple(ARG0), tuple(PARG), tuple(LAYER), tuple(TB), IS_TEST, GATE,
+        GATE2, tuple(s_bits),
+    )
+    prog.splice(_tt_loop(r, k, p, width, prog.L, regs, pool.state()))
 
     return _Plan(prog=prog, layout=layout, scale=scale, M=M, ARG=ARG, r=r, width=width)
 
@@ -357,8 +417,9 @@ def solve_tt_bvm(
 # ----------------------------------------------------------------------
 #
 # ``build_bvm_tt`` folds the per-problem constants (action membership,
-# encoded weights and costs) into instruction truth tables, so two
-# different instances never share a program.  The batch path splits the
+# encoded weights and costs) into its prologue's truth tables, so two
+# different instances share only the §6 loop, never a whole program,
+# and cannot replay in lockstep.  The batch path splits the
 # two concerns: a *shape-generic* program — a pure function of
 # ``(r, k, p, width)`` — carries the whole §6/§7 dataflow, and the
 # per-instance data lands in host-poked register rows (the paper's
@@ -405,8 +466,7 @@ def _batch_plan(r: int, k: int, p: int, width: int) -> _BatchPlan:
     the shape, and one compile serves every batch of that shape.
     """
     layout = TTLayout(k=k, p=p)
-    if r + (1 << r) < layout.dims:
-        raise ValueError(f"CCC(r={r}) too small for {layout.dims} dims")
+    _choose_r(layout.dims, r)  # rejects a CCC(r) too small for the shape
     inf = (1 << width) - 1  # FixedPointScale's INF sentinel for this width
     prog = ProgramBuilder(r, L=256)
     pool = prog.pool
@@ -458,43 +518,10 @@ def _batch_plan(r: int, k: int, p: int, width: int) -> _BatchPlan:
     bs.copy_word(prog, ARG0, IWORD)
     bs.copy_word(prog, ARG, ARG0)
 
-    # ------------------------------------------------------------------
-    # The §6 TT() loop — verbatim the single-instance phase 3.
-    # ------------------------------------------------------------------
-    for j in range(1, k + 1):
-        prog.mark("copy-buffers")
-        bs.copy_word(prog, Rw, M)
-        bs.copy_word(prog, Qw, M)
-
-        prog.mark("e-loop")
-        for e in range(k):
-            dim = layout.subset_dim(e)
-            route_dim(prog, Rw, PB, dim)
-            prog.logic(GATE2, FN.AND, SBITS[e], TB[e])
-            bs.select_word(prog, Rw, GATE2, PB, Rw)
-            route_dim(prog, Qw, PB, dim)
-            prog.logic(GATE2, FN.ANDN, SBITS[e], TB[e])
-            bs.select_word(prog, Qw, GATE2, PB, Qw)
-
-        prog.mark("finalize")
-        bs.equals_const(prog, LAYER, j, GATE)
-        prog.enable_from(GATE)
-        bs.copy_word(prog, M, Rw)
-        bs.add_into(prog, M, TP)
-        prog.enable_all()
-        prog.logic(GATE2, FN.AND, GATE, IS_TEST)
-        prog.enable_from(GATE2)
-        bs.add_into(prog, M, Qw)
-        prog.enable_all()
-        prog.enable_from(GATE)
-        bs.copy_word(prog, ARG, ARG0)
-        prog.enable_all()
-
-        prog.mark("min-ascend")
-        for t in range(p):
-            route_dim(prog, M, PB, t)
-            route_dim(prog, ARG, PARG, t)
-            bs.min_tagged_into(prog, M, ARG, PB, PARG, gate=GATE)
+    # The §6 TT() loop — the single-instance phase 3's emitter.
+    _emit_tt_loop(prog, layout, _LoopRegs(
+        M, Rw, Qw, TP, PB, ARG, ARG0, PARG, LAYER, TB, IS_TEST, GATE, GATE2, SBITS,
+    ))
 
     n = (1 << r) * (1 << (1 << r))
     q = np.arange(n, dtype=np.int64)
@@ -584,9 +611,7 @@ def solve_tt_bvm_batch(
         problem.require_adequate()
         padded = pad_actions(problem)
         layout = TTLayout.for_problem(problem)
-        rr = _choose_r(layout.dims) if r is None else r
-        if rr + (1 << rr) < layout.dims:
-            raise ValueError(f"CCC(r={rr}) too small for {layout.dims} dims")
+        rr = _choose_r(layout.dims, r)
         scale, enc_costs, enc_weights = _encode_instance(
             problem, padded, layout.k, width
         )
@@ -594,21 +619,11 @@ def solve_tt_bvm_batch(
             (idx, problem, padded, scale, enc_costs, enc_weights)
         )
 
-    tr = _trace.current()
     for (rr, k, p), lanes in groups.items():
         plan = _batch_plan(rr, k, p, width)
-        B = len(lanes)
-        if tr.collecting:
-            with tr.span(
-                "bvm.compile", cat="bvm", r=rr, k=k, p=p, batch=B,
-                instructions=len(plan.prog.instructions),
-            ):
-                compiled = plan.prog.compiled()
-        else:
-            compiled = plan.prog.compiled()
-
         if backend == "packed":
-            machine = PackedBatchBVM(rr, batch=B, L=plan.prog.L)
+            compiled = plan.prog.compiled()
+            machine = PackedBatchBVM(rr, batch=len(lanes), L=plan.prog.L)
             for lane, (_, _, padded, scale, enc_costs, enc_weights) in enumerate(lanes):
                 _poke_lane(
                     lambda row, bits, lane=lane: machine.poke_lane(row, lane, bits),

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.bvm.isa import A, FN, R
+from repro.bvm.machine import BVM
 from repro.bvm.program import ProgramBuilder, RegisterPool
 
 
@@ -48,6 +49,17 @@ class TestRegisterPool:
         assert pool.in_use == 3
         pool.free(*regs)
         assert pool.in_use == 0
+
+    def test_state_restore_replays_allocations(self):
+        pool = RegisterPool(0, 8)
+        a, b, _ = pool.alloc(3)
+        pool.free(b, a)
+        state = pool.state()
+        other = RegisterPool(0, 8)
+        other.restore(state)
+        assert other.state() == state
+        assert other.alloc(4) == pool.alloc(4)
+        assert other.high_water == pool.high_water
 
 
 class TestProgramBuilder:
@@ -139,3 +151,68 @@ class TestProgramBuilder:
         m = prog.build_machine()
         prog.run(m)
         assert m.read(y).all()
+
+
+class TestSplice:
+    """A continuation emitted from a builder's allocator state, spliced in."""
+
+    @staticmethod
+    def _pair(r=1):
+        prog = ProgramBuilder(r=r)
+        x, y = prog.pool.alloc(2)
+        prog.mark("pre")
+        prog.set_ones(x)
+        loop = ProgramBuilder(r=r, pool_state=prog.pool.state())
+        scratch = loop.pool.alloc1()
+        loop.mark("loop")
+        loop.copy(scratch, x)
+        loop.copy(y, scratch)
+        loop.pool.free(scratch)
+        return prog, loop, y
+
+    def test_splice_appends_stream_marks_and_allocator_state(self):
+        prog, loop, y = self._pair()
+        prog.splice(loop)
+        assert len(prog) == 3
+        assert prog.instructions[1:] == loop.instructions
+        assert prog.phase_breakdown() == {"pre": 1, "loop": 2}
+        assert prog.pool.state() == loop.pool.state()
+        for backend in ("bool", "packed"):
+            m = prog.build_machine(backend=backend)
+            prog.run(m)
+            assert m.read(y).all()
+
+    def test_splice_rejects_another_allocator_state(self):
+        prog, loop, _ = self._pair()
+        prog.pool.alloc1()
+        with pytest.raises(ValueError, match="allocator state"):
+            prog.splice(loop)
+
+    def test_splice_rejects_another_geometry(self):
+        prog, _, _ = self._pair()
+        with pytest.raises(ValueError, match="geometry"):
+            prog.splice(ProgramBuilder(r=2, pool_state=prog.pool.state()))
+
+    def test_compiled_reuses_spliced_steps_for_own_l_only(self):
+        prog, loop, y = self._pair()
+        prog.splice(loop)
+        own = prog.compiled()
+        assert all(a is b for a, b in zip(own.steps[1:], loop.compiled().steps))
+        wider = prog.compiled(prog.L + 8)  # recompiled from the instructions
+        assert len(wider.steps) == len(prog)
+        assert all(a is not b for a, b in zip(wider.steps[1:], own.steps[1:]))
+        m = BVM(1, L=prog.L + 8, backend="packed")
+        wider.run(m)
+        assert m.read(y).all()
+
+    def test_intern_shares_equal_instructions(self):
+        prog = ProgramBuilder(r=1)
+        x, y = prog.pool.alloc(2)
+        prog.copy(x, y)
+        prog.copy(y, x)
+        prog.copy(x, y)
+        prog.emit(x, FN.F, y, y, note="same fields, own note")
+        prog.intern()
+        first, _, third, noted = prog.instructions
+        assert third is first
+        assert noted == first and noted is not first

@@ -248,6 +248,16 @@ class TestErrorPaths:
         assert "REPRO_BVM_BACKEND" in err and "packd" in err
         assert err.count("\n") == 1  # one line, no traceback
 
+    def test_bvm_problem_too_large_exits_2(self, capsys):
+        # k=17 needs 22 hypercube dims; the largest CCC(4) has 20.
+        code, _ = run_cli(
+            "solve", "--workload", "random", "--k", "17", "--solver", "bvm"
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: problem needs 22 hypercube dims")
+        assert err.count("\n") == 1  # one line, no traceback
+
     def test_blank_bvm_backend_env_means_default(self, monkeypatch):
         monkeypatch.setenv("REPRO_BVM_BACKEND", "   ")
         code, text = run_cli(

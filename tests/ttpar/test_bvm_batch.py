@@ -16,6 +16,7 @@ from repro.core.sequential import solve_dp_reference
 from repro.obs import trace as obs_trace
 from repro.ttpar.bvm_tt import (
     BATCH_BACKENDS,
+    _batch_plan,
     build_bvm_tt_batch,
     solve_tt_bvm,
     solve_tt_bvm_batch,
@@ -155,16 +156,21 @@ class TestBatchPlanReuse:
 class TestTelemetry:
     def test_spans_carry_batch_attr_never_per_lane(self):
         problems = _same_shape(2, 5)
-        tracer = obs_trace.Tracer()
-        with obs_trace.tracing(tracer):
-            solve_tt_bvm_batch(problems)
-        events = tracer.raw_events()
-        replays = [e for e in events if e["name"] == "bvm.replay"]
-        compiles = [e for e in events if e["name"] == "bvm.compile"]
-        # One shape group -> one replay span for all 5 lanes.
-        assert len(replays) == 1
-        assert replays[0]["args"]["batch"] == 5
-        assert any(e["args"].get("batch") == 5 for e in compiles)
+        _batch_plan.cache_clear()
+        spans = []
+        for _ in range(2):  # cold shape, then warm
+            tracer = obs_trace.Tracer()
+            with obs_trace.tracing(tracer):
+                solve_tt_bvm_batch(problems)
+            spans.append(tracer.raw_events())
+        for events, n_compiles in zip(spans, (1, 0)):
+            replays = [e for e in events if e["name"] == "bvm.replay"]
+            compiles = [e for e in events if e["name"] == "bvm.compile"]
+            # One shape group -> one replay span for all 5 lanes.
+            assert len(replays) == 1
+            assert replays[0]["args"]["batch"] == 5
+            # One span per compile that happens; a cache hit records none.
+            assert len(compiles) == n_compiles
 
     def test_tracing_off_is_bit_identical(self):
         problems = [_integral(2, s) for s in range(3)]

@@ -5,9 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from repro.bvm.primitives import processor_id
 from repro.core.problem import Action, TTProblem
 from repro.core.sequential import solve_dp
-from repro.ttpar.bvm_tt import build_bvm_tt, solve_tt_bvm
+from repro.obs import trace as obs_trace
+from repro.ttpar import bvm_tt
+from repro.ttpar.bvm_tt import _tt_loop, build_bvm_tt, solve_tt_bvm
+from repro.ttpar.layout import TTLayout
 from tests.conftest import tt_problems
 
 
@@ -144,3 +148,113 @@ class TestPackedBackend:
         dp = solve_dp(problem)
         assert np.allclose(fast.cost, dp.cost)
         assert (fast.best_action == dp.best_action).all()
+
+
+# ----------------------------------------------------------------------
+# The §6 loop cache: a spliced loop is the loop an instance would emit
+# ----------------------------------------------------------------------
+
+LOOP_SHAPES = [(k, p) for k in (2, 3, 4) for p in (2, 3, 4, 5)]
+LOOP_PHASES = ("copy-buffers", "e-loop", "finalize", "min-ascend")
+
+
+def _shape_pair(k, p):
+    """Two distinct integral instances with exactly ``p`` action bits."""
+    n = 1 << p
+    pair = [_integral(k, seed, n_tests=n // 2, n_treats=n - n // 2 - 1) for seed in (0, 1)]
+    assert all(TTLayout.for_problem(q).p == p for q in pair)
+    return pair
+
+
+def _cold_then_warm(pair, run):
+    """``run`` each instance with the loop cache cleared, then again warm.
+
+    The warm pass runs the first instance on the loop the *second*
+    instance's cold run emitted, so the cache must be instance-free.
+    """
+    cold = []
+    for problem in pair:
+        _tt_loop.cache_clear()
+        cold.append(run(problem))
+    hits = _tt_loop.cache_info().hits
+    warm = [run(problem) for problem in pair]
+    assert _tt_loop.cache_info().hits == hits + len(pair)
+    return zip(cold, warm)
+
+
+class TestLoopCache:
+    @pytest.mark.parametrize("width", [8, 16, 24])
+    @pytest.mark.parametrize("k,p", LOOP_SHAPES)
+    def test_warm_build_equals_cold(self, k, p, width):
+        run = lambda problem: build_bvm_tt(problem, width=width).prog
+        for cold, warm in _cold_then_warm(_shape_pair(k, p), run):
+            assert [str(i) for i in warm.instructions] == [str(i) for i in cold.instructions]
+            assert warm.phase_breakdown() == cold.phase_breakdown()
+            assert warm.pool.high_water == cold.pool.high_water
+            assert len(warm) == len(cold)
+
+    @pytest.mark.parametrize(
+        "backend", ["packed", pytest.param("bool", marks=pytest.mark.slow)]
+    )
+    @pytest.mark.parametrize("width", [8, 16, 24])
+    @pytest.mark.parametrize("k,p", LOOP_SHAPES)
+    def test_warm_solve_equals_cold(self, k, p, width, backend):
+        run = lambda problem: solve_tt_bvm(problem, width=width, backend=backend)
+        for cold, warm in _cold_then_warm(_shape_pair(k, p), run):
+            assert np.array_equal(warm.cost, cold.cost)
+            assert np.array_equal(warm.best_action, cold.best_action)
+            assert warm.cycles == cold.cycles
+
+    def test_perturbed_allocator_state_misses(self, monkeypatch):
+        problem = _integral(3, 0)
+        _tt_loop.cache_clear()
+        build_bvm_tt(problem)
+
+        def perturbed(prog, pid):
+            spare = prog.pool.alloc(2)
+            processor_id(prog, pid)
+            prog.pool.free(*spare)  # swaps their pop order, raises high water
+
+        monkeypatch.setattr(bvm_tt, "processor_id", perturbed)
+        build_bvm_tt(problem)
+        info = _tt_loop.cache_info()
+        assert (info.hits, info.misses) == (0, 2)
+        res = solve_tt_bvm(problem, backend="packed")
+        assert np.array_equal(res.cost, solve_dp(problem).cost)
+
+    def test_equal_instructions_share_one_step(self):
+        # Within each compile — the instance prologue, the cached loop —
+        # equal instructions are lowered once.
+        _tt_loop.cache_clear()
+        prog = build_bvm_tt(_integral(4, 99, n_tests=3, n_treats=3)).prog
+        n = sum(prog.phase_breakdown()[ph] for ph in LOOP_PHASES)
+        steps = prog.compiled().steps
+        for part in (slice(0, len(prog) - n), slice(len(prog) - n, len(prog))):
+            by_instr = {}
+            for instr, step in zip(prog.instructions[part], steps[part]):
+                assert by_instr.setdefault(instr, step) is step
+            assert len({id(s) for s in steps[part]}) == len(by_instr)
+
+    def test_cached_loop_is_interned(self):
+        _tt_loop.cache_clear()
+        a, b = (
+            build_bvm_tt(_integral(4, seed, n_tests=3, n_treats=3)).prog
+            for seed in (99, 98)
+        )
+        n = sum(a.phase_breakdown()[ph] for ph in LOOP_PHASES)
+        loop_a, loop_b = a.instructions[-n:], b.instructions[-n:]
+        assert all(x is y for x, y in zip(loop_a, loop_b))  # one cached loop
+        assert len({id(i) for i in loop_a}) * 10 < n
+
+    def test_one_compile_span_per_compile(self):
+        problem = _integral(3, 4)
+        _tt_loop.cache_clear()
+        counts = []
+        for _ in range(2):  # cold: the loop and the prologue; warm: the prologue
+            tracer = obs_trace.Tracer()
+            with obs_trace.tracing(tracer):
+                solve_tt_bvm(problem, backend="packed")
+            counts.append(
+                sum(e["name"] == "bvm.compile" for e in tracer.raw_events())
+            )
+        assert counts == [2, 1]
