@@ -1,7 +1,7 @@
 """FAULT-RECOVER — overhead and recovery cost of the supervised engine.
 
-The supervisor turns the bare `pool.map` barrier into monitored
-`apply_async` dispatch (per-shard deadlines, PID liveness, retry
+The supervisor turns a bare per-layer barrier into monitored dispatch
+to owned workers (per-shard deadlines, process sentinels, retry
 bookkeeping).  That vigilance must be close to free on the happy path,
 and a recovery drill — a worker killed mid-layer — must cost roughly one
 re-executed shard, not a restarted solve.  This bench measures both and

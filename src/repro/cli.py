@@ -107,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="worker processes for the parallel backend "
+        help="processes for the parallel backend, the parent included "
         "(default: one per core, capped at 8; env REPRO_WORKERS)",
     )
     p_solve.add_argument(
@@ -239,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="worker processes for the engine's parallel path",
+        help="processes for the engine's parallel path, the parent included",
     )
     p_batch.add_argument(
         "--solver",

@@ -53,7 +53,12 @@ from .errors import (
     WorkerCrash,
 )
 from .faults import Fault, parse_fault_spec
-from .parallel import PARALLEL_MIN_K, default_workers, solve_dp_parallel
+from .parallel import (
+    PARALLEL_MIN_K_COLD,
+    PARALLEL_MIN_K_WARM,
+    default_workers,
+    solve_dp_parallel,
+)
 from .supervisor import (
     RecoveryLog,
     ResiliencePolicy,
@@ -122,7 +127,8 @@ __all__ = [
     "layer_plan",
     "SolverEngine",
     "default_workers",
-    "PARALLEL_MIN_K",
+    "PARALLEL_MIN_K_COLD",
+    "PARALLEL_MIN_K_WARM",
     "cached_subset_weights",
     "weights_cache_nbytes",
     "solve_dp_topdown",

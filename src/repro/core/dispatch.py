@@ -25,11 +25,21 @@ Backends
     oracle; exposed here so differential tests and debugging sessions go
     through the same front door.
 ``"auto"``
-    ``"parallel"`` iff the instance is large enough
-    (``k >= PARALLEL_MIN_K``) *and* more than one worker is actually
-    available; otherwise ``"numpy"``.  ``"native"`` is opt-in only: the
-    auto ladder never selects it, so default behaviour is independent of
-    which optional extras happen to be installed.
+    ``"parallel"`` iff more than one worker is available *and* ``k`` is
+    at least the crossover of the path that will run it —
+    ``PARALLEL_MIN_K_COLD`` for a cold :func:`solve`, which starts its
+    workers and tables per call, ``PARALLEL_MIN_K_WARM`` for a
+    :class:`~repro.core.engine.SolverEngine`, which keeps them —
+    otherwise ``"numpy"``.  Both constants live in
+    :mod:`repro.core.parallel` and come from the committed k-ladder
+    (``benchmarks/bench_ladder.py`` → ``BENCH_LADDER.json``): each is the
+    smallest ``k`` from which that path beat single-process numpy at
+    every larger ``k`` measured, so ``auto`` never picks a path the
+    ladder measured slower.  The ladder ran at the host's core count; a
+    host of another shape may cross over elsewhere — re-run the ladder
+    there.  ``"native"`` is opt-in only: the auto rule never selects it,
+    so default behaviour is independent of which optional extras happen
+    to be installed.
 
 All backends honour the same determinism contract (see
 :mod:`repro.core.sequential`), so switching backends never changes
@@ -50,7 +60,7 @@ from ..obs import trace as obs_trace
 from .errors import InvalidProblem
 from .kernels import plan_cache_stats
 from .native import native_available, warn_native_fallback
-from .parallel import PARALLEL_MIN_K, default_workers, solve_dp_parallel
+from .parallel import PARALLEL_MIN_K_COLD, default_workers, solve_dp_parallel
 from .problem import TTProblem
 from .sequential import DPResult, solve_dp, solve_dp_reference, subset_weights
 from .supervisor import ResiliencePolicy
@@ -164,13 +174,20 @@ def resolve_backend(
     executed when they asked for ``"auto"``.  An explicit ``workers``
     below 1 raises :class:`InvalidProblem` whatever the backend.
     """
+    return _resolve(problem, backend, workers, PARALLEL_MIN_K_COLD)
+
+
+def _resolve(
+    problem: TTProblem, backend: str, workers: int | None, min_k: int
+) -> tuple[str, int]:
+    """:func:`resolve_backend` with ``auto``'s crossover ``min_k`` given."""
     if backend not in BACKENDS:
         raise InvalidProblem(f"unknown backend {backend!r}; expected one of {BACKENDS}")
     if workers is not None and workers < 1:
         raise InvalidProblem("workers must be >= 1")
     eff_workers = workers if workers is not None else default_workers()
     if backend == "auto":
-        big = problem.k >= PARALLEL_MIN_K
+        big = problem.k >= min_k
         backend = "parallel" if (big and eff_workers > 1) else "numpy"
     elif backend == "native" and not native_available():
         warn_native_fallback()

@@ -1,33 +1,35 @@
-"""Reusable solver engine: a warm store and pool for streams of solves.
+"""Reusable solver engine: warm tables and workers for streams of solves.
 
 A cold :func:`repro.core.solve` of the parallel backend opens a fresh
-layer store (new ``/dev/shm`` segments), forks a fresh worker pool and
-tears both down again — fine for a single solve, ruinous for a stream of
-instances arriving faster than the pool spin-up cost.
+layer store (new ``/dev/shm`` segments), starts fresh worker processes
+and tears both down again — fine for a single solve, ruinous for a
+stream of instances arriving faster than that start-up cost.
 :class:`SolverEngine` keeps that per-``k`` state across solves:
 
 * an opened :class:`~repro.store.RamStore` — the shared-memory tables —
-  and a :class:`~repro.core.supervisor.Supervisor` whose pool maps them
-  (each worker with its own :class:`~repro.core.kernels.LayerArena`),
-  both built once and reused for every solve of the same ``k``;
+  and a :class:`~repro.core.supervisor.Supervisor` whose ``workers - 1``
+  children map them (each with its own
+  :class:`~repro.core.kernels.LayerArena`), both built once and reused
+  for every solve of the same ``k``;
 * each solve re-arms the store (``RamStore.rearm``: reset ``cost`` and
   ``best``, write the instance's ``p``), rebinds the supervisor to its
   own recovery log and telemetry (:meth:`Supervisor.rebind`), and runs
   the same :func:`~repro.core.parallel.run_layers` barrier loop as the
-  cold path — the per-problem statics ride every shard task, so the pool
-  never needs rebuilding between problems;
+  cold path — the per-problem statics ride every shard task, so the
+  workers never need restarting between problems;
 * :meth:`SolverEngine.solve_many` pipelines the ``subset_weights``
   precompute of the *next* instance against the in-flight solve on a
   background thread (the butterfly accumulation is numpy work that
   releases the GIL).
 
-Small instances (below the parallel threshold, or a one-worker engine)
-skip the pool entirely and run the fused single-process path with the
-engine's persistent scratch arena — still allocation-free and still
-bit-for-bit identical to a cold :func:`repro.core.solve`.
+Small instances (below the warm crossover ``PARALLEL_MIN_K_WARM``, or a
+one-worker engine) skip the workers entirely and run the fused
+single-process path with the engine's persistent scratch arena — still
+allocation-free and still bit-for-bit identical to a cold
+:func:`repro.core.solve`.
 
 The engine is a context manager; use it as one (or call :meth:`close`)
-so the shared segments and the pool are released deterministically.
+so the shared segments and the workers are released deterministically.
 Checkpointed or custom-policy solves have per-solve failure-domain
 state that a warm engine cannot share — route those through the cold
 :func:`repro.core.solve` path (``solve(engine=...)`` does this
@@ -46,10 +48,10 @@ from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from . import faults
 from . import parallel as _par
-from .dispatch import cached_subset_weights, resolve_backend
+from .dispatch import _resolve, cached_subset_weights
 from .errors import InvalidProblem, SolverError
 from .kernels import LayerArena
-from .parallel import MIN_SHARD, run_layers
+from .parallel import MIN_SHARD, PARALLEL_MIN_K_WARM, run_layers
 from .problem import TTProblem
 from .sequential import DPResult, solve_dp
 from .supervisor import RecoveryLog, ResiliencePolicy
@@ -63,17 +65,21 @@ class SolverEngine:
     Parameters
     ----------
     workers:
-        Worker processes for the parallel path (default:
-        :func:`~repro.core.parallel.default_workers`).  ``1`` keeps every
-        solve single-process (arena reuse only).
+        Processes for the parallel path, the parent included (default:
+        :func:`~repro.core.parallel.default_workers`): ``workers - 1``
+        children are kept warm.  ``1`` keeps every solve single-process
+        (arena reuse only).
     backend:
         ``"auto"`` (default), ``"numpy"``, ``"native"`` or ``"parallel"``
-        — resolved per instance exactly like :func:`repro.core.solve`
-        (including the loud numpy fallback when ``"native"`` is requested
-        without numba installed).
+        — resolved per instance like :func:`repro.core.solve`, except
+        that ``"auto"`` uses the warm crossover
+        (:data:`~repro.core.parallel.PARALLEL_MIN_K_WARM`): warm workers
+        pay off from a smaller ``k`` than a cold solve's.  A
+        ``"native"`` request without numba installed falls back to numpy
+        loudly.
     policy:
         :class:`~repro.core.supervisor.ResiliencePolicy` for the warm
-        pool's fault handling.  Checkpointing is not supported on the
+        workers' fault handling.  Checkpointing is not supported on the
         warm path (``policy.checkpoint`` must be ``None``).
     min_shard:
         Minimum masks per worker shard (see :mod:`repro.core.parallel`);
@@ -81,8 +87,8 @@ class SolverEngine:
 
     Results are bit-for-bit identical to the cold paths: the engine runs
     the same barrier loop over the same kind of store with the same
-    supervisor machinery — only the *lifetime* of the store and the pool
-    differs.
+    supervisor machinery — only the *lifetime* of the store and the
+    workers differs.
     """
 
     def __init__(
@@ -122,12 +128,12 @@ class SolverEngine:
         self.close()
 
     def close(self) -> None:
-        """Release the pool and the shared segments (idempotent)."""
+        """Release the workers and the shared segments (idempotent)."""
         self._closed = True
         self._teardown()
 
     def _teardown(self) -> None:
-        # The pool goes first: its workers map the store's segments.
+        # The workers go first: they map the store's segments.
         supervisor, self._supervisor = self._supervisor, None
         if supervisor is not None:
             supervisor.shutdown()
@@ -145,7 +151,9 @@ class SolverEngine:
         """
         if self._closed:
             raise SolverError("SolverEngine is closed")
-        backend, eff_workers = resolve_backend(problem, self.backend, self.workers)
+        backend, eff_workers = _resolve(
+            problem, self.backend, self.workers, PARALLEL_MIN_K_WARM
+        )
         if p is None:
             p = cached_subset_weights(problem)
         if backend == "reference":
@@ -195,7 +203,7 @@ class SolverEngine:
         )
         supervisor = self._supervisor
         if supervisor is not None and supervisor.degraded:
-            # A previous solve lost its pool; give the next one a fresh
+            # A previous solve lost its workers; give the next one a fresh
             # chance instead of pinning the whole engine in-process.
             supervisor.shutdown()
             supervisor = None

@@ -52,10 +52,9 @@ two to three full array passes per action.
 
 Callers over shared or file-backed tables cannot honor the invariant.
 A replayed shard may find its own slice half written by a predecessor
-that died mid-scatter, or by a stale duplicate still running; a
-file-backed table slice resuming after a crash (or scattered from a
-corrupt slab) may hold *arbitrary bytes* — garbage finite floats, or
-NaNs that would poison ``np.minimum``.  Restoring the invariant would
+that died mid-scatter; a file-backed table slice resuming after a crash
+(or scattered from a corrupt slab) may hold *arbitrary bytes* — garbage
+finite floats, or NaNs that would poison ``np.minimum``.  Restoring the invariant would
 take a full table copy per shard and layer, which is also exactly the
 RAM spike a spilled solve exists to avoid.  For them the kernel takes
 ``strict=True``: the legacy validity masks come back (``inter == 0`` or
@@ -96,16 +95,17 @@ argmin is computed independently, so the tile size can never change a
 result.
 
 :class:`LayerPlan` is the other half of the fix: ``solve_dp`` and
-``solve_dp_parallel`` used to recompute the popcount layer partition
-(``popcount_array`` plus a stable argsort over all ``2^k`` masks) on
-every call.  The plan — popcount-sorted mask order plus layer start
-offsets — is computed once per ``k`` and cached, shared by the
-sequential path, the parallel engine, checkpoint resume and the
+``solve_dp_parallel`` used to recompute the popcount layer partition on
+every call.  The plan — popcount-sorted mask order
+(:func:`popcount_order_into`, no ``2^k`` sort) plus layer start offsets
+(binomial prefix sums) — is computed once per ``k`` and cached, shared
+by the sequential path, the parallel engine, checkpoint resume and the
 :class:`~repro.core.engine.SolverEngine`.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 
@@ -117,6 +117,8 @@ from .errors import InvalidProblem
 __all__ = [
     "LayerPlan",
     "layer_plan",
+    "layer_starts",
+    "popcount_order_into",
     "plan_cache_stats",
     "LayerArena",
     "solve_layer_kernel_fused",
@@ -158,6 +160,39 @@ def _env_tile() -> int:
 # Cached layer partition
 # ----------------------------------------------------------------------
 
+# Masks per aligned chunk of popcount_order_into.
+_ORDER_CHUNK = 1 << 18
+
+
+def layer_starts(k: int) -> np.ndarray:
+    """The ``k + 2`` layer offsets: ``starts[j]`` = masks of popcount < j."""
+    return np.cumsum([0] + [math.comb(k, j) for j in range(k + 1)], dtype=np.int64)
+
+
+def popcount_order_into(out, k: int) -> None:
+    """Fill ``out[:2^k]`` with every mask sorted stably by popcount.
+
+    Masks are placed one power-of-two-aligned chunk ``[lo, lo + 2^c)`` at
+    a time: there ``popcount(lo + i) = popcount(lo) + popcount(i)``, so
+    one stable popcount sort of ``arange(2^c)`` splits every chunk into
+    ascending runs, one per layer.  Chunks are visited in ascending order
+    and each run is appended at its layer's cursor, so every layer stays
+    ascending — the order a stable argsort of all ``2^k`` popcounts
+    gives, without that sort.  ``out`` may be a file-backed memmap: it
+    is written one run at a time.
+    """
+    c = min(k, _ORDER_CHUNK.bit_length() - 1)
+    runs = np.argsort(popcount_array(np.arange(1 << c), c), kind="stable")
+    run_starts = layer_starts(c)
+    cursor = layer_starts(k)
+    for lo in range(0, 1 << k, 1 << c):
+        base = bin(lo).count("1")
+        for p in range(c + 1):
+            a, b = run_starts[p], run_starts[p + 1]
+            at = cursor[base + p]
+            out[at:at + b - a] = runs[a:b] + lo
+            cursor[base + p] += b - a
+
 
 class LayerPlan:
     """Popcount partition of all ``2^k`` masks, computed once per ``k``.
@@ -176,11 +211,9 @@ class LayerPlan:
     def __init__(self, k: int):
         if k < 0:
             raise InvalidProblem(f"layer plan needs k >= 0, got {k}")
-        n_sub = 1 << k
-        masks = np.arange(n_sub, dtype=np.int64)
-        layer_of = popcount_array(masks, k)
-        order = np.argsort(layer_of, kind="stable").astype(np.int64)
-        starts = np.searchsorted(layer_of[order], np.arange(k + 2)).astype(np.int64)
+        order = np.empty(1 << k, dtype=np.int64)
+        popcount_order_into(order, k)
+        starts = layer_starts(k)
         order.setflags(write=False)
         starts.setflags(write=False)
         self.k = k
@@ -220,8 +253,8 @@ def layer_plan(k: int) -> LayerPlan:
     """The cached :class:`LayerPlan` for universe size ``k``.
 
     Thread-safe; every caller of the same ``k`` shares one frozen plan,
-    so the ``popcount + argsort`` over ``2^k`` masks is paid once per
-    process instead of once per solve.
+    so building the ``2^k`` mask order is paid once per process instead
+    of once per solve.
     """
     with _PLAN_LOCK:
         plan = _PLAN_CACHE.get(k)

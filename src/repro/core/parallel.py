@@ -14,26 +14,31 @@ loop, :func:`run_layers`:
   :class:`~repro.store.LayerStore` — shared memory
   (:class:`~repro.store.RamStore`) or memory-mapped spill files
   (:class:`~repro.store.MmapStore`);
-* each layer is sharded into contiguous runs of masks, one task per
-  worker; workers gather ``C`` from completed layers and scatter their
-  shard's results back into the shared table, while a layer too small to
-  amortize IPC runs in the parent on the same tables
-  (``LayerStore.run_parent_slice``);
+* each layer is sharded into contiguous runs of masks, at most one per
+  worker; a layer too small to amortize IPC runs in the parent on the
+  same tables (``LayerStore.run_parent_slice``);
+* ``workers`` counts the parent: a solve with ``workers=w`` starts
+  ``w - 1`` child processes, each owning one pipe and, statically, one
+  shard index.  Child ``i`` gathers ``C`` from completed layers for
+  shard ``i`` and scatters its results back into the shared table, while
+  the parent computes the layer's last shard itself rather than idling
+  at the barrier — a 2-core host runs one child, not two;
 * the only synchronization is the per-layer barrier, exactly where the
   paper's ASCEND phases place theirs — but the barrier is *supervised*
-  (:class:`~repro.core.supervisor.Supervisor`): shards are dispatched
-  via ``apply_async`` with per-shard deadlines, dead workers are
-  detected and their shards re-dispatched with bounded retries, a
-  wedged pool is respawned, and past the retry budget the layer is
-  finished in the parent instead of hanging or raising.
+  (:class:`~repro.core.supervisor.Supervisor`): each shard has a
+  deadline, a dead child is detected from its process sentinel and only
+  the shard it held is retried (a timed-out child is SIGKILLed and
+  reaped first), lost children are respawned with bounded retries, and
+  past the retry budget the shard is finished in the parent instead of
+  hanging or raising.
 
 Two callers drive that loop.  :func:`solve_dp_parallel` is the cold
 path: open a store, build a supervisor, run the layers, tear both down.
 :class:`~repro.core.engine.SolverEngine` keeps one opened RAM store and
 its supervisor per ``k`` and re-arms the store for every instance.
 Either way the per-problem statics (action subsets, costs, test mask)
-ride every shard task, so a pool's initializer only maps the store's
-tables and one warm pool serves any problem of its ``k``.
+ride every shard task, so a child only maps the store's tables when it
+starts and one set of warm children serves any problem of its ``k``.
 
 Determinism: each subset's argmin is computed *entirely inside one
 worker* by scanning actions in index order through
@@ -41,10 +46,10 @@ worker* by scanning actions in index order through
 subsets, never over actions — so the tie-break rule (lowest action index
 wins) and the float evaluation order are bit-for-bit those of
 :func:`solve_dp` and :func:`solve_dp_reference`, regardless of worker
-count, scheduling order, retries, pool respawns or fallbacks.  A shard
-is a pure function of the completed layers writing a slice nothing else
-touches, which is what makes replaying one (even a half-written or
-duplicated one) provably safe — see the failure model in DESIGN.md.
+count, scheduling order, retries, respawns or fallbacks.  A shard is a
+pure function of the completed layers writing a slice nothing else
+touches, which is what makes replaying a half-written one provably safe
+— see the failure model in DESIGN.md.
 
 Same-layer reads cannot race across shards: a gather index in the
 *current* layer is only ever the subset's own mask ``S`` (``inter == 0``
@@ -53,9 +58,9 @@ shard's own slice — never in another shard's.  Those self-reads are
 resolved by the *strict* fused kernel, which every shard and parent
 slice runs: explicit validity masks make the result independent of
 whatever the table holds inside the layer being computed — entries half
-written by a predecessor that died mid-scatter, a stale duplicate's
-writes, or resume garbage in a file-backed table — so a *replayed* shard
-writes the exact same bytes with zero table copying.
+written by a predecessor that died mid-scatter, or resume garbage in a
+file-backed table — so a *replayed* shard writes the exact same bytes
+with zero table copying.
 
 The loop is store agnostic: ``open()`` reports which layers already
 hold trusted values (the journal's validated slabs), the loop computes
@@ -70,7 +75,7 @@ degrades to an unpersisted in-RAM store when the tables fit under
 Persistence is pipelined by default (``commit="async"`` /
 ``REPRO_COMMIT_MODE``): layer ``j``'s durable commit runs on a
 background :class:`~repro.store.pipeline.AsyncCommitter` thread while
-the pool computes layer ``j + 1`` — sound because a layer's table
+the workers compute layer ``j + 1`` — sound because a layer's table
 entries never change after its barrier and commits replay the store's
 own protocol unchanged, in order, with errors surfacing at the next
 barrier and a full drain before the manifest is marked complete.
@@ -81,9 +86,8 @@ from __future__ import annotations
 import functools
 import multiprocessing as mp
 import os
-import signal
 import time
-from multiprocessing import shared_memory
+from multiprocessing import shared_memory, util
 
 import numpy as np
 
@@ -100,15 +104,19 @@ __all__ = [
     "solve_dp_parallel",
     "run_layers",
     "default_workers",
-    "PARALLEL_MIN_K",
+    "PARALLEL_MIN_K_COLD",
+    "PARALLEL_MIN_K_WARM",
     "MIN_SHARD",
     "START_METHOD_ENV",
 ]
 
-# Below this universe size the fork/IPC overhead dwarfs the layer work;
-# the "auto" backend in repro.core.dispatch keeps such instances on the
-# single-process solver.
-PARALLEL_MIN_K = 16
+# The "auto" crossovers (repro.core.dispatch): the smallest k from which
+# the parallel path beat single-process numpy at every larger k of the
+# committed k-ladder (benchmarks/bench_ladder.py -> BENCH_LADDER.json),
+# once for a cold solve() that starts its workers and tables per call
+# and once for a warm SolverEngine that keeps them.
+PARALLEL_MIN_K_COLD = 21
+PARALLEL_MIN_K_WARM = 20
 
 # A layer slice must contain at least this many subsets to be worth
 # shipping to a worker; smaller layers are solved in the parent process
@@ -152,8 +160,8 @@ _WORKER: dict | None = None
 def _attach(name: str) -> shared_memory.SharedMemory:
     """Attach to an existing block (the parent owns creation and unlink).
 
-    Pool workers share the parent's resource-tracker process (both fork
-    and spawn inherit it), so the attach-side ``register`` call that
+    Workers share the parent's resource-tracker process (both fork and
+    spawn inherit it), so the attach-side ``register`` call that
     CPython issues is a set-level no-op and the parent's single ``unlink``
     leaves the tracker clean — no extra bookkeeping needed here.
     """
@@ -161,14 +169,15 @@ def _attach(name: str) -> shared_memory.SharedMemory:
 
 
 def _init_worker(access):
-    """Pool initializer: map the store's tables into this worker.
+    """Map the store's tables into this worker (once, when it starts).
 
     ``access`` is the picklable dict from ``LayerStore.worker_spec()``:
     ``mode="shm"`` names shared-memory blocks to map, ``mode="mmap"``
     names a spill directory whose ``.dat`` files the worker memmaps
     (``MAP_SHARED``, so parent and worker writes are coherent).  The
     per-problem statics are not here — they ride every task (see
-    :func:`_solve_shard`), so one pool serves every problem of its ``k``.
+    :func:`_solve_shard`), so one worker serves every problem of its
+    ``k``.
     """
     global _WORKER
     n_sub = access["n_sub"]
@@ -214,21 +223,10 @@ def _solve_shard(subsets, costs, is_test, task: tuple) -> tuple:
 
     The kernel runs strict and gathers straight from the shared table:
     the result is independent of whatever the table holds in the layer
-    being computed, so replayed shards and stale duplicates write
-    bit-identical bytes (see the module docstring).
-
-    Termination signals are blocked for the duration of the compute.
-    This serves two supervision needs at once: the shard's table writes
-    are atomic with respect to SIGTERM/SIGINT, and — more subtly — any
-    helper threads numpy's BLAS spawns during the compute inherit the
-    blocked mask *permanently*.  Without that, the kernel is free to hand
-    a process-directed SIGTERM to a BLAS thread, where CPython's C
-    trampoline merely sets a flag that an idle main thread parked in the
-    task-queue ``sem_wait`` never wakes to service — the worker silently
-    outlives ``Pool.terminate()`` and the join wedges until the
-    supervisor's SIGKILL escalation.  With every helper thread masked,
-    the main thread is the only eligible recipient, its ``sem_wait`` is
-    interrupted, and the handler runs promptly.
+    being computed, so a shard replayed after its predecessor died
+    mid-scatter writes bit-identical bytes (see the module docstring).
+    No signal is masked: a worker killed mid-scatter is exactly the
+    failure a replay repairs.
     """
     lo, hi, layer_idx, shard_idx, attempt = task[:5]
     traced = len(task) > 5 and bool(task[5])
@@ -237,23 +235,15 @@ def _solve_shard(subsets, costs, is_test, task: tuple) -> tuple:
     # The worker tracer is made ambient around the whole shard body so
     # deep sites (fault injection, kernels) land in it without plumbing.
     with obs_trace.tracing(tracer):
-        # Injected faults run unmasked: a simulated hang is a Python-level
-        # sleep and should stay SIGTERM-interruptible (a real hang inside
-        # the C kernel below would not run Python handlers either way).
         faults.inject(layer_idx, shard_idx, attempt)
-        blockable = {signal.SIGTERM, signal.SIGINT}
-        old_mask = signal.pthread_sigmask(signal.SIG_BLOCK, blockable)
-        try:
-            w = _WORKER
-            layer = np.asarray(w["order"][lo:hi])
-            layer_best, layer_arg = solve_layer_kernel_fused(
-                layer, w["p"][layer], w["cost"], subsets, costs, is_test,
-                arena=w["arena"], strict=True,
-            )
-            w["cost"][layer] = layer_best
-            w["best"][layer] = layer_arg
-        finally:
-            signal.pthread_sigmask(signal.SIG_SETMASK, old_mask)
+        w = _WORKER
+        layer = np.asarray(w["order"][lo:hi])
+        layer_best, layer_arg = solve_layer_kernel_fused(
+            layer, w["p"][layer], w["cost"], subsets, costs, is_test,
+            arena=w["arena"], strict=True,
+        )
+        w["cost"][layer] = layer_best
+        w["best"][layer] = layer_arg
     if tracer is None:
         return shard_idx, hi - lo
     tracer.complete(
@@ -261,6 +251,47 @@ def _solve_shard(subsets, costs, is_test, task: tuple) -> tuple:
         layer=layer_idx, shard=shard_idx, attempt=attempt, masks=hi - lo,
     )
     return shard_idx, hi - lo, tracer.raw_events()
+
+
+def _worker_main(conn, access) -> None:
+    """Body of one owned worker: map the tables, then serve shards.
+
+    The worker first sends ``True`` (started).  Each message is then
+    ``(task, args)``; the reply is ``(True, task(args))`` or
+    ``(False, error)`` when the task raised.  ``None`` — or the parent
+    end of the pipe closing — stops the worker.
+    """
+    _init_worker(access)
+    conn.send(True)
+    while True:
+        try:
+            msg = conn.recv()
+        except (EOFError, OSError):
+            return
+        if msg is None:
+            return
+        task, args = msg
+        try:
+            reply = (True, task(args))
+        except Exception as exc:
+            reply = (False, f"{type(exc).__name__}: {exc}")
+        try:
+            conn.send(reply)
+        except OSError:
+            return
+
+
+def _start_worker(access) -> tuple:
+    """Start one owned worker over ``access``: ``(process, parent pipe end)``."""
+    ctx = _mp_context()
+    parent_end, child_end = ctx.Pipe()
+    # Forked children close every inherited parent end (their own and
+    # their siblings'), so a dead parent leaves each child's recv at EOF.
+    util.register_after_fork(parent_end, type(parent_end).close)
+    proc = ctx.Process(target=_worker_main, args=(child_end, access), daemon=True)
+    proc.start()
+    child_end.close()
+    return proc, parent_end
 
 
 # ----------------------------------------------------------------------
@@ -296,20 +327,18 @@ def _mp_context():
 
 
 def _pool_supervisor(store, workers: int, policy, task, log, *, tracer, metrics):
-    """A :class:`Supervisor` whose lazy pool maps ``store``'s tables.
+    """A :class:`Supervisor` whose ``workers - 1`` children map ``store``'s tables.
 
     ``None`` when there is nothing to share: one worker, or a store that
     cannot hand its tables to other processes (``worker_spec()`` is
     ``None``) — :func:`run_layers` then solves every layer in the parent.
+    Children start lazily, on the first layer that needs them.
     """
     access = store.worker_spec()
     if access is None or workers < 2:
         return None
-
-    def pool_factory():
-        return _mp_context().Pool(workers, initializer=_init_worker, initargs=(access,))
-
-    return Supervisor(policy, pool_factory, task, log, tracer=tracer, metrics=metrics)
+    start = functools.partial(_start_worker, access)
+    return Supervisor(policy, start, task, log, tracer=tracer, metrics=metrics)
 
 
 def run_layers(
@@ -362,8 +391,9 @@ def run_layers(
         committer = store_mod.AsyncCommitter(store, tracer=tracer, metrics=metrics)
 
     def solve_in_parent(lo: int, hi: int) -> int:
-        """Small, degraded and fallback slices: same kernel, same bytes,
-        over whichever store currently holds the tables."""
+        """The parent's own shard of a pool layer, and small, degraded
+        and fallback slices: same kernel, same bytes, over whichever
+        store currently holds the tables."""
         ts = time.monotonic()
         n = store.run_parent_slice(lo, hi, subsets, costs, is_test, arena)
         dt = time.monotonic() - ts
@@ -424,8 +454,8 @@ def run_layers(
                 t0 = time.monotonic()
                 shards = _shard_bounds(lo, hi, workers, min_shard)
                 if len(shards) == 1 or supervisor is None or supervisor.degraded:
-                    # Layer too small to amortize IPC (or no pool, or the
-                    # pool is gone): solve in the parent on the same
+                    # Layer too small to amortize IPC (or no workers, or
+                    # they are gone): solve in the parent on the same
                     # tables — identical kernel, still a barrier.
                     done = solve_in_parent(lo, hi)
                     mode = "degraded" if log.degraded or (
@@ -610,8 +640,8 @@ def solve_dp_parallel(
             commit=commit, progress=progress,
         )
     finally:
-        # Terminate the pool *before* the store tears down its tables,
-        # so a worker being repopulated can never attach vanished blocks.
+        # Stop the workers *before* the store tears down its tables,
+        # so a worker being started can never attach vanished blocks.
         if supervisor is not None:
             supervisor.shutdown()
         store.close()

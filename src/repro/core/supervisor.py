@@ -1,21 +1,25 @@
 """Supervised execution layer for the multi-core parallel DP engine.
 
-PR 1's engine ran each popcount layer as a bare ``pool.map`` barrier —
-correct, but brittle: a worker killed mid-layer (OOM, SIGKILL) hangs the
-``map`` forever, a hard parent crash leaks the ``/dev/shm`` segments, and
-a multi-hour solve that dies at layer 18 restarts from layer 1.  This
-module supplies the machinery that makes those failures survivable:
+A bare per-layer barrier over worker processes is correct but brittle: a
+worker killed mid-layer (OOM, SIGKILL) hangs the barrier forever, a hard
+parent crash leaks the ``/dev/shm`` segments, and a multi-hour solve that
+dies at layer 18 restarts from layer 1.  This module supplies the
+machinery that makes those failures survivable:
 
 * :class:`ResiliencePolicy` — the knobs (per-shard timeout, bounded
   retries with exponential backoff, in-process fallback, checkpoint
   path) threaded through :func:`repro.core.solve` and the CLI;
-* :class:`Supervisor` — dispatches shards via ``apply_async``, blocks on
-  completion (event-driven, with a bounded wake-up for deadline checks),
-  detects dead workers (PID-set changes and pool breakage)
-  and deadline overruns, re-dispatches failed shards with backoff,
-  respawns the pool when its slots are wedged, and past ``max_retries``
-  degrades to the in-process numpy kernel instead of raising (unless the
-  policy says otherwise);
+* :class:`Supervisor` — owns ``workers - 1`` child processes, one pipe
+  each, with static shard ownership: child ``i`` holds shard ``i`` of a
+  layer, and the parent computes the last shard itself instead of idling
+  at the barrier.  It blocks on the children's pipes and process
+  sentinels, woken by a reply, a death or the nearest deadline, so it
+  knows which shard a dead child held and retries only that one.  A
+  child past its deadline is SIGKILLed and reaped before its shard is
+  retried.  Retries back off exponentially, lost children are respawned,
+  and past ``max_retries`` a shard finishes on the in-process numpy
+  kernel instead of raising (unless the policy says otherwise); when no
+  child can be started the rest of the solve runs in the parent;
 * :class:`SharedTables` — a leak-proof owner of the shared-memory
   blocks: ``atexit`` + SIGTERM/SIGINT guards unlink the segments even
   when the parent is torn down mid-solve;
@@ -29,9 +33,11 @@ module supplies the machinery that makes those failures survivable:
 Everything here is *provably safe* to replay because of the determinism
 contract locked down in :mod:`repro.core.sequential`: a shard is a pure,
 bit-reproducible function of the completed layers and writes a slice no
-other shard touches, so re-running a shard — even one that half-wrote
-before dying, even concurrently with a stale duplicate — can only write
-the exact same bytes.
+other shard touches, so re-running a shard that half-wrote before dying
+can only write the exact same bytes.  Ownership fences the replay: the
+previous attempt's process is dead and reaped (or idle, after an
+exception) before the next attempt starts, so no shard ever runs twice
+at once.
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ import signal
 import threading
 import time
 from dataclasses import dataclass, field
-from multiprocessing import shared_memory
+from multiprocessing import connection, shared_memory
 
 import numpy as np
 
@@ -60,12 +66,6 @@ __all__ = [
     "Supervisor",
     "problem_content_hash",
 ]
-
-# Upper bound on how long the supervisor blocks before re-checking
-# deadlines and worker liveness.  Shard *completion* wakes it immediately
-# (it blocks in ``AsyncResult.wait``, not a sleep), so this only bounds
-# the latency of timeout and crash detection.
-_POLL_SECONDS = 0.02
 
 
 # ----------------------------------------------------------------------
@@ -90,7 +90,7 @@ class ResiliencePolicy:
         Exponential re-dispatch delay: attempt ``a`` waits
         ``min(backoff * 2**(a-1), backoff_max)`` seconds.
     fallback:
-        When a shard exhausts its retries (or the pool cannot be
+        When a shard exhausts its retries (or its worker cannot be
         respawned), finish it on the in-process numpy kernel — same
         kernel, same bytes — instead of raising.
     checkpoint:
@@ -260,7 +260,7 @@ class SharedTables:
     def close(self) -> None:
         """Idempotent: drop the views, close and unlink every block.
 
-        Only the creating process unlinks — in a forked child (pool
+        Only the creating process unlinks — in a forked child (a
         worker running the inherited guard) this is a reference-drop
         no-op, otherwise a worker's SIGTERM would strand the parent
         mid-solve with vanished segments.
@@ -302,172 +302,148 @@ def problem_content_hash(problem: TTProblem) -> str:
 # The supervisor
 # ----------------------------------------------------------------------
 
-# Seconds a pool teardown may take before the supervisor escalates to
-# SIGKILL, and how many kill rounds to attempt before giving up.  A round
-# per repopulation race is plenty.  A healthy teardown finishes in
-# milliseconds, so a short grace only taxes the wedged case — and
-# SIGKILLing a worker mid-shard is harmless here, since shards are pure
-# replayable functions of the completed layers.
-_SHUTDOWN_GRACE = 1.0
-_SHUTDOWN_KILL_ROUNDS = 3
+# Seconds an idle child may take to exit after its stop message before
+# shutdown SIGKILLs it.  A healthy child is parked in ``recv`` and exits
+# at once.
+_STOP_GRACE = 1.0
+
+# Recovery kind -> (RecoveryLog field, metric).  Every recovery action is
+# counted through Supervisor._count, so the log and the metrics agree.
+_COUNTERS = {
+    "retry": ("retries", "shard.retries"),
+    "crash": ("crashes", "shard.crashes"),
+    "timeout": ("timeouts", "shard.timeouts"),
+    "respawn": ("respawns", "pool.respawns"),
+    "fallback": ("fallback_shards", "shard.fallbacks"),
+}
 
 
-def _drain_pool(pool) -> None:
-    """Blocking teardown of a pool, exception-proofed.
+class _Child:
+    """One owned worker process, its pipe, and the shard it holds."""
 
-    Uses ``close() + join()`` rather than ``terminate()``: terminate's
-    ``_help_stuff_finish`` drains the task queue while racing the idle
-    workers for the queue's read lock, and when it wins it swallows the
-    very sentinels those workers need to exit — stranding a worker that
-    the subsequent unconditional join then waits on forever.  The polite
-    path hands every worker its sentinel through the normal task-handler
-    flow, so nothing is stolen; leftover duplicate shard tasks simply
-    finish first (harmless — shards are replayable and idempotent).
-    Workers that are genuinely stuck are the escalation's job.
-    """
-    try:
-        if getattr(pool, "_cache", None):
-            # A crashed worker leaves its in-flight ApplyResult in the
-            # cache forever; close() would then never converge (the
-            # worker handler keeps the pool staffed while results are
-            # outstanding), so the hard path is the only correct one.
-            pool.terminate()
-        else:
-            pool.close()
-        pool.join()
-    except Exception:
+    __slots__ = ("proc", "conn", "ready", "bounds", "attempt", "deadline")
+
+    def __init__(self, proc, conn):
+        self.proc = proc
+        self.conn = conn
+        self.ready = False  # its start-up message has arrived
+        self.bounds = None  # None while idle
+        self.attempt = 0
+        self.deadline = None
+
+    def reply(self):
+        """The child's next message — ``True`` once it has started, then
+        ``(ok, payload)`` per shard — or ``None`` if it died."""
         try:
-            pool.terminate()
-            pool.join()
-        except Exception:
+            if self.conn.poll():
+                return self.conn.recv()
+        except (EOFError, OSError):
             pass
+        return None
 
-
-class _Pending:
-    __slots__ = ("result", "bounds", "attempt", "deadline", "last_failure")
-
-    def __init__(self, result, bounds, attempt, deadline):
-        self.result = result
-        self.bounds = bounds
-        self.attempt = attempt
-        self.deadline = deadline
-        self.last_failure = "crash"
+    def reap(self) -> None:
+        """SIGKILL (a no-op once it has exited) and wait: gone for good."""
+        self.proc.kill()
+        self.proc.join()
+        self.conn.close()
 
 
 class Supervisor:
-    """Supervised per-layer shard dispatch over a worker pool.
+    """Supervised per-layer shard dispatch over owned worker processes.
 
-    ``pool_factory`` creates a fresh initialized pool (used lazily and on
-    every respawn); ``task`` is the picklable worker function receiving
-    ``(lo, hi, layer_index, shard_index, attempt, trace)`` and returning
-    ``(shard_index, n_masks_solved)`` — or, when the ``trace`` flag was
-    set, ``(shard_index, n_masks_solved, raw_events)`` with the worker's
-    telemetry flushed back through the same result channel.
+    ``start_worker()`` starts one child mapped onto the solve's tables and
+    returns ``(process, pipe)`` (used lazily, and again to replace a dead
+    or timed-out child); ``task`` is the picklable worker function
+    receiving ``(lo, hi, layer_index, shard_index, attempt, trace)`` and
+    returning ``(shard_index, n_masks_solved)`` — or, when the ``trace``
+    flag was set, ``(shard_index, n_masks_solved, raw_events)`` with the
+    worker's telemetry flushed back through the same pipe.
     """
 
     def __init__(
         self,
         policy: ResiliencePolicy,
-        pool_factory,
+        start_worker,
         task,
         log: RecoveryLog,
         tracer=None,
         metrics=None,
     ):
         self.policy = policy
-        self._pool_factory = pool_factory
+        self._start_worker = start_worker
         self._task = task
         self.log = log
         self._tracer = tracer if tracer is not None else NULL
         self._metrics = metrics if metrics is not None else NULL_METRICS
         self._max_shard_s = 0.0
-        self._pool = None
-        self._pids: set[int] = set()
-        self.degraded = False  # pool unusable: rest of the solve runs in-process
+        self._children: list[_Child | None] = []  # slot i owns shard i
+        self.degraded = False  # workers unusable: rest of the solve runs in-process
 
     def rebind(self, task, log: RecoveryLog, tracer=None, metrics=None) -> None:
         """Point a warm supervisor at the next solve's task and log.
 
         The :class:`~repro.core.engine.SolverEngine` keeps one supervisor
-        (and its pool) alive across many solves; each solve carries its
-        own per-problem task closure, recovery log, and telemetry sinks
-        (reset to disabled when omitted, so a traced solve never leaks
-        its tracer into the next), while the pool, worker PIDs and
-        degraded state persist.
+        (and its children) alive across many solves; each solve carries
+        its own per-problem task closure, recovery log, and telemetry
+        sinks (reset to disabled when omitted, so a traced solve never
+        leaks its tracer into the next), while the children and degraded
+        state persist.  A child still holding a shard of a solve that
+        raised is reaped here: its reply must never be taken for a shard
+        of the next solve.
         """
+        for sid, child in enumerate(self._children):
+            if child is not None and child.bounds is not None:
+                child.reap()
+                self._children[sid] = None
         self._task = task
         self.log = log
         self._tracer = tracer if tracer is not None else NULL
         self._metrics = metrics if metrics is not None else NULL_METRICS
 
-    # -- pool lifecycle ------------------------------------------------
+    def _count(self, kind: str, n: int = 1, **detail) -> None:
+        """Count a recovery action in the log *and* the metrics."""
+        field_name, metric = _COUNTERS[kind]
+        setattr(self.log, field_name, getattr(self.log, field_name) + n)
+        self._metrics.inc(metric, n)
+        if detail:
+            self.log.event(kind, **detail)
 
-    def _ensure_pool(self):
-        if self._pool is None:
-            self._pool = self._pool_factory()
-            self._pids = self._worker_pids()
-        return self._pool
+    # -- child lifecycle -----------------------------------------------
 
-    def _worker_pids(self) -> set[int]:
-        procs = getattr(self._pool, "_pool", None) or ()
-        return {proc.pid for proc in procs}
-
-    def _respawn_pool(self, reason: str) -> bool:
-        """Terminate and recreate the pool; False = degrade to in-process."""
-        self.shutdown()
+    def _spawn(self, slot: int, reason: str | None = None) -> bool:
+        """Start the child for ``slot``; False (degraded) if the OS refuses."""
         try:
-            self._ensure_pool()
+            proc, conn = self._start_worker()
         except OSError as exc:
-            self.log.event("degrade", reason=f"pool respawn failed: {exc}")
             self.degraded = True
+            self.log.degraded = True
+            self.log.event("degrade", reason=f"worker start failed: {exc}")
             return False
-        self.log.respawns += 1
-        self._metrics.inc("pool.respawns")
-        self.log.event("respawn", reason=reason)
+        self._children[slot] = _Child(proc, conn)
+        if reason is not None:
+            self._count("respawn", reason=reason, shard=slot)
         return True
 
     def shutdown(self) -> None:
-        """Tear the pool down without trusting it to die politely.
+        """Stop and reap every child.
 
-        The polite path (see ``_drain_pool``) avoids the known teardown
-        races, but a pool with crashed workers must go through
-        ``Pool.terminate()``, whose unconditional final join trusts every
-        worker to honor SIGTERM — and a SIGTERM can be silently lost
-        (e.g. landing on a freshly forked replacement worker before
-        CPython's ``PyOS_AfterFork_Child`` resets inherited signal
-        state).  So the blocking teardown runs on a reaper thread, and if
-        it overstays its grace period we escalate to SIGKILL, which the
-        kernel delivers regardless of the interpreter's signal
-        bookkeeping.
+        Idle children exit on a stop message; a child still holding a
+        shard (a hang, or a solve that raised mid-layer) is SIGKILLed —
+        its result is unwanted, and SIGKILL needs no cooperation from it.
         """
-        pool, self._pool = self._pool, None
-        self._pids = set()
-        if pool is None:
-            return
-        reaper = threading.Thread(
-            target=_drain_pool, args=(pool,), name="pool-reaper", daemon=True
-        )
-        reaper.start()
-        reaper.join(_SHUTDOWN_GRACE)
-        attempts = 0
-        while reaper.is_alive() and attempts < _SHUTDOWN_KILL_ROUNDS:
-            attempts += 1
-            live = [p for p in list(getattr(pool, "_pool", []) or []) if p.is_alive()]
-            if not live:
-                break
-            self.log.event(
-                "shutdown_escalation",
-                attempt=attempts,
-                pids=[p.pid for p in live],
-            )
-            for proc in live:
-                proc.kill()
-            reaper.join(_SHUTDOWN_GRACE)
-        if reaper.is_alive():
-            # Terminate is wedged on something SIGKILL cannot release
-            # (e.g. a queue lock poisoned by a killed holder).  Abandon
-            # the daemon thread rather than hang the solve.
-            self.log.event("shutdown_abandoned")
+        children = [c for c in self._children if c is not None]
+        self._children = []
+        for child in children:
+            if child.bounds is not None:
+                child.proc.kill()
+                continue
+            try:
+                child.conn.send(None)
+            except OSError:
+                pass  # already dead
+        for child in children:
+            child.proc.join(_STOP_GRACE)
+            child.reap()
 
     # -- dispatch ------------------------------------------------------
 
@@ -476,72 +452,65 @@ class Supervisor:
             return None
         return time.monotonic() + self.policy.timeout
 
-    def _backoff(self, attempt: int) -> None:
+    def _send(self, layer_idx: int, sid: int, bounds, attempt: int) -> bool:
+        """Hand shard ``sid`` to its owner; False means run it in the parent."""
+        if self.degraded:
+            return False
         if attempt >= 1 and self.policy.backoff > 0:
             time.sleep(min(self.policy.backoff * (2 ** (attempt - 1)), self.policy.backoff_max))
+        self._children.extend([None] * (sid + 1 - len(self._children)))
+        child = self._children[sid]
+        if child is not None and not child.proc.is_alive():
+            # Died between layers (e.g. the OOM killer): nothing was lost.
+            child.reap()
+            self._children[sid] = None
+            if not self._spawn(sid, "worker died while idle"):
+                return False
+        elif child is None and not self._spawn(sid):
+            return False
+        child = self._children[sid]
+        child.bounds, child.attempt = bounds, attempt
+        # A starting child's clock runs from its start-up message: the
+        # deadline bounds the shard, not the interpreter start of spawn.
+        child.deadline = self._deadline() if child.ready else None
+        try:
+            child.conn.send(
+                (self._task, (bounds[0], bounds[1], layer_idx, sid, attempt,
+                              self._tracer.collecting))
+            )
+        except OSError:
+            pass  # the child is dead; its sentinel reports it
+        self._metrics.inc("shard.dispatched")
+        return True
 
-    def _dispatch(self, layer_idx: int, sid: int, bounds, attempt: int) -> _Pending | None:
-        """apply_async one shard; None means the pool is gone (degraded)."""
-        self._backoff(attempt)
-        for _ in range(2):  # one respawn attempt if the pool is broken
-            try:
-                result = self._ensure_pool().apply_async(
-                    self._task,
-                    (
-                        (
-                            bounds[0],
-                            bounds[1],
-                            layer_idx,
-                            sid,
-                            attempt,
-                            self._tracer.collecting,
-                        ),
-                    ),
-                )
-                self._metrics.inc("shard.dispatched")
-                return _Pending(result, bounds, attempt, self._deadline())
-            except (OSError, ValueError, AssertionError) as exc:
-                # ValueError("Pool not running") / AssertionError from a
-                # terminated pool, OSError from a dead queue: breakage.
-                if not self._respawn_pool(f"dispatch failed: {exc}"):
-                    return None
-        self.degraded = True
-        return None
+    def _failed(self, layer_idx: int, sid: int, kind: str, alive: bool, fallback) -> tuple:
+        """Retry shard ``sid`` on its owner, else fall back or raise.
 
-    def _shard_failed(
-        self, layer_idx: int, sid: int, pd: _Pending, kind: str, pending: dict, fallback
-    ) -> int:
-        """Retry a failed shard, or fall back / raise past the budget.
-
-        Returns masks solved in-process (0 unless the fallback ran).
+        Returns ``(redispatched, masks solved in the parent)``.  A dead
+        or timed-out owner is SIGKILLed and reaped *before* the retry, so
+        no shard ever runs twice at once.
         """
-        detail = {"layer": layer_idx, "shard": sid, "attempt": pd.attempt}
-        self.log.event(kind, **detail)
-        if kind == "timeout":
-            self.log.timeouts += 1
-            self._metrics.inc("shard.timeouts")
-        else:
-            self.log.crashes += 1
-            self._metrics.inc("shard.crashes")
-        pd.last_failure = kind
-        if pd.attempt < self.policy.max_retries and not self.degraded:
-            self.log.retries += 1
-            self._metrics.inc("shard.retries")
-            replacement = self._dispatch(layer_idx, sid, pd.bounds, pd.attempt + 1)
-            if replacement is not None:
-                replacement.last_failure = kind
-                pending[sid] = replacement
-                return 0
-        pending.pop(sid, None)
+        child = self._children[sid]
+        bounds, attempt = child.bounds, child.attempt
+        child.bounds = None
+        detail = {"layer": layer_idx, "shard": sid, "attempt": attempt}
+        self._count(kind, **detail)
+        if not alive:
+            child.reap()
+            self._children[sid] = None
+            if not self.degraded:
+                self._spawn(sid, f"{kind} in layer {layer_idx}")
+        if attempt < self.policy.max_retries and not self.degraded:
+            self._count("retry", **detail)
+            if self._send(layer_idx, sid, bounds, attempt + 1):
+                return True, 0
         if self.policy.fallback:
-            self.log.fallback_shards += 1
-            self._metrics.inc("shard.fallbacks")
-            self.log.event("fallback", **detail)
-            return fallback(*pd.bounds)
+            self._count("fallback", **detail)
+            return False, fallback(*bounds)
         exc_cls = ShardTimeout if kind == "timeout" else WorkerCrash
         raise exc_cls(
             f"shard {sid} of layer {layer_idx} failed ({kind}) after "
-            f"{pd.attempt + 1} attempt(s) with retries exhausted and fallback disabled",
+            f"{attempt + 1} attempt(s) with retries exhausted and fallback disabled",
             layer=layer_idx,
             shard=sid,
         )
@@ -549,105 +518,69 @@ class Supervisor:
     def run_layer(self, layer_idx: int, shards, fallback) -> int:
         """Run one layer's shards to completion; returns masks solved.
 
-        ``fallback(lo, hi)`` solves a shard on the in-process kernel and
-        returns its size — used for degraded mode and post-retry rescue.
+        Child ``i`` holds shard ``i``; the parent computes the last shard
+        itself through ``fallback(lo, hi)`` — the in-process kernel over
+        the same tables, which also rescues shards past their retries and
+        runs every shard once the supervisor has degraded.
         """
         if self.degraded:
-            self.log.fallback_shards += len(shards)
-            self._metrics.inc("shard.fallbacks", len(shards))
+            self._count("fallback", len(shards))
             return sum(fallback(lo, hi) for lo, hi in shards)
 
         layer_t0 = time.monotonic()
         self._max_shard_s = 0.0
         done = 0
-        pending: dict[int, _Pending] = {}
-        for sid, bounds in enumerate(shards):
-            pd = self._dispatch(layer_idx, sid, bounds, attempt=0)
-            if pd is None:  # pool died before the layer even started
-                self.log.fallback_shards += 1
-                self._metrics.inc("shard.fallbacks")
-                done += fallback(*bounds)
+        busy = []
+        for sid, bounds in enumerate(shards[:-1]):
+            if self._send(layer_idx, sid, bounds, attempt=0):
+                busy.append(sid)
             else:
-                pending[sid] = pd
+                self._count("fallback")
+                done += fallback(*bounds)
+        t0 = time.monotonic()
+        done += fallback(*shards[-1])
+        if self._tracer.collecting:
+            self._max_shard_s = time.monotonic() - t0
 
-        while pending:
-            progressed = False
-            for sid in list(pending):
-                pd = pending.get(sid)
-                if pd is None or not pd.result.ready():
-                    continue
-                progressed = True
-                try:
-                    res = pd.result.get()
-                except Exception:
-                    done += self._shard_failed(layer_idx, sid, pd, "crash", pending, fallback)
-                else:
-                    done += res[1]
-                    pending.pop(sid)
-                    # Traced workers flush their telemetry as a third
-                    # tuple element through this same result channel.
-                    if len(res) > 2 and res[2]:
-                        self._ingest_events(res[2])
-            if not pending:
-                break
-
-            now = time.monotonic()
-            timed_out = [
-                sid for sid, pd in pending.items() if pd.deadline is not None and now >= pd.deadline
+        while busy:
+            by_handle = {}
+            for sid in busy:
+                child = self._children[sid]
+                by_handle[child.conn] = by_handle[child.proc.sentinel] = sid
+            deadlines = [
+                self._children[sid].deadline for sid in busy
+                if self._children[sid].deadline is not None
             ]
-            if timed_out:
-                # Hung workers keep their slots until the pool dies; respawn
-                # it, then re-dispatch everything still outstanding.  Only
-                # the overrunning shards are charged an attempt — the rest
-                # were victims of the respawn, not failures.
-                alive = self._respawn_pool(f"{len(timed_out)} shard(s) timed out")
-                survivors = list(pending.items())
-                pending.clear()
-                for sid, pd in survivors:
-                    if sid in timed_out:
-                        done += self._shard_failed(
-                            layer_idx, sid, pd, "timeout", pending, fallback
-                        )
-                    elif alive and not self.degraded:
-                        replacement = self._dispatch(layer_idx, sid, pd.bounds, pd.attempt)
-                        if replacement is not None:
-                            pending[sid] = replacement
-                        else:
-                            self.log.fallback_shards += 1
-                            done += fallback(*pd.bounds)
-                    else:
-                        self.log.fallback_shards += 1
-                        done += fallback(*pd.bounds)
-                continue
-
-            if self._pool is not None:
-                pids = self._worker_pids()
-                if pids != self._pids:
-                    # One or more workers died; mp.Pool repopulates the
-                    # slots, but any task that was on a dead worker is lost
-                    # forever.  We cannot tell which, so conservatively
-                    # re-dispatch every outstanding shard: duplicates of a
-                    # still-running shard write identical bytes (pure
-                    # function of completed layers) and only the tracked
-                    # result is counted, so correctness is unaffected.
-                    self._pids = pids
-                    self.log.event(
-                        "worker-death", layer=layer_idx, outstanding=sorted(pending)
-                    )
-                    for sid, pd in list(pending.items()):
-                        done += self._shard_failed(layer_idx, sid, pd, "crash", pending, fallback)
+            timeout = None if not deadlines else max(0.0, min(deadlines) - time.monotonic())
+            ready = {by_handle[h] for h in connection.wait(list(by_handle), timeout)}
+            now = time.monotonic()
+            for sid in list(busy):
+                child = self._children[sid]
+                if sid in ready:
+                    reply = child.reply()
+                    if reply is True:
+                        child.ready = True
+                        child.deadline = self._deadline()
+                        continue
+                    if reply is not None and reply[0]:
+                        busy.remove(sid)
+                        child.bounds = None
+                        done += reply[1][1]
+                        # Traced workers flush their telemetry as a third
+                        # tuple element through this same pipe.
+                        if len(reply[1]) > 2 and reply[1][2]:
+                            self._ingest_events(reply[1][2])
+                        continue
+                    kind, alive = "crash", reply is not None
+                elif child.deadline is not None and now >= child.deadline:
+                    kind, alive = "timeout", False
+                else:
                     continue
-
-            if not progressed:
-                # Block on one outstanding shard instead of sleeping: its
-                # completion wakes us immediately (a 20 ms sleep-poll here
-                # used to cost ~8 ms of dead time per layer on a busy
-                # host), while the timeout cap keeps deadline and
-                # worker-death checks running.  If the waited-on shard is
-                # not the last to finish, the next iteration collects it
-                # and blocks on a still-pending one — at most one bounded
-                # wait per completed shard is wasted.
-                next(iter(pending.values())).result.wait(_POLL_SECONDS)
+                busy.remove(sid)
+                again, n = self._failed(layer_idx, sid, kind, alive, fallback)
+                done += n
+                if again:
+                    busy.append(sid)
 
         if self._max_shard_s > 0.0:
             # Barrier time: parent wall clock past the longest shard — the

@@ -180,7 +180,13 @@ def load_trace(path) -> tuple[dict, list[dict]]:
 
 
 def summarize_trace(events: list[dict]) -> dict:
-    """Fold normalized events into per-layer and per-category tables."""
+    """Fold normalized events into per-layer and per-category tables.
+
+    Each layer row carries ``barrier_idle_us``: the layer's wall time
+    minus its longest shard, floored at 0 — the time the barrier waited
+    on its straggler, which owned workers with a computing parent keep
+    small.
+    """
     layers: dict[int, dict] = {}
 
     def row(j: int) -> dict:
@@ -242,6 +248,12 @@ def summarize_trace(events: list[dict]) -> dict:
     for j in sorted(layers):
         r = layers[j]
         r["workers"] = len(r.pop("workers"))
+        # Barrier idle: layer wall clock past its longest shard (a worker
+        # shard or the parent's slice).  A layer without shard spans —
+        # a single-process solve — has no barrier to wait at.
+        r["barrier_idle_us"] = (
+            max(0, r["wall_us"] - r["shard_max_us"]) if r["shard_spans"] else 0
+        )
         rows.append(r)
     return {
         "events": len(events),
@@ -265,6 +277,7 @@ def render_report(summary: dict) -> str:
         "wall_ms",
         "shard_ms",
         "max_shard_ms",
+        "idle_ms",
         "workers",
         "commit_ms",
         "commit_MB",
@@ -282,6 +295,7 @@ def render_report(summary: dict) -> str:
                 _fmt_ms(r["wall_us"]),
                 _fmt_ms(r["shard_us"]),
                 _fmt_ms(r["shard_max_us"]),
+                _fmt_ms(r["barrier_idle_us"]),
                 r["workers"],
                 _fmt_ms(r["commit_us"]),
                 f"{r['commit_bytes'] / (1 << 20):.2f}",

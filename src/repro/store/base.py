@@ -267,7 +267,7 @@ class LayerStore:
         The kernel runs strict and gathers straight from the live table:
         explicit validity masks make the result independent of whatever
         this layer's own entries hold — resume garbage in a file-backed
-        table, or a stale duplicate shard's writes racing a fallback —
+        table, or the half-written slice of a worker killed mid-scatter —
         so it needs no private copy of the table.  Chunks of
         :data:`PARENT_CHUNK` subsets bound the arena's output buffers
         (each subset's argmin is independent, so chunking cannot change

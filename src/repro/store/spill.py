@@ -32,18 +32,17 @@ rather than failing.
 from __future__ import annotations
 
 import hashlib
-import math
 import os
 
 import numpy as np
 
 from ..core.errors import StoreWriteError
+from ..core.kernels import layer_starts, popcount_order_into
 from ..core.sequential import INF
-from ..util.bitops import popcount_array
 from .base import LayerStore, OpenReport
 from .journal import CHUNK, SlabJournal
 
-__all__ = ["MmapStore", "popcount_order_into"]
+__all__ = ["MmapStore"]
 
 _DATA_FILES = (
     ("cost", np.float64),
@@ -51,30 +50,6 @@ _DATA_FILES = (
     ("p", np.float64),
     ("order", np.int64),
 )
-
-
-def popcount_order_into(out, k: int) -> None:
-    """Fill ``out[:2^k]`` with every mask sorted stably by popcount.
-
-    Byte-identical to ``LayerPlan(k).order`` without its ``2^k``
-    argsort.  Masks are placed one power-of-two-aligned chunk
-    ``[lo, lo + 2^c)`` at a time: there ``popcount(lo + i) =
-    popcount(lo) + popcount(i)``, so one stable popcount sort of
-    ``arange(2^c)`` splits every chunk into ascending runs, one per
-    layer.  Chunks are visited in ascending order and each run is
-    appended at its layer's cursor, so every layer stays ascending.
-    """
-    c = min(k, CHUNK.bit_length() - 1)
-    runs = np.argsort(popcount_array(np.arange(1 << c), c), kind="stable")
-    run_starts = np.cumsum([0] + [math.comb(c, p) for p in range(c + 1)])
-    cursor = np.cumsum([0] + [math.comb(k, j) for j in range(k)])
-    for lo in range(0, 1 << k, 1 << c):
-        base = bin(lo).count("1")
-        for p in range(c + 1):
-            a, b = run_starts[p], run_starts[p + 1]
-            at = cursor[base + p]
-            out[at:at + b - a] = runs[a:b] + lo
-            cursor[base + p] += b - a
 
 
 class MmapStore(LayerStore):
@@ -101,9 +76,7 @@ class MmapStore(LayerStore):
                 np.memmap(self._data_path(name), dtype=dtype, mode="r+",
                           shape=(self.n_sub,)),
             )
-        self.starts = np.cumsum(
-            [0] + [math.comb(self.k, j) for j in range(self.k + 1)], dtype=np.int64
-        )
+        self.starts = layer_starts(self.k)
 
         manifest = self._journal.manifest
         if manifest is None:

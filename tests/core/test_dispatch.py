@@ -1,11 +1,16 @@
 """The unified `solve()` dispatch: backend selection, memoization, parity."""
 
+import json
+import pathlib
+
 import numpy as np
 import pytest
 
 from repro.core import (
     BACKENDS,
-    PARALLEL_MIN_K,
+    PARALLEL_MIN_K_COLD,
+    PARALLEL_MIN_K_WARM,
+    SolverEngine,
     cached_subset_weights,
     resolve_backend,
     solve,
@@ -13,12 +18,15 @@ from repro.core import (
     solve_dp_reference,
     subset_weights,
 )
+from repro.core.dispatch import _resolve
 from repro.core.generators import random_instance
 from repro.core.problem import Action, TTProblem
 
+LADDER = pathlib.Path(__file__).resolve().parents[2] / "BENCH_LADDER.json"
 
-def _big_problem(k=PARALLEL_MIN_K):
-    """A k >= PARALLEL_MIN_K spec (cheap to *build*; never solved here)."""
+
+def _big_problem(k=PARALLEL_MIN_K_COLD):
+    """A spec at the cold crossover (cheap to *build*; never solved here)."""
     return TTProblem.build([1.0] * k, [Action.treatment(set(range(k)), 1.0)])
 
 
@@ -33,6 +41,32 @@ class TestResolveBackend:
     def test_big_auto_single_worker_stays_numpy(self):
         assert resolve_backend(_big_problem(), "auto", workers=1) == ("numpy", 1)
 
+    @pytest.mark.parametrize(
+        "k, want",
+        [(PARALLEL_MIN_K_COLD - 1, "numpy"), (PARALLEL_MIN_K_COLD, "parallel")],
+    )
+    def test_cold_crossover(self, k, want):
+        assert resolve_backend(_big_problem(k), "auto", workers=2)[0] == want
+
+    @pytest.mark.parametrize(
+        "k, want",
+        [(PARALLEL_MIN_K_WARM - 1, "numpy"), (PARALLEL_MIN_K_WARM, "parallel")],
+    )
+    def test_warm_crossover(self, monkeypatch, k, want):
+        # The engine resolves with the warm crossover; record what it
+        # would run instead of running it.
+        ran = []
+        engine = SolverEngine(workers=2)
+        monkeypatch.setattr(
+            engine, "_solve_parallel", lambda problem, p, w: ran.append(("parallel", w))
+        )
+        monkeypatch.setattr(
+            "repro.core.engine.solve_dp", lambda problem, **kw: ran.append(("numpy", 1))
+        )
+        with engine:
+            engine.solve(_big_problem(k), p=np.zeros(1))
+        assert ran == [(want, 2 if want == "parallel" else 1)]
+
     def test_explicit_backends_pass_through(self):
         problem = random_instance(4, 3, 2, seed=2)
         assert resolve_backend(problem, "numpy")[0] == "numpy"
@@ -46,6 +80,25 @@ class TestResolveBackend:
 
     def test_backend_names_exported(self):
         assert set(BACKENDS) == {"auto", "numpy", "parallel", "native", "reference"}
+
+
+class TestLadderCrossovers:
+    """``auto``'s crossovers agree with the committed k-ladder."""
+
+    def test_auto_picks_the_faster_path_on_every_rung(self):
+        ladder = json.loads(LADDER.read_text())
+        nproc = ladder["host"]["nproc"]
+        rows = [r for r in ladder["rows"] if r["workers"] == nproc]
+        assert nproc > 1 and rows
+        for row in rows:
+            problem = _big_problem(row["k"])
+            cold = resolve_backend(problem, "auto", workers=nproc)[0]
+            warm = _resolve(problem, "auto", nproc, PARALLEL_MIN_K_WARM)[0]
+            faster = {
+                path: "parallel" if row[f"{path}_s"] < row["numpy_s"] else "numpy"
+                for path in ("cold", "warm")
+            }
+            assert (cold, warm) == (faster["cold"], faster["warm"]), row
 
 
 class TestSolveParity:

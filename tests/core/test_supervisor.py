@@ -11,6 +11,7 @@ for every test here).
 """
 
 import dataclasses
+import functools
 import json
 import os
 import signal
@@ -32,6 +33,7 @@ from repro.core.errors import (
 )
 from repro.core.faults import Fault, inject, parse_fault_spec
 from repro.core.generators import random_instance
+from repro.core.kernels import LayerArena
 from repro.core.parallel import solve_dp_parallel
 from repro.core.sequential import solve_dp_reference
 from repro.core.supervisor import (
@@ -49,11 +51,33 @@ QUICK = ResiliencePolicy(timeout=5.0, max_retries=2, backoff=0.01, backoff_max=0
 
 
 def solve_with_fault(spec, policy=QUICK, problem=PROBLEM, workers=2):
+    """Solve under ``spec`` with ``workers - 1`` children.
+
+    Faults fire only in children; the parent computes each pool layer's
+    last shard, so with ``workers=2`` a fault at ``shard=1`` never fires.
+    """
     os.environ["REPRO_FAULT_SPEC"] = spec
     try:
-        return solve_dp_parallel(problem, workers=workers, min_shard=1, policy=policy)
+        result = solve_dp_parallel(problem, workers=workers, min_shard=1, policy=policy)
     finally:
         os.environ.pop("REPRO_FAULT_SPEC", None)
+    assert_counts_match_metrics(result)
+    return result
+
+
+# RecoveryLog field -> the metric counting the same action.
+RECOVERY_METRICS = {
+    "retries": "shard.retries",
+    "crashes": "shard.crashes",
+    "timeouts": "shard.timeouts",
+    "respawns": "pool.respawns",
+    "fallback_shards": "shard.fallbacks",
+}
+
+
+def assert_counts_match_metrics(result):
+    for key, metric in RECOVERY_METRICS.items():
+        assert result.recovery[key] == result.metrics[metric], key
 
 
 def assert_bit_for_bit(result, ref=REF):
@@ -138,10 +162,29 @@ class TestFaultRecovery:
     @pytest.mark.parametrize("layer", [2, 3, 5])
     @pytest.mark.parametrize("shard", [0, 1])
     def test_kill_recovers(self, layer, shard):
-        result = solve_with_fault(f"kill:layer={layer}:shard={shard}")
+        # shard + 2 workers: the targeted shard is a child's, not the
+        # parent's last one.
+        result = solve_with_fault(f"kill:layer={layer}:shard={shard}", workers=shard + 2)
         assert_bit_for_bit(result)
         assert result.recovery["crashes"] >= 1
         assert result.recovery["retries"] >= 1
+
+    def test_kill_recovers_under_spawn(self, monkeypatch):
+        monkeypatch.setenv("REPRO_START_METHOD", "spawn")
+        result = solve_with_fault("kill:layer=3:shard=0")
+        assert_bit_for_bit(result)
+        assert result.recovery["crashes"] == 1
+        assert result.recovery["retries"] == 1
+
+    def test_kill_retries_exactly_one_shard(self):
+        # Shard 1 is still running when shard 0's owner dies: only the
+        # dead child's shard is retried, and nothing runs twice.
+        result = solve_with_fault(
+            "kill:layer=3:shard=0; slow:layer=3:shard=1:ms=300", workers=3
+        )
+        assert_bit_for_bit(result)
+        assert result.recovery["crashes"] == 1
+        assert result.recovery["retries"] == 1
 
     @pytest.mark.parametrize("layer", [2, 4])
     def test_kill_every_shard_of_a_layer(self, layer):
@@ -170,7 +213,7 @@ class TestFaultRecovery:
     def test_combined_faults(self):
         policy = dataclasses.replace(QUICK, timeout=0.4)
         result = solve_with_fault(
-            "kill:layer=2:shard=0; slow:ms=20; hang:layer=5:shard=1", policy
+            "kill:layer=2:shard=0; slow:ms=20; hang:layer=5:shard=1", policy, workers=3
         )
         assert_bit_for_bit(result)
         assert result.recovery["crashes"] >= 1
@@ -181,6 +224,30 @@ class TestFaultRecovery:
         result = solve_with_fault("kill:layer=3:times=10")
         assert_bit_for_bit(result)
         assert result.recovery["fallback_shards"] >= 1
+
+    def test_failed_respawn_degrades_and_counts_agree(self, monkeypatch):
+        """A child that cannot be replaced degrades the solve in-process."""
+        from repro.core import parallel
+
+        real = parallel._start_worker
+        starts = []
+
+        def start_once(access):
+            if starts:
+                raise OSError("fork refused")
+            starts.append(1)
+            return real(access)
+
+        monkeypatch.setattr(parallel, "_start_worker", start_once)
+        policy = dataclasses.replace(QUICK, timeout=0.3)
+        result = solve_with_fault("hang:layer=3", policy)
+        assert_bit_for_bit(result)
+        rec = result.recovery
+        assert rec["degraded"] is True
+        assert rec["timeouts"] == 1 and rec["fallback_shards"] == 1
+        assert rec["respawns"] == 0
+        assert any(e["kind"] == "degrade" for e in rec["events"])
+        assert [e["mode"] for e in rec["layers"]][3:] == ["degraded"] * 3
 
     def test_no_fallback_raises_worker_crash(self):
         policy = dataclasses.replace(QUICK, max_retries=0, fallback=False)
@@ -206,9 +273,10 @@ class TestFaultRecovery:
         # shard => parent path), so the fault may simply never fire — the
         # contract is the tables, not the recovery counters.
         assert_bit_for_bit(result)
+        assert_counts_match_metrics(result)
 
     def test_recovery_log_shape(self):
-        result = solve_with_fault("kill:layer=3:shard=1")
+        result = solve_with_fault("kill:layer=3:shard=0")
         rec = result.recovery
         for key in ("retries", "timeouts", "crashes", "respawns",
                     "fallback_shards", "degraded", "layers", "events"):
@@ -454,54 +522,100 @@ class TestSharedTablesLifecycle:
         assert not any(os.path.exists(f"/dev/shm/{n}") for n in names)
 
 
-def _ignore_sigterm():
-    """Pool initializer: simulate a worker whose SIGTERM is lost.
+def _stubborn_hang(args):
+    """A shard task stuck for a minute that ignores SIGTERM."""
+    import time
 
-    CPython drops signals that land between ``fork()`` and the child's
-    ``PyOS_AfterFork_Child`` signal-state reset, so a repopulated worker
-    can shrug off ``Pool.terminate()``'s SIGTERM and wedge the
-    unconditional join.  SIG_IGN reproduces that end state on demand.
-    """
     signal.signal(signal.SIGTERM, signal.SIG_IGN)
+    time.sleep(60)
 
 
-class TestShutdownEscalation:
-    def test_shutdown_sigkills_workers_that_ignore_sigterm(self, monkeypatch):
-        import multiprocessing as mp
+def _stale_shard(args):
+    """A slow shard task whose reply claims far more masks than exist."""
+    import time
+
+    time.sleep(0.5)
+    return args[3], 10**6
+
+
+class TestOwnedShutdown:
+    """Shutdown reaps every child within a bound, busy or idle."""
+
+    @pytest.fixture
+    def store(self):
+        store = RamStore(PROBLEM)
+        store.open()
+        yield store
+        store.close()
+
+    def _supervisor(self, store):
+        from repro.core import parallel
+        from repro.core.supervisor import RecoveryLog
+
+        task = functools.partial(
+            parallel._solve_shard,
+            PROBLEM.subset_array, PROBLEM.cost_array, PROBLEM.test_mask_array,
+        )
+        log = RecoveryLog()
+        sup = parallel._pool_supervisor(
+            store, 3, QUICK, task, log, tracer=None, metrics=None
+        )
+        return sup, log
+
+    def _run_layer_3(self, sup, store):
+        """Layers 1-2 in the parent, then layer 3 as three shards."""
+        arena = LayerArena()
+
+        def in_parent(lo, hi):
+            return store.run_parent_slice(
+                lo, hi, PROBLEM.subset_array, PROBLEM.cost_array,
+                PROBLEM.test_mask_array, arena,
+            )
+
+        for j in (1, 2):
+            in_parent(*store.bounds(j))
+        lo, hi = store.bounds(3)
+        shards = [(lo, lo + 7), (lo + 7, lo + 14), (lo + 14, hi)]
+        assert sup.run_layer(3, shards, in_parent) == hi - lo
+        layer = store.order[lo:hi]
+        assert np.array_equal(store.cost[layer], REF.cost[layer])
+
+    def test_stuck_child_ignoring_sigterm_is_reaped(self, store):
         import time
 
-        from repro.core import supervisor as sup
-
-        monkeypatch.setattr(sup, "_SHUTDOWN_GRACE", 0.5)
-        log = sup.RecoveryLog()
-        s = sup.Supervisor(
-            QUICK,
-            lambda: mp.get_context("fork").Pool(2, initializer=_ignore_sigterm),
-            None,
-            log,
-        )
-        pool = s._ensure_pool()
-        # Park both workers in a long task so they cannot exit via the
-        # task-queue sentinel and only SIGTERM (ignored) could free them.
-        for _ in range(2):
-            pool.apply_async(time.sleep, (60,))
-        time.sleep(0.3)  # let the workers pick the tasks up
+        sup, log = self._supervisor(store)
+        sup.rebind(_stubborn_hang, log)
+        assert sup._send(2, 0, store.bounds(2), attempt=0)
+        child = sup._children[0]
+        time.sleep(0.5)  # the task is now parked in its sleep
         t0 = time.monotonic()
-        s.shutdown()
-        assert time.monotonic() - t0 < 30.0  # bounded, not wedged
-        assert any(e["kind"] == "shutdown_escalation" for e in log.events)
-        assert s._pool is None
+        sup.shutdown()
+        assert time.monotonic() - t0 < 5.0
+        assert child.proc.exitcode == -signal.SIGKILL
+        assert sup._children == []
 
-    def test_clean_shutdown_does_not_escalate(self):
-        import multiprocessing as mp
+    def test_rebind_discards_a_child_of_an_aborted_solve(self, store):
+        # A solve that raised mid-layer leaves its children busy; the next
+        # solve on the same (warm) supervisor must not take their stale
+        # replies for its own shards.
+        sup, log = self._supervisor(store)
+        task = sup._task
+        sup.rebind(_stale_shard, log)
+        assert sup._send(3, 0, store.bounds(3), attempt=0)
+        stale = sup._children[0].proc
+        sup.rebind(task, log)
+        assert stale.exitcode == -signal.SIGKILL
+        self._run_layer_3(sup, store)
+        sup.shutdown()
 
-        from repro.core import supervisor as sup
-
-        log = sup.RecoveryLog()
-        s = sup.Supervisor(QUICK, lambda: mp.get_context("fork").Pool(2), None, log)
-        s._ensure_pool()
-        s.shutdown()
-        assert not any(e["kind"].startswith("shutdown") for e in log.events)
+    def test_idle_children_exit_on_stop_message(self, store):
+        sup, log = self._supervisor(store)
+        self._run_layer_3(sup, store)
+        procs = [c.proc for c in sup._children]
+        assert len(procs) == 2
+        sup.shutdown()
+        assert [p.exitcode for p in procs] == [0, 0]
+        assert log.events == []
 
 
 class TestPolicyValidation:

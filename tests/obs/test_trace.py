@@ -223,6 +223,33 @@ class TestExport:
         assert "layer" in text and "commit_MB" in text
         assert "total:" in text
 
+    def test_barrier_idle_is_wall_past_the_longest_shard(self):
+        def span(name, cat, ts, dur, pid, **args):
+            return {"type": "event", "ph": "X", "name": name, "cat": cat,
+                    "ts": ts, "dur": dur, "pid": pid, "tid": 1, "args": args}
+
+        events = [
+            span("layer", "layer", 0, 10_000, 1, layer=3, masks=20, shards=2,
+                 mode="pool"),
+            span("shard", "shard", 500, 7_000, 2, layer=3, shard=0),
+            span("parent-slice", "shard", 200, 4_000, 1, layer=3, masks=10),
+            # A shard outlasting its layer span (clock skew) floors at 0.
+            span("layer", "layer", 10_000, 1_000, 1, layer=4, masks=6, shards=2,
+                 mode="pool"),
+            span("shard", "shard", 10_000, 1_500, 2, layer=4, shard=0),
+            # No shard spans: a single-process layer has no barrier.
+            span("layer", "layer", 11_000, 2_000, 1, layer=5, mode="numpy"),
+        ]
+        rows = {r["layer"]: r for r in summarize_trace(events)["layers"]}
+        assert rows[3]["shard_max_us"] == 7_000
+        assert rows[3]["barrier_idle_us"] == 3_000
+        assert rows[3]["workers"] == 2
+        assert rows[4]["barrier_idle_us"] == 0
+        assert rows[5]["barrier_idle_us"] == 0
+        text = render_report(summarize_trace(events))
+        assert "idle_ms" in text.splitlines()[0]
+        assert "3.00" in text.splitlines()[2]
+
     def test_render_report_empty_trace(self):
         text = render_report(summarize_trace([]))
         assert "total: 0 events" in text

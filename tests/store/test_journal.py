@@ -14,15 +14,15 @@ import os
 import numpy as np
 import pytest
 
-from repro.core import solve
+from repro.core import kernels, solve
 from repro.core.generators import random_instance
-from repro.core.kernels import LayerPlan
+from repro.core.kernels import LayerPlan, popcount_order_into
 from repro.core.sequential import solve_dp_reference
 from repro.core.supervisor import ResiliencePolicy
 from repro.obs import Tracer
-from repro.store import MmapStore, RamStore, journal, spill
+from repro.store import MmapStore, RamStore, journal
 from repro.store.journal import MANIFEST_NAME, order_digest
-from repro.store.spill import popcount_order_into
+from repro.util.bitops import popcount_array
 
 PROBLEM = random_instance(6, n_tests=6, n_treatments=4, seed=61)
 REF = solve_dp_reference(PROBLEM)
@@ -34,18 +34,34 @@ def generated_order(k: int) -> np.ndarray:
     return out
 
 
+def argsort_oracle(k: int) -> tuple:
+    """``(order, starts)`` by a stable argsort of every mask's popcount."""
+    layer_of = popcount_array(np.arange(1 << k, dtype=np.int64), k)
+    order = np.argsort(layer_of, kind="stable")
+    return order, np.searchsorted(layer_of[order], np.arange(k + 2))
+
+
 class TestOrderGeneration:
+    """Order generation and ``LayerPlan`` against the stable-argsort oracle."""
+
+    def assert_matches_oracle(self, k):
+        order, starts = argsort_oracle(k)
+        plan = LayerPlan(k)
+        assert np.array_equal(generated_order(k), order)
+        assert np.array_equal(plan.order, order)
+        assert np.array_equal(plan.starts, starts)
+
     @pytest.mark.parametrize("k", [0, 1, 2, 5, 12, 19])
     def test_matches_layer_plan(self, k):
-        assert np.array_equal(generated_order(k), LayerPlan(k).order)
+        self.assert_matches_oracle(k)
 
     @pytest.mark.parametrize("k", [0, 1, 2, 5, 12, 19])
     def test_matches_layer_plan_with_layers_split_across_chunks(
         self, monkeypatch, k
     ):
         # 8-mask chunks split every layer of k >= 4 into many runs.
-        monkeypatch.setattr(spill, "CHUNK", 8)
-        assert np.array_equal(generated_order(k), LayerPlan(k).order)
+        monkeypatch.setattr(kernels, "_ORDER_CHUNK", 8)
+        self.assert_matches_oracle(k)
 
     def test_spill_order_sha_is_the_canonical_digest(self, tmp_path):
         # order.dat is byte-identical to LayerPlan.order, so the digest a

@@ -296,6 +296,22 @@ class TestOtherCommands:
         assert "machine sizing" in text
         assert "2^30" in text
 
+    def test_trace_report_json_reports_barrier_idle(self, tmp_path):
+        trace = tmp_path / "solve.jsonl"
+        code, _ = run_cli(
+            "solve", "--workload", "random", "--k", "12", "--backend", "parallel",
+            "--workers", "2", "--trace-out", str(trace),
+        )
+        assert code == 0
+        code, text = run_cli("trace-report", str(trace), "--json")
+        assert code == 0
+        rows = json.loads(text)["layers"]
+        assert rows and all(
+            0 <= r["barrier_idle_us"] <= r["wall_us"] for r in rows
+        )
+        code, text = run_cli("trace-report", str(trace))
+        assert code == 0 and "idle_ms" in text
+
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             run_cli()
