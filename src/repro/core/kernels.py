@@ -36,37 +36,29 @@ middle layers are far past glibc's malloc threshold.  The kernel here,
 Table-state invariant
 ---------------------
 
-The non-strict fused kernel needs one precondition from its caller:
-when a layer is evaluated, ``cost[S] == INF`` for every mask ``S`` *in*
-that layer.  :func:`~repro.core.sequential.solve_dp` guarantees it: it
-fills a fresh table and scatters a layer's results only after the kernel
-returns.  That makes the legacy validity masks redundant: an invalid
-candidate has ``inter == 0`` or ``rest == 0``, and since
-``inter | rest == S`` (disjointly), the *other* operand is then ``S``
-itself — so the gather reads ``cost[S] == INF`` and the candidate's
-value is already ``INF``, exactly what the legacy kernel's
-``np.where(invalid, INF, value)`` produced.  (``cost[0] == 0`` never
-leaks in: whenever a zero index is gathered, the companion gather hits
-``cost[S] == INF`` and the sum is ``INF``.)  Dropping the masks removes
-two to three full array passes per action.
+The fused kernel needs one precondition from its caller: when a layer
+is evaluated, ``cost[S] == INF`` for every mask ``S`` *in* that layer.
+That makes the legacy validity masks redundant: an invalid candidate
+has ``inter == 0`` or ``rest == 0``, and since ``inter | rest == S``
+(disjointly), the *other* operand is then ``S`` itself — so the gather
+reads ``cost[S] == INF`` and the candidate's value is already ``INF``,
+exactly what the legacy kernel's ``np.where(invalid, INF, value)``
+produced.  (``cost[0] == 0`` never leaks in: whenever a zero index is
+gathered, the companion gather hits ``cost[S] == INF`` and the sum is
+``INF``.)  Dropping the masks removes two to three full array passes
+per action.
 
-Callers over shared or file-backed tables cannot honor the invariant.
-A replayed shard may find its own slice half written by a predecessor
-that died mid-scatter; a file-backed table slice resuming after a crash
-(or scattered from a corrupt slab) may hold *arbitrary bytes* — garbage
-finite floats, or NaNs that would poison ``np.minimum``.  Restoring the invariant would
-take a full table copy per shard and layer, which is also exactly the
-RAM spike a spilled solve exists to avoid.  For them the kernel takes
-``strict=True``: the legacy validity masks come back (``inter == 0`` or
-``rest == 0`` ⇒ candidate value overwritten with ``INF`` *after*
-evaluation), which makes the result independent of the table's
-own-layer contents while remaining bit-for-bit identical to the
-non-strict kernel on a clean table — the differential suite pins both
-properties.  Strict mode costs one to two extra compare passes and a
-masked copy per action.  Every store-driven path runs it (pool shards
-and ``LayerStore.run_parent_slice``, for the cold parallel solve and
-the warm engine alike); only ``solve_dp`` relies on the invariant and
-skips it.
+Two callers hold the invariant, one by construction and one by a reset.
+:func:`~repro.core.sequential.solve_dp` fills a fresh table and
+scatters a layer's results only after the kernel returns.
+:func:`solve_slice` — every pool shard and every parent slice over a
+layer store — first sets its own masks to ``INF``.  A slice reads the
+layer being computed only at those masks (the self-reads above), and
+no other process writes them while it runs: the other slices of the
+layer write only their own masks, and the supervisor reaps a killed or
+timed-out attempt, or finds a raising one idle, before it retries the
+slice.  So that one scatter clears whatever an earlier attempt left
+there, NaNs included.
 
 Bit-for-bit contract
 --------------------
@@ -122,6 +114,8 @@ __all__ = [
     "plan_cache_stats",
     "LayerArena",
     "solve_layer_kernel_fused",
+    "solve_slice",
+    "PARENT_CHUNK",
     "DEFAULT_TILE",
     "TILE_ENV",
 ]
@@ -303,7 +297,6 @@ class LayerArena:
     __slots__ = (
         "_out_cap",
         "_scratch_cap",
-        "_strict_cap",
         "grows",
         "best",
         "arg",
@@ -314,14 +307,11 @@ class LayerArena:
         "gather",
         "better",
         "argdelta",
-        "invalid",
-        "invalid2",
     )
 
     def __init__(self) -> None:
         self._out_cap = 0
         self._scratch_cap = 0
-        self._strict_cap = 0
         # Pool-growth count: a warm arena should stop growing after its
         # first layer; a nonzero steady-state rate means churn (surfaced
         # as the "arena.grows" metric).
@@ -337,8 +327,6 @@ class LayerArena:
         self.gather = np.empty(0, dtype=np.float64)
         self.better = np.empty(0, dtype=bool)
         self.argdelta = np.empty(0, dtype=np.int32)
-        self.invalid = np.empty(0, dtype=bool)
-        self.invalid2 = np.empty(0, dtype=bool)
 
     def out(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """Views of the ``best`` (float64) / ``arg`` (int32) output
@@ -375,22 +363,12 @@ class LayerArena:
             self.argdelta[:n],
         )
 
-    def strict_scratch(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """Views of the two bool validity-mask rows used by strict mode."""
-        if n > self._strict_cap:
-            self.grows += 1
-            self.invalid = np.empty(n, dtype=bool)
-            self.invalid2 = np.empty(n, dtype=bool)
-            self._strict_cap = n
-        return self.invalid[:n], self.invalid2[:n]
-
     @property
     def nbytes(self) -> int:
         """Bytes currently held (capacity, not live use)."""
         return (
             self._out_cap * (8 + 4)
             + self._scratch_cap * (4 + 4 + 4 + 8 + 8 + 1 + 4)
-            + self._strict_cap * 2
         )
 
 
@@ -409,7 +387,6 @@ def solve_layer_kernel_fused(
     *,
     arena: LayerArena | None = None,
     tile: int | None = None,
-    strict: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Allocation-free, tiled evaluation of one popcount layer.
 
@@ -417,15 +394,8 @@ def solve_layer_kernel_fused(
     :func:`repro.core.sequential.solve_layer_kernel` — same arguments,
     same ``(layer_cost, layer_arg)`` result, bit-for-bit — *provided*
     the table-state invariant holds: ``cost[S] == INF`` for every ``S``
-    in ``layer`` (see the module docstring; true for every caller that
-    scatters a layer's results only after evaluating it).
-
-    ``strict=True`` drops that precondition: invalid candidates are
-    masked to ``INF`` explicitly, so ``cost``'s entries *inside* the
-    layer being evaluated may hold anything (garbage, NaN) without
-    affecting the result.  Out-of-core callers computing directly over
-    file-backed tables use this; the output is bit-identical to
-    non-strict mode on a clean table.
+    in ``layer`` (see the module docstring: ``solve_dp`` holds it by
+    construction, :func:`solve_slice` by resetting its own masks).
 
     ``arena`` supplies the scratch buffers; omit it for a private
     throwaway arena (correct, but the allocation savings then only apply
@@ -460,8 +430,6 @@ def solve_layer_kernel_fused(
 
     step = n if tile <= 0 else min(tile, n)
     masks32, inter, rest, value, gather, better, argdelta = arena.scratch(step)
-    if strict:
-        invalid, invalid2 = arena.strict_scratch(step)
     take = cost.take
 
     for lo in range(0, n, step):
@@ -478,9 +446,6 @@ def solve_layer_kernel_fused(
         gat = gather[:m]
         bet = better[:m]
         adel = argdelta[:m]
-        if strict:
-            inv = invalid[:m]
-            inv2 = invalid2[:m]
         for i in range(n_act):
             t = int(subsets[i])
             np.bitwise_and(lay, ~t, out=rs)
@@ -491,22 +456,6 @@ def solve_layer_kernel_fused(
                 np.bitwise_and(lay, t, out=it)
                 np.add(val, take(it, out=gat, mode="wrap"), out=val)
             np.add(val, take(rs, out=gat, mode="wrap"), out=val)
-            if strict:
-                # Explicit validity masking: a test is invalid when it
-                # does not split S (inter == 0 or rest == 0); a
-                # treatment when it covers nothing of S (inter == 0,
-                # i.e. rest == S — computed via inter to share the
-                # buffer).  Masking *after* evaluation overwrites
-                # whatever garbage the own-layer gathers pulled in,
-                # NaNs included.
-                if is_test[i]:
-                    np.equal(it, 0, out=inv)
-                    np.equal(rs, 0, out=inv2)
-                    np.logical_or(inv, inv2, out=inv)
-                else:
-                    np.bitwise_and(lay, t, out=it)
-                    np.equal(it, 0, out=inv)
-                np.copyto(val, INF, where=inv)
             # Strict <: invalid candidates hold exactly INF (table-state
             # invariant) and can never be strictly below the incumbent,
             # so this is the same accept set — and the same lowest-index
@@ -523,3 +472,32 @@ def solve_layer_kernel_fused(
             np.maximum(a_t, adel, out=a_t)
     np.subtract(arg, 1, out=arg)
     return best, arg
+
+
+# Masks per kernel call of solve_slice: bounds the arena's output
+# buffers on every slice, a child's shard and the parent's alike (each
+# subset's argmin is independent, so chunking cannot change a result).
+PARENT_CHUNK = 1 << 18
+
+
+def solve_slice(cost, best, p, order, lo, hi, subsets, costs, is_test, arena) -> int:
+    """Solve masks ``order[lo:hi]`` of one layer in place over a store's tables.
+
+    ``cost``, ``best``, ``p`` and ``order`` are the four ``2^k`` tables
+    of a :class:`~repro.store.LayerStore` (shared memory, plain RAM or
+    file-backed memmaps), as the parent or a pool child maps them.  Each
+    chunk of :data:`PARENT_CHUNK` masks sets its own ``cost`` entries to
+    ``INF`` — the table-state invariant, whatever an earlier attempt left
+    there (see the module docstring) — then runs the fused kernel and
+    scatters ``cost`` and ``best``.  Returns the number of masks solved.
+    """
+    for off in range(lo, hi, PARENT_CHUNK):
+        end = min(off + PARENT_CHUNK, hi)
+        layer = np.asarray(order[off:end])
+        cost[layer] = INF
+        layer_best, layer_arg = solve_layer_kernel_fused(
+            layer, p[layer], cost, subsets, costs, is_test, arena=arena,
+        )
+        cost[layer] = layer_best
+        best[layer] = layer_arg
+    return hi - lo

@@ -18,10 +18,9 @@ Bit-for-bit contract
 --------------------
 
 :func:`solve_layer_kernel_native` is a drop-in for
-``solve_layer_kernel_fused`` — same signature (``arena``, ``tile``,
-``strict``), same ``(layer_cost, layer_arg)`` arena views — and must
-preserve the determinism contract of :mod:`repro.core.sequential`
-exactly:
+``solve_layer_kernel_fused`` — same signature (``arena``, ``tile``),
+same ``(layer_cost, layer_arg)`` arena views — and must preserve the
+determinism contract of :mod:`repro.core.sequential` exactly:
 
 * candidates scanned in action-index order, strict ``<`` replacement
   (lowest index wins ties);
@@ -30,11 +29,9 @@ exactly:
   are written in exactly that order, and the JIT is compiled with
   ``fastmath=False`` so IEEE semantics (ordering, NaN behaviour) are
   untouched;
-* non-strict mode relies on the same table-state invariant as the fused
-  kernel (own-layer entries hold ``INF``), so invalid candidates
-  evaluate to exactly ``INF`` and never win; ``strict=True`` rejects
-  them explicitly, making the result independent of own-layer garbage
-  (NaNs included: a skipped candidate is never compared);
+* it relies on the same table-state invariant as the fused kernel
+  (own-layer entries hold ``INF``), so invalid candidates evaluate to
+  exactly ``INF`` and never win;
 * ``tile`` partitions the subset axis only — each subset's argmin is
   independent, so the tile size can never change a result (the loop
   honours it to mirror the fused kernel's working-set shape).
@@ -86,7 +83,7 @@ def warn_native_fallback(stacklevel: int = 3) -> None:
 
 
 def _layer_kernel_py(layer, p_layer, cost, subsets, costs, is_test,
-                     best, arg, tile, strict):
+                     best, arg, tile):
     # Compiled by numba; also runnable as plain Python (the unit tests
     # cross-check the uncompiled body so the logic is covered even where
     # numba is absent).
@@ -105,12 +102,8 @@ def _layer_kernel_py(layer, p_layer, cost, subsets, costs, is_test,
                 inter = mask & t
                 rest = mask & ~t
                 if is_test[i]:
-                    if strict and (inter == 0 or rest == 0):
-                        continue
                     val = (costs[i] * ps + cost[inter]) + cost[rest]
                 else:
-                    if strict and inter == 0:
-                        continue
                     val = costs[i] * ps + cost[rest]
                 if val < b:
                     b = val
@@ -137,7 +130,6 @@ def solve_layer_kernel_native(
     *,
     arena: LayerArena | None = None,
     tile: int | None = None,
-    strict: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Compiled evaluation of one popcount layer (numba required).
 
@@ -172,7 +164,7 @@ def solve_layer_kernel_native(
         np.ascontiguousarray(subsets),
         np.ascontiguousarray(costs),
         np.ascontiguousarray(is_test),
-        best, arg, tile, strict,
+        best, arg, tile,
     )
     return best, arg
 

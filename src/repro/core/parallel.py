@@ -54,13 +54,12 @@ touches, which is what makes replaying a half-written one provably safe
 Same-layer reads cannot race across shards: a gather index in the
 *current* layer is only ever the subset's own mask ``S`` (``inter == 0``
 implies ``rest == S`` and vice versa), which lives in the gathering
-shard's own slice — never in another shard's.  Those self-reads are
-resolved by the *strict* fused kernel, which every shard and parent
-slice runs: explicit validity masks make the result independent of
-whatever the table holds inside the layer being computed — entries half
-written by a predecessor that died mid-scatter, or resume garbage in a
-file-backed table — so a *replayed* shard writes the exact same bytes
-with zero table copying.
+shard's own slice — never in another shard's.  Every shard and parent
+slice runs :func:`~repro.core.kernels.solve_slice`, which sets those
+masks to ``INF`` before the kernel reads them; that restores the
+kernel's table-state invariant over whatever an earlier attempt of the
+slice left half written, so a *replayed* shard writes the exact same
+bytes with zero table copying.
 
 The loop is store agnostic: ``open()`` reports which layers already
 hold trusted values (the journal's validated slabs), the loop computes
@@ -95,7 +94,7 @@ from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from . import faults
 from .errors import InvalidProblem, SolverError
-from .kernels import LayerArena, solve_layer_kernel_fused
+from .kernels import LayerArena, solve_slice
 from .problem import TTProblem
 from .sequential import DPResult
 from .supervisor import RecoveryLog, ResiliencePolicy, Supervisor
@@ -221,9 +220,9 @@ def _solve_shard(subsets, costs, is_test, task: tuple) -> tuple:
     what makes the cross-process trace one mergeable timeline with no
     extra IPC.
 
-    The kernel runs strict and gathers straight from the shared table:
-    the result is independent of whatever the table holds in the layer
-    being computed, so a shard replayed after its predecessor died
+    :func:`~repro.core.kernels.solve_slice` resets the shard's own masks
+    to ``INF``, runs the kernel straight over the shared table and
+    scatters, so a shard replayed after its predecessor died
     mid-scatter writes bit-identical bytes (see the module docstring).
     No signal is masked: a worker killed mid-scatter is exactly the
     failure a replay repairs.
@@ -237,13 +236,8 @@ def _solve_shard(subsets, costs, is_test, task: tuple) -> tuple:
     with obs_trace.tracing(tracer):
         faults.inject(layer_idx, shard_idx, attempt)
         w = _WORKER
-        layer = np.asarray(w["order"][lo:hi])
-        layer_best, layer_arg = solve_layer_kernel_fused(
-            layer, w["p"][layer], w["cost"], subsets, costs, is_test,
-            arena=w["arena"], strict=True,
-        )
-        w["cost"][layer] = layer_best
-        w["best"][layer] = layer_arg
+        solve_slice(w["cost"], w["best"], w["p"], w["order"], lo, hi,
+                    subsets, costs, is_test, w["arena"])
     if tracer is None:
         return shard_idx, hi - lo
     tracer.complete(

@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core.errors import InvalidProblem, SolverError
-from ..core.kernels import solve_layer_kernel_fused
+from ..core.kernels import solve_slice
 
 __all__ = [
     "RAM_BUDGET_ENV",
@@ -62,9 +62,6 @@ __all__ = [
 RAM_BUDGET_ENV = "REPRO_RAM_BUDGET_BYTES"
 
 STORE_KINDS = ("auto", "ram", "mmap")
-
-# Subsets per in-parent kernel call (see LayerStore.run_parent_slice).
-PARENT_CHUNK = 1 << 18
 
 
 def ram_budget() -> int | None:
@@ -264,27 +261,14 @@ class LayerStore:
     def run_parent_slice(self, lo, hi, subsets, costs, is_test, arena) -> int:
         """Solve ``order[lo:hi]`` in-process over this store's tables.
 
-        The kernel runs strict and gathers straight from the live table:
-        explicit validity masks make the result independent of whatever
-        this layer's own entries hold — resume garbage in a file-backed
-        table, or the half-written slice of a worker killed mid-scatter —
-        so it needs no private copy of the table.  Chunks of
-        :data:`PARENT_CHUNK` subsets bound the arena's output buffers
-        (each subset's argmin is independent, so chunking cannot change
-        a result).  Returns the number of masks solved.
+        The same :func:`~repro.core.kernels.solve_slice` a pool child
+        runs: it sets the slice's own masks to ``INF`` — clearing the
+        half-written slice of a worker killed mid-scatter — then runs
+        the kernel straight over the live table, so it needs no private
+        copy of the table.  Returns the number of masks solved.
         """
-        done = 0
-        for off in range(lo, hi, PARENT_CHUNK):
-            end = min(off + PARENT_CHUNK, hi)
-            layer = np.asarray(self.order[off:end])
-            layer_best, layer_arg = solve_layer_kernel_fused(
-                layer, self.p[layer], self.cost, subsets, costs, is_test,
-                arena=arena, strict=True,
-            )
-            self.cost[layer] = layer_best
-            self.best[layer] = layer_arg
-            done += end - off
-        return done
+        return solve_slice(self.cost, self.best, self.p, self.order,
+                           lo, hi, subsets, costs, is_test, arena)
 
     def finish(self, success: bool) -> None:
         """Post-solve cleanup; ``success=False`` must leave resume state."""

@@ -187,7 +187,7 @@ class _MmapStoreBackend(VerifyBackend):
     """The out-of-core spill store, a fresh temp spill dir per instance.
 
     Exercises the durable path end to end — chunked order generation,
-    strict-mode kernel over file-backed tables, slab commit, manifest —
+    self-resetting slices over file-backed tables, slab commit, manifest —
     and holds its tables bit-for-bit to the oracle.  ``fsync`` is off:
     the sweep verifies the *bytes*, not the durability barriers (the
     crash drills cover those), and syncing thousands of tiny instances

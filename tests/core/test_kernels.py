@@ -155,8 +155,7 @@ class TestLayerArena:
         assert arena.nbytes == 0
         arena.out(4)
         arena.scratch(4)
-        arena.strict_scratch(4)
-        assert arena.nbytes == 4 * (8 + 4) + 4 * (4 + 4 + 4 + 8 + 8 + 1 + 4) + 4 * 2
+        assert arena.nbytes == 4 * (8 + 4) + 4 * (4 + 4 + 4 + 8 + 8 + 1 + 4)
 
 
 class TestFusedKernelDifferential:
@@ -304,91 +303,6 @@ class TestFusedKernelDifferential:
             warm = solve_dp(problem, arena=arena)
             np.testing.assert_array_equal(cold.cost, warm.cost)
             np.testing.assert_array_equal(cold.best_action, warm.best_action)
-
-
-class TestStrictMode:
-    """Strict mode must be independent of the own-layer table contents.
-
-    The spill store computes layers directly over file-backed tables
-    whose own-layer entries may hold anything — stale bytes from a
-    killed solve, scattered garbage from a corrupt slab — so the kernel
-    must give the same bits whether those entries are the clean ``INF``
-    sentinel, arbitrary finite floats, or NaNs.
-    """
-
-    @pytest.mark.parametrize("garbage", [np.nan, -np.inf, 0.0, -1e300, 3.25])
-    def test_own_layer_garbage_does_not_leak(self, garbage):
-        problem = random_instance(6, n_tests=6, n_treatments=4, seed=61)
-        p = subset_weights(problem)
-        plan = layer_plan(problem.k)
-        args = (problem.subset_array, problem.cost_array, problem.test_mask_array)
-        cost = np.full(1 << problem.k, np.inf)
-        cost[0] = 0.0
-        arena = LayerArena()
-        for j in range(1, problem.k + 1):
-            layer = plan.layer(j)
-            legacy_best, legacy_arg = solve_layer_kernel(
-                layer, p[layer], cost, *args
-            )
-            poisoned = cost.copy()
-            poisoned[layer] = garbage
-            strict_best, strict_arg = solve_layer_kernel_fused(
-                layer, p[layer], poisoned, *args, arena=arena, strict=True
-            )
-            np.testing.assert_array_equal(legacy_best, strict_best)
-            np.testing.assert_array_equal(legacy_arg, strict_arg)
-            cost[layer] = legacy_best
-
-    @pytest.mark.parametrize("seed", range(8))
-    def test_strict_matches_nonstrict_on_clean_tables(self, seed):
-        # On a table that *does* satisfy the INF invariant, the explicit
-        # masks must change nothing: same bits, same tie-breaks.
-        problem = random_instance(2 + seed % 5, 2 + seed % 4, 1 + seed % 3, seed=seed)
-        p = subset_weights(problem)
-        plan = layer_plan(problem.k)
-        args = (problem.subset_array, problem.cost_array, problem.test_mask_array)
-        cost = np.full(1 << problem.k, np.inf)
-        cost[0] = 0.0
-        arena = LayerArena()
-        for j in range(1, problem.k + 1):
-            layer = plan.layer(j)
-            plain_best, plain_arg = solve_layer_kernel_fused(
-                layer, p[layer], cost, *args, arena=arena
-            )
-            plain_best = plain_best.copy()
-            plain_arg = plain_arg.copy()
-            strict_best, strict_arg = solve_layer_kernel_fused(
-                layer, p[layer], cost, *args, arena=arena, strict=True
-            )
-            np.testing.assert_array_equal(plain_best, strict_best)
-            np.testing.assert_array_equal(plain_arg, strict_arg)
-            cost[layer] = strict_best
-
-    def test_strict_with_tiling(self):
-        # Tiling and strict masks compose: the per-tile validity rows
-        # must be resliced per tile, not reused stale.
-        problem = random_instance(5, n_tests=5, n_treatments=3, seed=62)
-        p = subset_weights(problem)
-        plan = layer_plan(problem.k)
-        args = (problem.subset_array, problem.cost_array, problem.test_mask_array)
-        cost = np.full(1 << problem.k, np.inf)
-        cost[0] = 0.0
-        arena = LayerArena()
-        for j in range(1, problem.k + 1):
-            layer = plan.layer(j)
-            legacy_best, legacy_arg = solve_layer_kernel(
-                layer, p[layer], cost, *args
-            )
-            poisoned = cost.copy()
-            poisoned[layer] = np.nan
-            for tile in (0, 1, 3):
-                strict_best, strict_arg = solve_layer_kernel_fused(
-                    layer, p[layer], poisoned, *args,
-                    arena=arena, tile=tile, strict=True,
-                )
-                np.testing.assert_array_equal(legacy_best, strict_best)
-                np.testing.assert_array_equal(legacy_arg, strict_arg)
-            cost[layer] = legacy_best
 
 
 class TestTileEnv:

@@ -4,9 +4,9 @@ Without numba (the normal state of this test environment) the tier must
 degrade *loudly* to the fused numpy kernel — one ``RuntimeWarning``,
 bit-identical tables — and the kernel's uncompiled Python body is held
 to the fused kernel over a randomized differential (ties, infeasible
-masks, strict-mode garbage poisoning) so the logic numba compiles is
-covered either way.  With numba installed (the CI ``native-smoke`` leg)
-the jitted kernel itself runs the same differential plus full solves.
+masks) so the logic numba compiles is covered either way.  With numba
+installed (the CI ``native-smoke`` leg) the jitted kernel itself runs
+the same differential plus full solves.
 """
 
 import warnings
@@ -47,32 +47,24 @@ def _random_layer_case(rng):
     # Small integer costs make argmin ties likely.
     costs = rng.integers(0, 5, size=n_act).astype(np.float64)
     is_test = rng.random(n_act) < 0.5
-    return layer, p_layer, cost, pc, j, subsets, costs, is_test
+    return layer, p_layer, cost, subsets, costs, is_test
 
 
 class TestKernelDifferential:
     def test_python_body_matches_fused_kernel(self):
         rng = np.random.default_rng(0)
         for _ in range(150):
-            layer, p_layer, cost, pc, j, subsets, costs, is_test = (
+            layer, p_layer, cost, subsets, costs, is_test = (
                 _random_layer_case(rng)
             )
-            strict = bool(rng.integers(0, 2))
-            if strict:
-                # Strict mode must be independent of unsolved-entry
-                # garbage — poison them with NaN, the nastiest value.
-                cost = cost.copy()
-                cost[pc >= j] = np.nan
             tile = int(rng.choice([0, 1, 3, 16384]))
             bf, af = solve_layer_kernel_fused(
-                layer, p_layer, cost, subsets, costs, is_test,
-                tile=tile, strict=strict,
+                layer, p_layer, cost, subsets, costs, is_test, tile=tile,
             )
             bn = np.empty(layer.size)
             an = np.empty(layer.size, dtype=np.int32)
             _layer_kernel_py(
-                layer, p_layer, cost, subsets, costs, is_test,
-                bn, an, tile, strict,
+                layer, p_layer, cost, subsets, costs, is_test, bn, an, tile,
             )
             assert np.array_equal(bf, bn, equal_nan=True)
             assert np.array_equal(af, an)
@@ -81,18 +73,14 @@ class TestKernelDifferential:
     def test_jitted_kernel_matches_fused_kernel(self):
         rng = np.random.default_rng(1)
         for _ in range(60):
-            layer, p_layer, cost, pc, j, subsets, costs, is_test = (
+            layer, p_layer, cost, subsets, costs, is_test = (
                 _random_layer_case(rng)
             )
-            strict = bool(rng.integers(0, 2))
-            if strict:
-                cost = cost.copy()
-                cost[pc >= j] = np.nan
             bf, af = solve_layer_kernel_fused(
-                layer, p_layer, cost, subsets, costs, is_test, strict=strict
+                layer, p_layer, cost, subsets, costs, is_test
             )
             bn, an = solve_layer_kernel_native(
-                layer, p_layer, cost, subsets, costs, is_test, strict=strict
+                layer, p_layer, cost, subsets, costs, is_test
             )
             assert np.array_equal(bf, bn, equal_nan=True)
             assert np.array_equal(af, an)
@@ -111,7 +99,7 @@ class TestKernelDifferential:
     @pytest.mark.skipif(HAVE_NUMBA, reason="numba installed")
     def test_kernel_entry_raises_without_numba(self):
         rng = np.random.default_rng(2)
-        layer, p_layer, cost, _, _, subsets, costs, is_test = (
+        layer, p_layer, cost, subsets, costs, is_test = (
             _random_layer_case(rng)
         )
         with pytest.raises(RuntimeError, match="numba"):

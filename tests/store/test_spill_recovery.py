@@ -16,7 +16,8 @@ import pytest
 
 from repro.core.errors import CheckpointMismatch, StoreCorruption
 from repro.core.generators import random_instance
-from repro.core.parallel import solve_dp_parallel
+from repro.core.kernels import layer_plan
+from repro.core.parallel import MIN_SHARD, solve_dp_parallel
 from repro.core.sequential import solve_dp_reference
 from repro.store import StoreSpec
 from repro.store.journal import MANIFEST_NAME
@@ -36,9 +37,9 @@ def spill(tmp_path):
     return spill_dir
 
 
-def reopen(spill_dir, workers=1):
+def reopen(spill_dir, workers=1, min_shard=MIN_SHARD):
     return solve_dp_parallel(
-        PROBLEM, workers=workers,
+        PROBLEM, workers=workers, min_shard=min_shard,
         store=StoreSpec(kind="mmap", spill_dir=str(spill_dir)),
     )
 
@@ -108,6 +109,32 @@ class TestSlabCorruptionIsRecovered:
         third = reopen(spill)
         assert third.recovery["resumed_from_layer"] == PROBLEM.k
         assert third.recovery["layers"] == []
+
+
+class TestTableGarbageOnResume:
+    @pytest.mark.parametrize("workers,min_shard", [(1, MIN_SHARD), (2, 1)])
+    def test_garbage_in_unfinished_layers_gives_reference_bytes(
+        self, spill, workers, min_shard
+    ):
+        # Layers 3..k lose their slabs, and the table files hold NaN
+        # costs and garbage actions at those layers' masks.
+        plan = layer_plan(PROBLEM.k)
+        cost = np.memmap(spill / "cost.dat", dtype=np.float64, mode="r+")
+        best = np.memmap(spill / "best.dat", dtype=np.int64, mode="r+")
+        for j in range(3, PROBLEM.k + 1):
+            os.unlink(slab(spill, j))
+            cost[plan.layer(j)] = np.nan
+            best[plan.layer(j)] = 12345
+        cost.flush()
+        best.flush()
+        del cost, best
+        result = reopen(spill, workers=workers, min_shard=min_shard)
+        assert np.array_equal(result.cost, REF.cost)
+        assert np.array_equal(result.best_action, REF.best_action)
+        layers = result.recovery["layers"]
+        assert [e["layer"] for e in layers] == list(range(3, PROBLEM.k + 1))
+        if workers > 1:
+            assert "pool" in [e["mode"] for e in layers]
 
 
 class TestControlStateIsLoud:
