@@ -26,16 +26,8 @@ smaller k), ``REPRO_BENCH_KERNEL_MIN`` (minimum acceptable speedup,
 default 1.0 — the regression guard CI enforces; the committed
 ``BENCH_KERNEL.json`` from the full k=18 run shows the >= 2x result).
 
-``test_kernel_native`` races the numba-jitted native tier against the
-fused kernel on the same layers (skipped loudly when numba is absent —
-this is the only bench that needs the optional ``native`` extra).  Its
-floor ``REPRO_BENCH_KERNEL_NATIVE_MIN`` defaults to 0.0 (informational):
-the native tier's contract is bit-identity plus whatever a given host's
-jit delivers, and no committed full-run artifact can back a floor from
-an environment without numba.
-
-Output: ``BENCH_JSON`` lines, tables, and the ``"fusion"`` /
-``"native"`` sections of ``BENCH_KERNEL.json`` at the repo root:
+Output: a ``BENCH_JSON`` line, a table, and the ``"fusion"`` section
+of ``BENCH_KERNEL.json`` at the repo root:
 
     BENCH_JSON {"bench": "KERNEL-FUSION", "k": ..., "legacy_s": ...,
                 "fused_s": ..., "speedup": ...}
@@ -51,11 +43,10 @@ import time
 import numpy as np
 import pytest
 
-from benchmarks._kernel_timer import alternate, summarize_pairs, timed
+from benchmarks._kernel_timer import alternate, summarize_pairs
 from benchmarks.conftest import bench_payload, merge_bench_json, print_table
 from repro.core.generators import random_instance
 from repro.core.kernels import LayerArena, layer_plan, solve_layer_kernel_fused
-from repro.core.native import native_available, solve_layer_kernel_native
 from repro.core.sequential import solve_layer_kernel, subset_weights
 
 pytestmark = pytest.mark.slow
@@ -182,106 +173,3 @@ def test_kernel_fusion():
         f"{_min_speedup():.2f}x floor"
     )
 
-
-def test_kernel_native():
-    """Native (numba-jitted) tier vs the fused kernel, same layers."""
-    if not native_available():
-        pytest.skip(
-            "native kernel bench skipped: numba is not installed "
-            "(pip install 'repro[native]')"
-        )
-    k = _bench_k()
-    min_speedup = float(os.environ.get("REPRO_BENCH_KERNEL_NATIVE_MIN", "0.0"))
-    problem = random_instance(k, N_TESTS, N_TREATMENTS, seed=k)
-    p = subset_weights(problem)
-    plan = layer_plan(k)
-    subsets, costs, is_test = (
-        problem.subset_array,
-        problem.cost_array,
-        problem.test_mask_array,
-    )
-
-    # Correctness first (bit-for-bit over EVERY layer), snapshotting the
-    # cost table before each layer so both variants later time against
-    # byte-identical inputs.  One arena per variant — arena output
-    # buffers are reused across calls, so sharing one would alias the
-    # two results being compared.  The first native call also pays the
-    # jit compile here, outside the timed region.
-    cost = np.full(1 << k, np.inf)
-    cost[0] = 0.0
-    fused_arena, native_arena = LayerArena(), LayerArena()
-    tables = {}
-    for j in range(1, k + 1):
-        layer = plan.layer(j)
-        fused_best, fused_arg = solve_layer_kernel_fused(
-            layer, p[layer], cost, subsets, costs, is_test, arena=fused_arena
-        )
-        native_best, native_arg = solve_layer_kernel_native(
-            layer, p[layer], cost, subsets, costs, is_test, arena=native_arena
-        )
-        assert np.array_equal(fused_best, native_best), f"layer {j} cost"
-        assert np.array_equal(fused_arg, native_arg), f"layer {j} arg"
-        tables[j] = cost.copy()
-        cost[layer] = fused_best
-
-    # Timing: both kernels adjacently per middle layer, single-shot (the
-    # production profile), order alternating between reps, median of the
-    # per-rep ratios.  In-process reps are fine here — neither variant
-    # has the legacy kernel's allocator-churn sensitivity.
-    middle = [
-        j for j in range(1, k + 1) if plan.layer(j).size >= plan.max_layer_size // 2
-    ]
-    variants = {
-        "fused": lambda layer, p_layer, cost: timed(
-            solve_layer_kernel_fused,
-            layer, p_layer, cost, subsets, costs, is_test, arena=fused_arena,
-        ),
-        "native": lambda layer, p_layer, cost: timed(
-            solve_layer_kernel_native,
-            layer, p_layer, cost, subsets, costs, is_test, arena=native_arena,
-        ),
-    }
-    pairs = []
-    for rep in range(_reps()):
-        totals = {"fused": 0.0, "native": 0.0}
-        for j in middle:
-            layer = plan.layer(j)
-            for name in alternate(rep, "fused", "native"):
-                totals[name] += variants[name](layer, p[layer], tables[j])
-        pairs.append((totals["fused"], totals["native"]))
-    stats = summarize_pairs(pairs)
-    speedup = stats["speedup"]
-    fused_s, native_s = stats["baseline_s"], stats["candidate_s"]
-
-    payload = bench_payload("KERNEL-NATIVE", {
-        "k": k,
-        "n_actions": problem.n_actions,
-        "middle_layers": middle,
-        "fused_s": round(fused_s, 6),
-        "native_s": round(native_s, 6),
-        "speedup": round(speedup, 3),
-        "reps": _reps(),
-        "pair_ratios": stats["ratios"],
-        "methodology": (
-            "variants timed adjacently per layer single-shot, order "
-            "alternating; median of per-rep ratios; jit warm-up and "
-            "bit-identity check before timing"
-        ),
-        "bit_identical": True,
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-    })
-    print(f"\nBENCH_JSON {json.dumps(payload)}")
-    print_table(
-        f"native kernel, k={k}, N={problem.n_actions} (middle layers)",
-        ["kernel", "seconds", "speedup"],
-        [
-            ["fused", f"{fused_s * 1e3:.1f} ms", "1.00x"],
-            ["native", f"{native_s * 1e3:.1f} ms", f"{speedup:.2f}x"],
-        ],
-    )
-    merge_bench_json(_REPO_ROOT / "BENCH_KERNEL.json", "native", payload)
-
-    assert speedup >= min_speedup, (
-        f"native kernel speedup {speedup:.2f}x below the "
-        f"{min_speedup:.2f}x floor"
-    )

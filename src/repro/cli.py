@@ -8,10 +8,8 @@ Commands
     format) or a named synthetic workload — with any of the four solvers
     (``dp``, ``hypercube``, ``ccc``, ``bvm``), optionally printing the
     optimal procedure and machine counters.  For ``--solver dp`` the host
-    engine is selectable with
-    ``--backend {auto,numpy,parallel,native,reference}`` and
-    ``--workers N`` (the multi-core shared-memory engine; ``native`` is
-    the optional numba-jitted kernel tier).
+    engine is selectable with ``--backend {auto,numpy,parallel,reference}``
+    and ``--workers N`` (the multi-core shared-memory engine).
 
 ``solve-batch``
     Solve a stream of instances (one ``TTProblem`` JSON document per
@@ -69,6 +67,7 @@ from .core import (
     resolve_backend,
     solve,
 )
+from .core.engine import ENGINE_BACKENDS
 from .core.faults import CRASH_POINTS
 
 __all__ = ["main", "build_parser"]
@@ -99,9 +98,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=BACKENDS,
         default="auto",
         help="host DP engine for --solver dp: auto-select, single-process "
-        "numpy, multi-core shared-memory parallel, the optional "
-        "numba-jitted native kernel (falls back loudly to numpy when "
-        "numba is missing), or the plain-Python reference oracle",
+        "numpy, multi-core shared-memory parallel, or the plain-Python "
+        "reference oracle",
     )
     p_solve.add_argument(
         "--workers",
@@ -229,11 +227,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_batch.add_argument(
         "--backend",
-        choices=("auto", "numpy", "parallel", "native"),
+        choices=ENGINE_BACKENDS,
         default="auto",
         help="engine backend per instance for --solver dp (no reference "
-        "oracle in batch mode; 'native' falls back loudly to numpy when "
-        "numba is missing)",
+        "oracle in batch mode)",
     )
     p_batch.add_argument(
         "--workers",

@@ -9,17 +9,14 @@ Backends
 --------
 
 ``"numpy"``
-    :func:`~repro.core.sequential.solve_dp` — single-process, vectorized
-    per popcount layer.  The right choice for small/medium ``k``.
+    :func:`~repro.core.sequential.solve_dp` — single-process: each
+    popcount layer is one :func:`~repro.core.kernels.solve_slice` call,
+    the slice body every pool shard runs too.  The right choice for
+    small/medium ``k``.
 ``"parallel"``
     :func:`~repro.core.parallel.solve_dp_parallel` — multi-core
     shared-memory layer-parallel engine.  Worth the fork/IPC overhead
     once the middle layers hold tens of thousands of subsets.
-``"native"``
-    :func:`~repro.core.sequential.solve_dp` driven by the numba-jitted
-    layer kernel (:mod:`repro.core.native`).  numba is an optional
-    dependency; when it is absent the request degrades loudly (one
-    ``RuntimeWarning``) to ``"numpy"`` — never silently.
 ``"reference"``
     :func:`~repro.core.sequential.solve_dp_reference` — the plain-Python
     oracle; exposed here so differential tests and debugging sessions go
@@ -37,9 +34,7 @@ Backends
     every larger ``k`` measured, so ``auto`` never picks a path the
     ladder measured slower.  The ladder ran at the host's core count; a
     host of another shape may cross over elsewhere — re-run the ladder
-    there.  ``"native"`` is opt-in only: the auto rule never selects it,
-    so default behaviour is independent of which optional extras happen
-    to be installed.
+    there.
 
 All backends honour the same determinism contract (see
 :mod:`repro.core.sequential`), so switching backends never changes
@@ -59,7 +54,6 @@ import numpy as np
 from ..obs import trace as obs_trace
 from .errors import InvalidProblem
 from .kernels import plan_cache_stats
-from .native import native_available, warn_native_fallback
 from .parallel import PARALLEL_MIN_K_COLD, default_workers, solve_dp_parallel
 from .problem import TTProblem
 from .sequential import DPResult, solve_dp, solve_dp_reference, subset_weights
@@ -76,7 +70,7 @@ __all__ = [
     "DEFAULT_WEIGHTS_CACHE_BYTES",
 ]
 
-BACKENDS = ("auto", "numpy", "parallel", "native", "reference")
+BACKENDS = ("auto", "numpy", "parallel", "reference")
 
 # Byte budget for the subset-weights cache; override via the env var.
 # At k = 20 one vector is 8 MiB, so the default keeps roughly eight of
@@ -189,9 +183,6 @@ def _resolve(
     if backend == "auto":
         big = problem.k >= min_k
         backend = "parallel" if (big and eff_workers > 1) else "numpy"
-    elif backend == "native" and not native_available():
-        warn_native_fallback()
-        backend = "numpy"
     if backend != "parallel":
         eff_workers = 1
     return backend, eff_workers
@@ -249,9 +240,10 @@ def solve(
     ``commit`` tunes the parallel solve loop (see
     :func:`~repro.core.parallel.solve_dp_parallel`): layer-commit mode
     ``"async"`` (default) vs ``"sync"``.  It defaults from
-    ``REPRO_COMMIT_MODE`` and is persistence mechanics only —
-    single-process backends ignore it and both modes yield bit-identical
-    tables.
+    ``REPRO_COMMIT_MODE`` and is persistence mechanics only — both
+    modes yield bit-identical tables.  An explicit value is validated on
+    every path (a typo raises :class:`InvalidProblem`), even where a
+    single-process backend or a warm engine then has nothing to commit.
 
     ``tracer`` / ``progress`` attach observability (see :mod:`repro.obs`):
     a :class:`~repro.obs.trace.Tracer` is made ambient around whichever
@@ -260,6 +252,11 @@ def solve(
     callbacks on the parallel path.  Both are observational only —
     ``cost``/``best_action`` are bit-identical with them on or off.
     """
+    if commit is not None:
+        # Imported only on request: default solves skip loading the store.
+        from ..store.pipeline import commit_mode
+
+        commit = commit_mode(commit)
     spec = None
     store_kind = "ram"
     if store is not None or spill_dir is not None:
@@ -315,14 +312,14 @@ def solve(
                 "spill directory's manifest already persists every layer "
                 "durably (resume simply reopens the same spill_dir)"
             )
-        if backend in ("numpy", "native", "reference"):
+        if backend in ("numpy", "reference"):
             raise InvalidProblem(
                 f"the mmap store requires the parallel backend, got {backend!r}; "
                 "single-process backends have no layer store to spill from"
             )
         backend = "parallel"
     if policy is not None and policy.checkpoint is not None:
-        if backend in ("numpy", "native", "reference"):
+        if backend in ("numpy", "reference"):
             raise InvalidProblem(
                 f"checkpointing requires the parallel backend, got {backend!r}; "
                 "single-process backends would silently skip the checkpoint"
@@ -348,10 +345,5 @@ def solve(
                 progress=progress,
             )
         )
-    if backend == "native":
-        from .native import solve_layer_kernel_native
-
-        with ambient:
-            return _finish(solve_dp(problem, p=p, kernel=solve_layer_kernel_native))
     with ambient:
         return _finish(solve_dp(problem, p=p))

@@ -48,7 +48,7 @@ from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from . import faults
 from . import parallel as _par
-from .dispatch import _resolve, cached_subset_weights
+from .dispatch import BACKENDS, _resolve, cached_subset_weights
 from .errors import InvalidProblem, SolverError
 from .kernels import LayerArena
 from .parallel import MIN_SHARD, PARALLEL_MIN_K_WARM, run_layers
@@ -57,6 +57,10 @@ from .sequential import DPResult, solve_dp
 from .supervisor import RecoveryLog, ResiliencePolicy
 
 __all__ = ["SolverEngine"]
+
+# Every solve() backend except the plain-Python oracle, which has no
+# warm state to keep.
+ENGINE_BACKENDS = tuple(b for b in BACKENDS if b != "reference")
 
 
 class SolverEngine:
@@ -70,13 +74,12 @@ class SolverEngine:
         children are kept warm.  ``1`` keeps every solve single-process
         (arena reuse only).
     backend:
-        ``"auto"`` (default), ``"numpy"``, ``"native"`` or ``"parallel"``
-        — resolved per instance like :func:`repro.core.solve`, except
-        that ``"auto"`` uses the warm crossover
+        ``"auto"`` (default), ``"numpy"`` or ``"parallel"`` — checked
+        here (anything else raises :class:`InvalidProblem`) and resolved
+        per instance like :func:`repro.core.solve`, except that
+        ``"auto"`` uses the warm crossover
         (:data:`~repro.core.parallel.PARALLEL_MIN_K_WARM`): warm workers
-        pay off from a smaller ``k`` than a cold solve's.  A
-        ``"native"`` request without numba installed falls back to numpy
-        loudly.
+        pay off from a smaller ``k`` than a cold solve's.
     policy:
         :class:`~repro.core.supervisor.ResiliencePolicy` for the warm
         workers' fault handling.  Checkpointing is not supported on the
@@ -106,6 +109,11 @@ class SolverEngine:
             )
         if min_shard < 1:
             raise InvalidProblem(f"min_shard must be >= 1, got {min_shard}")
+        if backend not in ENGINE_BACKENDS:
+            raise InvalidProblem(
+                f"unknown SolverEngine backend {backend!r}; expected one of "
+                f"{ENGINE_BACKENDS}"
+            )
         self.workers = workers if workers is not None else _par.default_workers()
         self.backend = backend
         self.policy = policy if policy is not None else ResiliencePolicy()
@@ -156,15 +164,8 @@ class SolverEngine:
         )
         if p is None:
             p = cached_subset_weights(problem)
-        if backend == "reference":
-            raise SolverError("SolverEngine has no reference backend")
-        if backend != "parallel":
-            kernel = None
-            if backend == "native":
-                from .native import solve_layer_kernel_native
-
-                kernel = solve_layer_kernel_native
-            result = solve_dp(problem, p=p, arena=self._arena, kernel=kernel)
+        if backend == "numpy":
+            result = solve_dp(problem, p=p, arena=self._arena)
         else:
             result = self._solve_parallel(problem, p, eff_workers)
         self.solves += 1

@@ -1,7 +1,7 @@
 """Fused, allocation-free layer kernels and the cached layer partition.
 
-The hot loop of every host backend is ``solve_layer_kernel`` in
-:mod:`repro.core.sequential`: for each action it materializes ~8
+The reference kernel, ``solve_layer_kernel`` in
+:mod:`repro.core.sequential`, materializes for each action ~8
 full-layer temporaries (two bitwise intersections, a scaled weight
 vector, two table gathers, a validity mask and two ``np.where`` copies),
 so a ``k = 18, N = 32`` solve allocates and immediately discards several
@@ -48,25 +48,25 @@ gathered, the companion gather hits ``cost[S] == INF`` and the sum is
 ``INF``.)  Dropping the masks removes two to three full array passes
 per action.
 
-Two callers hold the invariant, one by construction and one by a reset.
-:func:`~repro.core.sequential.solve_dp` fills a fresh table and
-scatters a layer's results only after the kernel returns.
-:func:`solve_slice` — every pool shard and every parent slice over a
-layer store — first sets its own masks to ``INF``.  A slice reads the
-layer being computed only at those masks (the self-reads above), and
-no other process writes them while it runs: the other slices of the
-layer write only their own masks, and the supervisor reaps a killed or
-timed-out attempt, or finds a raising one idle, before it retries the
-slice.  So that one scatter clears whatever an earlier attempt left
-there, NaNs included.
+One caller holds the invariant: :func:`solve_slice`, which every host
+path runs — each layer of :func:`~repro.core.sequential.solve_dp`,
+every pool shard and every parent slice over a layer store.  It first
+sets its own masks to ``INF``.  A slice reads the layer being computed
+only at those masks (the self-reads above), and no other process
+writes them while it runs: the other slices of the layer write only
+their own masks, and the supervisor reaps a killed or timed-out
+attempt, or finds a raising one idle, before it retries the slice.  So
+that one scatter clears whatever an earlier attempt left there, NaNs
+included.  (On ``solve_dp``'s fresh table the reset is redundant, and
+costs one pass over the layer's masks.)
 
 Bit-for-bit contract
 --------------------
 
 The fused kernel is a drop-in replacement for ``solve_layer_kernel``
-inside :func:`~repro.core.sequential.solve_dp`, the multiprocess shards
-and the supervised fallback paths, so it must preserve the determinism
-contract of :mod:`repro.core.sequential` *exactly*:
+behind :func:`solve_slice`, so every host backend runs it and it must
+preserve the determinism contract of :mod:`repro.core.sequential`
+*exactly*:
 
 * candidates are scanned in action-index order and only a strictly
   smaller value (``<``) replaces the incumbent — the masked
@@ -290,8 +290,9 @@ class LayerArena:
     largest request and are reused forever after, so a warm arena makes
     the kernel allocation-free.
 
-    Two pools are kept: *output* buffers sized to the full layer (the
-    running ``best``/``arg``), and *scratch* rows sized to one tile.
+    Two pools are kept: *output* buffers sized to one kernel call (the
+    running ``best``/``arg``; at most :data:`PARENT_CHUNK` masks under
+    :func:`solve_slice`), and *scratch* rows sized to one tile.
     """
 
     __slots__ = (
@@ -394,8 +395,8 @@ def solve_layer_kernel_fused(
     :func:`repro.core.sequential.solve_layer_kernel` — same arguments,
     same ``(layer_cost, layer_arg)`` result, bit-for-bit — *provided*
     the table-state invariant holds: ``cost[S] == INF`` for every ``S``
-    in ``layer`` (see the module docstring: ``solve_dp`` holds it by
-    construction, :func:`solve_slice` by resetting its own masks).
+    in ``layer`` (see the module docstring: :func:`solve_slice`, the one
+    caller in this package, holds it by resetting its own masks).
 
     ``arena`` supplies the scratch buffers; omit it for a private
     throwaway arena (correct, but the allocation savings then only apply
@@ -475,17 +476,19 @@ def solve_layer_kernel_fused(
 
 
 # Masks per kernel call of solve_slice: bounds the arena's output
-# buffers on every slice, a child's shard and the parent's alike (each
-# subset's argmin is independent, so chunking cannot change a result).
+# buffers on every slice — a solve_dp layer, a child's shard and the
+# parent's alike (each subset's argmin is independent, so chunking
+# cannot change a result).
 PARENT_CHUNK = 1 << 18
 
 
 def solve_slice(cost, best, p, order, lo, hi, subsets, costs, is_test, arena) -> int:
-    """Solve masks ``order[lo:hi]`` of one layer in place over a store's tables.
+    """Solve masks ``order[lo:hi]`` of one layer in place over four tables.
 
     ``cost``, ``best``, ``p`` and ``order`` are the four ``2^k`` tables
     of a :class:`~repro.store.LayerStore` (shared memory, plain RAM or
-    file-backed memmaps), as the parent or a pool child maps them.  Each
+    file-backed memmaps), as the parent or a pool child maps them, or
+    :func:`~repro.core.sequential.solve_dp`'s fresh arrays.  Each
     chunk of :data:`PARENT_CHUNK` masks sets its own ``cost`` entries to
     ``INF`` — the table-state invariant, whatever an earlier attempt left
     there (see the module docstring) — then runs the fused kernel and

@@ -16,7 +16,7 @@ loop, :func:`run_layers`:
   (:class:`~repro.store.MmapStore`);
 * each layer is sharded into contiguous runs of masks, at most one per
   worker; a layer too small to amortize IPC runs in the parent on the
-  same tables (``LayerStore.run_parent_slice``);
+  same tables (the same :func:`~repro.core.kernels.solve_slice`);
 * ``workers`` counts the parent: a solve with ``workers=w`` starts
   ``w - 1`` child processes, each owning one pipe and, statically, one
   shard index.  Child ``i`` gathers ``C`` from completed layers for
@@ -42,7 +42,7 @@ starts and one set of warm children serves any problem of its ``k``.
 
 Determinism: each subset's argmin is computed *entirely inside one
 worker* by scanning actions in index order through
-:func:`repro.core.sequential.solve_layer_kernel` — sharding is over
+:func:`~repro.core.kernels.solve_slice` — sharding is over
 subsets, never over actions — so the tie-break rule (lowest action index
 wins) and the float evaluation order are bit-for-bit those of
 :func:`solve_dp` and :func:`solve_dp_reference`, regardless of worker
@@ -356,9 +356,10 @@ def run_layers(
     ``supervisor`` (see :func:`_pool_supervisor`) runs each layer that
     splits into several shards; single-shard layers, and every layer when
     there is no supervisor or it has degraded, run in the parent through
-    ``store.run_parent_slice``.  Each computed layer is committed: inline
-    under ``commit="sync"``, else on an :class:`AsyncCommitter` when the
-    store persists anything.  A commit that fails with
+    :func:`~repro.core.kernels.solve_slice` over the store's tables.
+    Each computed layer is committed: inline under ``commit="sync"``,
+    else on an :class:`AsyncCommitter` when the store persists
+    anything.  A commit that fails with
     :class:`~repro.store.StoreWriteError` carries the tables into RAM
     (:meth:`RamStore.adopt`), shuts the supervisor down and finishes in
     the parent.  Skipped layers must already hold trusted values.
@@ -386,10 +387,12 @@ def run_layers(
 
     def solve_in_parent(lo: int, hi: int) -> int:
         """The parent's own shard of a pool layer, and small, degraded
-        and fallback slices: same kernel, same bytes, over whichever
-        store currently holds the tables."""
+        and fallback slices: the slice body a child runs, over whichever
+        store currently holds the tables (read at call time, so after
+        :func:`degrade_to_ram` it is the adopted RAM store)."""
         ts = time.monotonic()
-        n = store.run_parent_slice(lo, hi, subsets, costs, is_test, arena)
+        n = solve_slice(store.cost, store.best, store.p, store.order, lo, hi,
+                        subsets, costs, is_test, arena)
         dt = time.monotonic() - ts
         metrics.inc("time.kernel_s", dt)
         metrics.observe("shard.seconds", dt)

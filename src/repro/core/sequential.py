@@ -48,7 +48,7 @@ import numpy as np
 from ..obs import trace as _trace
 from ..obs.metrics import zeroed_metrics, zeroed_recovery
 from ..util.bitops import subsets_of_size
-from .kernels import LayerArena, layer_plan, solve_layer_kernel_fused
+from .kernels import LayerArena, layer_plan, solve_slice
 from .problem import TTProblem
 from .tree import TTNode, TTTree
 
@@ -211,25 +211,19 @@ def solve_dp(
     *,
     p: np.ndarray | None = None,
     arena: LayerArena | None = None,
-    kernel=None,
 ) -> DPResult:
     """Vectorized backward-induction solve of the TT recurrence.
 
-    Processes subsets one popcount layer at a time through the fused
-    zero-allocation kernel (:mod:`repro.core.kernels`); the popcount
-    partition comes from the per-``k`` :func:`~repro.core.kernels.layer_plan`
-    cache, so the Python-level loop count is only ``k * N`` and the only
-    per-call allocations are the output tables.  Pass a precomputed ``p``
-    (from :func:`subset_weights`) to skip recomputing it, and/or a warm
+    Processes subsets one popcount layer at a time: each layer is one
+    :func:`~repro.core.kernels.solve_slice` call over the fresh tables,
+    the same chunked reset–kernel–scatter body every pool shard and
+    parent slice runs.  The popcount partition comes from the per-``k``
+    :func:`~repro.core.kernels.layer_plan` cache, and the only per-call
+    allocations are the output tables.  Pass a precomputed ``p`` (from
+    :func:`subset_weights`) to skip recomputing it, and/or a warm
     :class:`~repro.core.kernels.LayerArena` (e.g. from a
     :class:`~repro.core.engine.SolverEngine`) to reuse kernel scratch
     across solves.
-
-    ``kernel`` swaps the layer kernel for a drop-in alternative (the
-    ``backend="native"`` tier passes
-    :func:`~repro.core.native.solve_layer_kernel_native`); any substitute
-    must honour the determinism contract above — the layer spans report
-    which kernel ran via their ``mode`` attribute.
     """
     k, n_act = problem.k, problem.n_actions
     n_sub = 1 << k
@@ -249,25 +243,16 @@ def solve_dp(
     plan = layer_plan(k)
     if arena is None:
         arena = LayerArena()
-    if kernel is None:
-        kernel = solve_layer_kernel_fused
-    mode = getattr(kernel, "kernel_mode", "numpy")
 
     tr = _trace.current()
     for j in range(1, k + 1):
-        layer = plan.layer(j)
+        lo, hi = plan.bounds(j)
         t0 = time.monotonic() if tr.collecting else 0.0
-        # The kernel's table-state invariant holds by construction here:
-        # layer j's entries are still INF until the scatter below.
-        layer_best, layer_arg = kernel(
-            layer, p[layer], cost, subsets, costs, is_test, arena=arena
-        )
-        cost[layer] = layer_best
-        best[layer] = layer_arg
+        solve_slice(cost, best, p, plan.order, lo, hi, subsets, costs, is_test, arena)
         if tr.collecting:
             tr.complete(
                 "layer", "layer", t0, time.monotonic(),
-                layer=j, masks=int(layer.size), shards=1, mode=mode,
+                layer=j, masks=hi - lo, shards=1, mode="numpy",
             )
 
     op_count = (n_sub - 1) * n_act

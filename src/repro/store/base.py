@@ -47,7 +47,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core.errors import InvalidProblem, SolverError
-from ..core.kernels import solve_slice
 
 __all__ = [
     "RAM_BUDGET_ENV",
@@ -257,18 +256,6 @@ class LayerStore:
         """Persist layer ``j`` (a no-op for an unpersisted store)."""
         if self._journal is not None:
             self._journal.commit(j)
-
-    def run_parent_slice(self, lo, hi, subsets, costs, is_test, arena) -> int:
-        """Solve ``order[lo:hi]`` in-process over this store's tables.
-
-        The same :func:`~repro.core.kernels.solve_slice` a pool child
-        runs: it sets the slice's own masks to ``INF`` — clearing the
-        half-written slice of a worker killed mid-scatter — then runs
-        the kernel straight over the live table, so it needs no private
-        copy of the table.  Returns the number of masks solved.
-        """
-        return solve_slice(self.cost, self.best, self.p, self.order,
-                           lo, hi, subsets, costs, is_test, arena)
 
     def finish(self, success: bool) -> None:
         """Post-solve cleanup; ``success=False`` must leave resume state."""

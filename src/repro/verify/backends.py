@@ -287,45 +287,6 @@ class _BVMBatchBackend(VerifyBackend):
         return out
 
 
-class _NativeBackend(VerifyBackend):
-    """The numba-jitted layer kernel driven through ``solve_dp``.
-
-    numba is optional: without it this backend warns loudly at
-    construction and declines every instance (the report counts the
-    declines), so a sweep that *claims* to have verified ``native``
-    can never have silently run numpy instead.
-    :func:`default_backend_names` only includes it when numba is
-    importable; requesting it explicitly always works.
-    """
-
-    name = "native"
-
-    def __init__(self):
-        from ..core.native import NATIVE_FALLBACK_MSG, native_available
-
-        self._available = native_available()
-        if not self._available:
-            import warnings
-
-            warnings.warn(
-                "verify backend 'native' will decline every instance: "
-                + NATIVE_FALLBACK_MSG,
-                RuntimeWarning,
-                stacklevel=2,
-            )
-
-    def accepts(self, problem):
-        return self._available
-
-    def tables(self, problem):
-        if not self._available:
-            return None
-        from ..core.native import solve_layer_kernel_native
-
-        r = solve_dp(problem, kernel=solve_layer_kernel_native)
-        return r.cost, r.best_action
-
-
 BACKEND_FACTORIES: dict[str, type | object] = {
     REFERENCE: _ReferenceBackend,
     "numpy": _NumpyBackend,
@@ -337,24 +298,12 @@ BACKEND_FACTORIES: dict[str, type | object] = {
     "bvm-bool": lambda: _BVMBackend("bool"),
     "bvm-packed": lambda: _BVMBackend("packed"),
     "bvm-packed-batch": _BVMBatchBackend,
-    "native": _NativeBackend,
 }
 
 
 def default_backend_names() -> list[str]:
-    """Every registered backend except the reference oracle itself.
-
-    ``native`` appears only when its optional numba dependency is
-    importable — a default sweep should not warn about extras the
-    environment never promised — but an explicit ``--backends native``
-    request always constructs it (and is loudly declined without numba).
-    """
-    from ..core.native import native_available
-
-    names = [n for n in BACKEND_FACTORIES if n != REFERENCE]
-    if not native_available():
-        names.remove("native")
-    return names
+    """Every registered backend except the reference oracle itself."""
+    return [n for n in BACKEND_FACTORIES if n != REFERENCE]
 
 
 def make_backends(names: list[str]) -> list[VerifyBackend]:

@@ -1,12 +1,14 @@
 """Every store-driven slice resets its own masks before the kernel reads them.
 
 The fused kernel needs ``cost[S] == INF`` inside the layer it computes
-(the table-state invariant of ``core/kernels.py``); ``solve_slice``
-restores it for every pool shard and parent slice.  These tests start
-layers on poisoned masks and hold the tables to ``solve_dp_reference``:
-``LayerStore.run_parent_slice`` over both stores, in one chunk per layer
-and in many; pool children and the parent's shard over both stores; the
-sharded ``solve()`` entry point; and the warm engine.
+(the table-state invariant of ``core/kernels.py``); ``solve_slice``, the
+kernel's one caller, restores it for every pool shard, parent slice and
+``solve_dp`` layer.  These tests start layers on poisoned masks and hold
+the tables to ``solve_dp_reference``: ``solve_slice`` over both stores'
+tables, in one chunk per layer and in many; pool children and the
+parent's shard over both stores; the sharded ``solve()`` entry point;
+and the warm engine.  ``tests/core/test_kernels.py`` chunks
+``solve_dp``'s own layers.
 """
 
 import numpy as np
@@ -15,7 +17,7 @@ import pytest
 from repro.core import kernels, solve
 from repro.core.engine import SolverEngine
 from repro.core.generators import random_instance
-from repro.core.kernels import LayerArena
+from repro.core.kernels import LayerArena, solve_slice
 from repro.core.parallel import solve_dp_parallel
 from repro.core.problem import Action
 from repro.core.sequential import solve_dp_reference
@@ -68,8 +70,8 @@ def _assert_reference(cost, best, ref, where=""):
 
 
 class TestRamStoreStrict:
-    """``run_parent_slice`` reads the live table — own-layer garbage
-    must not leak into the results."""
+    """``solve_slice`` reads the live table — own-layer garbage must not
+    leak into the results."""
 
     def _run_layers(self, store, problem=PROBLEM, poison=None):
         args = (
@@ -83,7 +85,8 @@ class TestRamStoreStrict:
             if poison is not None:
                 masks = np.asarray(store.order[lo:hi])
                 store.cost[masks] = poison(masks)
-            assert store.run_parent_slice(lo, hi, *args, arena) == hi - lo
+            assert solve_slice(store.cost, store.best, store.p, store.order,
+                               lo, hi, *args, arena) == hi - lo
         return store
 
     @pytest.mark.parametrize("garbage", POISONS)

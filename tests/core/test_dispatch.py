@@ -2,6 +2,8 @@
 
 import json
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from repro.core import (
     subset_weights,
 )
 from repro.core.dispatch import _resolve
+from repro.core.errors import InvalidProblem
 from repro.core.generators import random_instance
 from repro.core.problem import Action, TTProblem
 
@@ -75,11 +78,48 @@ class TestResolveBackend:
 
     def test_unknown_backend_rejected(self):
         problem = random_instance(3, 2, 2, seed=3)
-        with pytest.raises(ValueError):
-            resolve_backend(problem, "cuda")
+        # "native" named a numba kernel tier that no longer exists.
+        for name in ("cuda", "native"):
+            with pytest.raises(ValueError):
+                resolve_backend(problem, name)
 
     def test_backend_names_exported(self):
-        assert set(BACKENDS) == {"auto", "numpy", "parallel", "native", "reference"}
+        assert set(BACKENDS) == {"auto", "numpy", "parallel", "reference"}
+
+
+class TestCommitValidation:
+    """An explicit ``commit=`` is checked on every path, not only on the
+    parallel one that commits layers."""
+
+    @pytest.mark.parametrize("path", ["numpy", "reference", "engine", "parallel"])
+    def test_bogus_commit_rejected(self, path):
+        problem = random_instance(4, 3, 2, seed=7)
+        with SolverEngine(workers=1) as engine:
+            if path == "engine":
+                kw = {"engine": engine}
+            else:
+                kw = {"backend": path, "workers": 1}
+            with pytest.raises(InvalidProblem, match="commit mode"):
+                solve(problem, commit="bogus", **kw)
+            got = solve(problem, commit="sync", **kw)
+        ref = solve_dp_reference(problem)
+        assert got.cost.tobytes() == ref.cost.tobytes()
+        assert got.best_action.tobytes() == ref.best_action.tobytes()
+        assert engine.solves == (1 if path == "engine" else 0)
+
+    def test_default_solve_does_not_load_the_store(self):
+        # The check imports repro.store; a solve without commit= must not.
+        code = (
+            "import sys\n"
+            "from repro.core import solve\n"
+            "from repro.core.generators import random_instance\n"
+            "solve(random_instance(4, 3, 2, seed=7), backend='numpy')\n"
+            "assert 'repro.store' not in sys.modules\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
 
 
 class TestLadderCrossovers:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.core import SolverEngine, solve
-from repro.core.errors import SolverError
+from repro.core.errors import InvalidProblem, SolverError
 from repro.core.generators import random_instance
 from repro.core.parallel import solve_dp_parallel
 from repro.core.sequential import solve_dp
@@ -137,9 +137,20 @@ class TestEngineLifecycle:
             SolverEngine(workers=1, policy=policy)
 
     def test_reference_backend_rejected(self):
-        with SolverEngine(workers=1, backend="reference") as engine:
-            with pytest.raises(SolverError):
-                engine.solve(random_instance(3, 2, 2, seed=0))
+        with pytest.raises(InvalidProblem, match="backend 'reference'"):
+            SolverEngine(workers=1, backend="reference")
+
+    @pytest.mark.parametrize("backend", ["bogus", "native"])
+    def test_unknown_backend_rejected_at_construction(self, backend):
+        # Before any solve, and before a solve_many(solver="bvm") that
+        # never reaches the DP backend.
+        with pytest.raises(InvalidProblem, match=f"backend {backend!r}"):
+            SolverEngine(workers=1, backend=backend)
+
+    def test_engine_solve_many_rejects_unknown_solver(self):
+        with SolverEngine(workers=1) as engine:
+            with pytest.raises(InvalidProblem, match="unknown solver"):
+                engine.solve_many([], solver="quantum")
 
 
 class TestDispatchIntegration:

@@ -9,6 +9,7 @@ degenerate instances (infeasible, tie-heavy, tiny k) and every tiling.
 import numpy as np
 import pytest
 
+from repro.core import kernels
 from repro.core.errors import InvalidProblem
 from repro.core.generators import random_instance
 from repro.core.kernels import (
@@ -22,7 +23,13 @@ from repro.core.kernels import (
     solve_layer_kernel_fused,
 )
 from repro.core.problem import Action, TTProblem
-from repro.core.sequential import solve_dp, solve_layer_kernel, subset_weights
+from repro.core.sequential import (
+    solve_dp,
+    solve_dp_reference,
+    solve_layer_kernel,
+    subset_weights,
+)
+from repro.obs import trace as obs_trace
 from repro.util.bitops import popcount_array
 
 
@@ -303,6 +310,33 @@ class TestFusedKernelDifferential:
             warm = solve_dp(problem, arena=arena)
             np.testing.assert_array_equal(cold.cost, warm.cost)
             np.testing.assert_array_equal(cold.best_action, warm.best_action)
+
+
+class TestSolveDpSlices:
+    """``solve_dp`` runs every layer through ``solve_slice``."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_chunked_like_every_slice(self, seed, monkeypatch):
+        # Every k >= 4 problem has a layer wider than 3 masks, so each
+        # solve splits layers into chunks and a short tail chunk.
+        monkeypatch.setattr(kernels, "PARENT_CHUNK", 3)
+        problem = random_instance(4 + seed % 3, 2 + seed % 3, 2, seed=seed)
+        arena = LayerArena()
+        got = solve_dp(problem, arena=arena)
+        ref = solve_dp_reference(problem)
+        assert got.cost.tobytes() == ref.cost.tobytes()
+        assert got.best_action.tobytes() == ref.best_action.tobytes()
+        assert arena.best.size <= 3 and arena.arg.size <= 3
+
+    def test_layer_spans_report_numpy_mode_by_default(self):
+        problem = random_instance(4, 2, 2, seed=0)
+        tracer = obs_trace.Tracer()
+        with obs_trace.tracing(tracer):
+            solve_dp(problem)
+        layers = [e for e in tracer.raw_events() if e["name"] == "layer"]
+        assert [e["args"]["layer"] for e in layers] == [1, 2, 3, 4]
+        assert all(e["args"]["mode"] == "numpy" for e in layers)
+        assert [e["args"]["masks"] for e in layers] == [4, 6, 4, 1]
 
 
 class TestTileEnv:

@@ -33,7 +33,7 @@ from repro.core.errors import (
 )
 from repro.core.faults import Fault, inject, parse_fault_spec
 from repro.core.generators import random_instance
-from repro.core.kernels import LayerArena
+from repro.core.kernels import LayerArena, solve_slice
 from repro.core.parallel import solve_dp_parallel
 from repro.core.sequential import solve_dp_reference
 from repro.core.supervisor import (
@@ -567,8 +567,9 @@ class TestOwnedShutdown:
         arena = LayerArena()
 
         def in_parent(lo, hi):
-            return store.run_parent_slice(
-                lo, hi, PROBLEM.subset_array, PROBLEM.cost_array,
+            return solve_slice(
+                store.cost, store.best, store.p, store.order, lo, hi,
+                PROBLEM.subset_array, PROBLEM.cost_array,
                 PROBLEM.test_mask_array, arena,
             )
 

@@ -420,20 +420,20 @@ class TestSolveBatch:
         assert code == 0
         assert len(out.splitlines()) == 2
 
-    def test_native_backend_parses_and_falls_back(self, tmp_path):
-        import warnings
-
+    def test_native_backend_rejected(self, tmp_path, capsys):
+        # The numba kernel tier is gone; its name is an invalid choice.
         from repro.core.generators import random_instance
 
-        problems = [random_instance(3, 2, 2, seed=0)]
-        infile = self._write_stream(tmp_path, problems)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            code, out = run_cli(
-                "solve-batch", "--in", str(infile), "--backend", "native"
-            )
-        assert code == 0
-        assert json.loads(out.splitlines()[0])["feasible"] is True
+        infile = self._write_stream(tmp_path, [random_instance(3, 2, 2, seed=0)])
+        for argv in (
+            ("solve", "--workload", "lab", "--k", "3", "--backend", "native"),
+            ("solve-batch", "--in", str(infile), "--backend", "native"),
+        ):
+            with pytest.raises(SystemExit) as exc:
+                run_cli(*argv)
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert "invalid choice" in err and "native" in err
 
     def _integral_problems(self, count):
         import numpy as np
