@@ -1,57 +1,35 @@
-"""PIPELINE — what the async committer bought.
+"""PIPELINE — how much commit time the async committer hides.
 
-Two paired comparisons, each timed with the repo's standard
-paired-adjacent methodology (:mod:`benchmarks._kernel_timer`): the two
-sides of a ratio run back to back within a rep, the order alternates
-between reps, and the claim is the median of per-rep ratios.
-
-**async vs sync commits (mmap)** — the synchronous protocol serializes
-compute-then-commit at every layer barrier; the async committer runs
-layer ``j``'s slab write + sha256 + fsync + rename while the pool
-computes layer ``j + 1``.  Two floors, because the end-to-end payout
-depends on the host: the *functional* floor — the committer must move
-**>= 50%** of commit seconds off the layer barrier
-(``commit.overlap_s``) — holds anywhere; the *end-to-end* floor of
-**>= 1.15x** is enforced only with two or more cores, since on a
-single-core machine only the commit's IO-wait slice (fsync, rename)
-can hide behind compute while its hash + write CPU slice serializes
-with the pool either way.  ``host_cores`` and ``enforced`` in the
-payload record which regime the committed numbers come from.
-
-**async vs sync on a slow store (mmap + slow-io)** — the payout the
-end-to-end leg can only show on multi-core hardware is demonstrated
-host-independently here: a ``slow-io`` storage fault (the fault
-grammar's deterministic commit-latency injection) adds a fixed sleep
-to every layer's first commit attempt.  Sleep is pure IO wait, so it
-overlaps compute even on one core — the sync protocol pays it at every
-barrier, the async committer hides it behind the next layer.  Floor:
-**>= 1.15x**, enforced everywhere.
-
-All comparisons also re-assert bit-identity — the speedups are only
-claimable because the bytes are the same.
+Every persisted layer commits on the async committer: layer ``j``'s slab
+write + sha256 + fsync + rename + manifest run on a background thread
+while the solve computes layer ``j + 1``.  This bench runs a
+``workers=1`` mmap solve ``REPS`` times and reports the share of commit
+seconds that overlapped compute, ``commit.overlap_s / commit.async_s``.
+Floor: **>= 50%** in every rep, enforced outside quick mode.  Each
+rep's tables must be bit-identical to a numpy solve of the instance.
 
 Knobs: ``REPRO_BENCH_PIPELINE_K_MMAP`` (default 22),
-``REPRO_BENCH_PIPELINE_K_SLOW`` / ``REPRO_BENCH_PIPELINE_SLOW_MS``
-(defaults 22 / 40), ``REPRO_BENCH_PIPELINE_REPS`` (default 3), and
-``REPRO_BENCH_PIPELINE_QUICK=1`` for a CI-sized smoke run (small k,
-floors recorded but not enforced — the overheads being amortized are
-table-sized, so tiny tables cannot show them).  Output: ``BENCH_JSON``
-lines, tables, and ``BENCH_PIPELINE.json`` at the repo root.
+``REPRO_BENCH_PIPELINE_REPS`` (default 3), and
+``REPRO_BENCH_PIPELINE_QUICK=1`` for a CI-sized smoke run (k=14, floor
+recorded but not enforced — the overheads being amortized are
+table-sized, so tiny tables cannot show them).  Output: a ``BENCH_JSON``
+line, a table, and ``BENCH_PIPELINE.json`` at the repo root, with the
+host shape the numbers come from.
 """
 
 import json
 import os
 import pathlib
 import shutil
+import statistics
 import tempfile
 import time
 
 import pytest
 
-from benchmarks._kernel_timer import alternate, summarize_pairs
+from benchmarks.bench_ladder import _host_shape
 from benchmarks.conftest import bench_payload, merge_bench_json, print_table
-from repro.core import random_instance
-from repro.core.faults import FAULT_SPEC_ENV
+from repro.core import random_instance, solve
 from repro.core.parallel import solve_dp_parallel
 from repro.store import StoreSpec
 
@@ -63,175 +41,55 @@ _OUT = _REPO_ROOT / "BENCH_PIPELINE.json"
 QUICK = os.environ.get("REPRO_BENCH_PIPELINE_QUICK", "").strip() == "1"
 REPS = int(os.environ.get("REPRO_BENCH_PIPELINE_REPS", "2" if QUICK else "3"))
 
-ASYNC_FLOOR = 1.15
 OVERLAP_FLOOR = 0.5
 
 
-def test_async_vs_sync_commits_mmap():
+def test_commit_overlap_mmap():
     k = int(
         os.environ.get("REPRO_BENCH_PIPELINE_K_MMAP", "14" if QUICK else "22")
     )
     # Few actions: the commit bytes are fixed by k while the kernel work
     # scales with the action count, so a small action set gives the
-    # commit share the paper-style "persistence-bound" profile this
-    # bench is pricing.
+    # commit a large share of the solve — the hardest case to hide.
     problem = random_instance(k, n_tests=3, n_treatments=2, seed=k)
+    want = solve(problem, backend="numpy")
     tmp = tempfile.mkdtemp(prefix="repro-bench-pipeline-")
-    cores = os.cpu_count() or 1
-
-    def run(commit, keep_tables=False):
-        spill = os.path.join(tmp, f"spill-{commit}")
-        shutil.rmtree(spill, ignore_errors=True)
-        # Quiesce writeback from the previous run's slab traffic so the
-        # second runner of a pair does not inherit its predecessor's
-        # deferred IO (journal flushes after a 64 MB rmtree + rewrite).
-        os.sync()
-        time.sleep(0.2)
-        spec = StoreSpec(kind="mmap", spill_dir=spill)
-        t0 = time.perf_counter()
-        result = solve_dp_parallel(
-            problem, workers=1, store=spec, commit=commit
-        )
-        dt = time.perf_counter() - t0
-        if keep_tables:
-            # The tables are memmaps of files the next run deletes.
-            return dt, (result.cost.copy(), result.best_action.copy()), None
-        return dt, None, dict(result.metrics)
-
+    walls, commits, fracs = [], [], []
     try:
-        _, sync_tables, _ = run("sync", keep_tables=True)
-        _, async_tables, _ = run("async", keep_tables=True)
-        assert sync_tables[0].tobytes() == async_tables[0].tobytes()
-        assert sync_tables[1].tobytes() == async_tables[1].tobytes()
-
-        pairs = []
-        async_metrics = {}
         for rep in range(REPS):
-            first, second = alternate(rep, "sync", "async")
-            times = {}
-            for mode in (first, second):
-                dt, _, metrics = run(mode)
-                times[mode] = dt
-                if mode == "async":
-                    async_metrics = metrics
-            pairs.append((times["sync"], times["async"]))
+            spill = os.path.join(tmp, f"spill-{rep}")
+            # Quiesce writeback from the previous rep's slab traffic so
+            # no rep inherits its predecessor's deferred IO.
+            os.sync()
+            time.sleep(0.2)
+            t0 = time.perf_counter()
+            result = solve_dp_parallel(
+                problem, workers=1, store=StoreSpec(kind="mmap", spill_dir=spill)
+            )
+            walls.append(time.perf_counter() - t0)
+            assert result.cost.tobytes() == want.cost.tobytes()
+            assert result.best_action.tobytes() == want.best_action.tobytes()
+            commit_s = result.metrics["commit.async_s"]["total"]
+            commits.append(commit_s)
+            overlap_s = result.metrics["commit.overlap_s"]
+            fracs.append(overlap_s / commit_s if commit_s else 0.0)
+            del result
+            shutil.rmtree(spill, ignore_errors=True)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
 
-    summary = summarize_pairs(pairs)
-    commit_s = async_metrics.get("commit.async_s", {}).get("total", 0.0)
-    overlap_s = async_metrics.get("commit.overlap_s", 0.0)
-    overlap_frac = overlap_s / commit_s if commit_s else 0.0
     payload = bench_payload(
         "PIPELINE-ASYNC",
         {
             "k": k,
-            "host_cores": cores,
+            "host": _host_shape(),
             "reps": REPS,
-            "sync_s": summary["baseline_s"],
-            "async_s": summary["candidate_s"],
-            "speedup": round(summary["speedup"], 3),
-            "ratios": summary["ratios"],
-            "commit_s": round(commit_s, 4),
-            "overlap_s": round(overlap_s, 4),
-            "overlap_frac": round(overlap_frac, 3),
+            "wall_s": round(statistics.median(walls), 4),
+            "walls_s": [round(w, 4) for w in walls],
+            "commit_s": round(statistics.median(commits), 4),
+            "overlap_frac": round(statistics.median(fracs), 3),
+            "overlap_fracs": [round(f, 3) for f in fracs],
             "overlap_floor": OVERLAP_FLOOR,
-            "floor": ASYNC_FLOOR,
-            "enforced": not QUICK and cores >= 2,
-            "bit_identical": True,
-            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        },
-    )
-    print(f"\nBENCH_JSON {json.dumps(payload)}")
-    print_table(
-        f"commit pipeline, k={k}, mmap store, workers=1",
-        ["commit mode", "median", "speedup"],
-        [
-            ["sync (inline)", f"{summary['baseline_s']:.3f} s", "1.00x"],
-            [
-                "async (default)",
-                f"{summary['candidate_s']:.3f} s",
-                f"{summary['speedup']:.2f}x",
-            ],
-        ],
-    )
-    merge_bench_json(_OUT, "async", payload)
-    if QUICK:
-        return
-    # The functional floor holds on any host: the committer must move
-    # the majority of commit seconds off the layer barrier.
-    assert overlap_frac >= OVERLAP_FLOOR, (
-        f"only {overlap_frac:.0%} of commit time overlapped compute "
-        f"(floor {OVERLAP_FLOOR:.0%})"
-    )
-    # The end-to-end floor needs a second core to pay out (see module
-    # docstring); single-core hosts record the ratio without enforcing.
-    if cores >= 2:
-        assert summary["speedup"] >= ASYNC_FLOOR, (
-            f"async commit speedup {summary['speedup']:.2f}x is below "
-            f"the {ASYNC_FLOOR}x floor"
-        )
-
-
-def test_async_hides_slow_store_latency():
-    k = int(
-        os.environ.get("REPRO_BENCH_PIPELINE_K_SLOW", "12" if QUICK else "22")
-    )
-    ms = int(os.environ.get("REPRO_BENCH_PIPELINE_SLOW_MS", "40"))
-    # A fuller action set than the end-to-end leg: hiding is bounded per
-    # layer by the next layer's compute, so the pipeline only pays out
-    # when total compute exceeds total committer occupancy
-    # (sleep + real commit per layer) — k=22 with ten actions does.
-    problem = random_instance(k, n_tests=6, n_treatments=4, seed=k)
-    tmp = tempfile.mkdtemp(prefix="repro-bench-pipeline-slow-")
-
-    def run(commit, keep_tables=False):
-        spill = os.path.join(tmp, f"spill-{commit}")
-        shutil.rmtree(spill, ignore_errors=True)
-        os.sync()
-        spec = StoreSpec(kind="mmap", spill_dir=spill)
-        t0 = time.perf_counter()
-        result = solve_dp_parallel(
-            problem, workers=1, store=spec, commit=commit
-        )
-        dt = time.perf_counter() - t0
-        if keep_tables:
-            return dt, (result.cost.copy(), result.best_action.copy())
-        return dt, None
-
-    old_spec = os.environ.get(FAULT_SPEC_ENV)
-    os.environ[FAULT_SPEC_ENV] = f"slow-io:ms={ms}"
-    try:
-        _, sync_tables = run("sync", keep_tables=True)
-        _, async_tables = run("async", keep_tables=True)
-        assert sync_tables[0].tobytes() == async_tables[0].tobytes()
-        assert sync_tables[1].tobytes() == async_tables[1].tobytes()
-
-        pairs = []
-        for rep in range(REPS):
-            first, second = alternate(rep, "sync", "async")
-            times = {first: run(first)[0], second: run(second)[0]}
-            pairs.append((times["sync"], times["async"]))
-    finally:
-        if old_spec is None:
-            os.environ.pop(FAULT_SPEC_ENV, None)
-        else:
-            os.environ[FAULT_SPEC_ENV] = old_spec
-        shutil.rmtree(tmp, ignore_errors=True)
-
-    summary = summarize_pairs(pairs)
-    payload = bench_payload(
-        "PIPELINE-ASYNC-SLOW",
-        {
-            "k": k,
-            "slow_ms": ms,
-            "injected_s": round(k * ms / 1000.0, 3),
-            "reps": REPS,
-            "sync_s": summary["baseline_s"],
-            "async_s": summary["candidate_s"],
-            "speedup": round(summary["speedup"], 3),
-            "ratios": summary["ratios"],
-            "floor": ASYNC_FLOOR,
             "enforced": not QUICK,
             "bit_identical": True,
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
@@ -239,20 +97,21 @@ def test_async_hides_slow_store_latency():
     )
     print(f"\nBENCH_JSON {json.dumps(payload)}")
     print_table(
-        f"commit pipeline vs slow store, k={k}, +{ms} ms/commit",
-        ["commit mode", "median", "speedup"],
-        [
-            ["sync (inline)", f"{summary['baseline_s']:.3f} s", "1.00x"],
-            [
-                "async (default)",
-                f"{summary['candidate_s']:.3f} s",
-                f"{summary['speedup']:.2f}x",
-            ],
-        ],
+        f"commit pipeline, k={k}, mmap store, workers=1, {REPS} reps (medians)",
+        ["wall", "commit", "overlapped", "lowest rep"],
+        [[
+            f"{payload['wall_s']:.3f} s",
+            f"{payload['commit_s']:.3f} s",
+            f"{payload['overlap_frac']:.0%}",
+            f"{min(fracs):.0%}",
+        ]],
     )
-    merge_bench_json(_OUT, "async_slow", payload)
-    if not QUICK:
-        assert summary["speedup"] >= ASYNC_FLOOR, (
-            f"async speedup over a slow store is {summary['speedup']:.2f}x, "
-            f"below the {ASYNC_FLOOR}x floor"
-        )
+    merge_bench_json(_OUT, "async", payload)
+    if QUICK:
+        return
+    # The committer exists to move commit seconds off the layer barrier:
+    # in every rep, most of them must have run alongside compute.
+    assert min(fracs) >= OVERLAP_FLOOR, (
+        f"only {min(fracs):.0%} of commit time overlapped compute in one "
+        f"rep (floor {OVERLAP_FLOOR:.0%})"
+    )

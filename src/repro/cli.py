@@ -157,14 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
         "resumes from every layer whose checksum verifies",
     )
     p_solve.add_argument(
-        "--commit-mode",
-        choices=("async", "sync"),
-        default=None,
-        help="layer persistence: async (default; layer j commits on a "
-        "background thread while layer j+1 computes) or sync (commit "
-        "inline at the barrier; env REPRO_COMMIT_MODE)",
-    )
-    p_solve.add_argument(
         "--no-fallback",
         action="store_true",
         help="raise instead of finishing failed shards on the in-process "
@@ -354,17 +346,9 @@ def build_parser() -> argparse.ArgumentParser:
         "tables committing to a --checkpoint directory",
     )
     p_drill.add_argument(
-        "--commit-mode",
-        choices=("async", "sync"),
-        default=None,
-        help="commit mode to drill: async (default) SIGKILLs inside the "
-        "background committer thread, sync inside the inline protocol "
-        "(env REPRO_COMMIT_MODE)",
-    )
-    p_drill.add_argument(
         "--congest",
         action="store_true",
-        help="slow every commit (slow-io fault) so the async kill fires "
+        help="slow every commit (slow-io fault) so the kill fires "
         "with a further layer queued behind the in-flight commit "
         "(the mid-queue case)",
     )
@@ -467,7 +451,6 @@ def _solve(args, out) -> int:
                 policy=_policy(args),
                 store=args.store if use_store else None,
                 spill_dir=args.spill_dir,
-                commit=args.commit_mode,
                 tracer=tracer,
                 progress=progress,
             )
@@ -635,7 +618,6 @@ def _crash_drill(args, out) -> int:
                     workdir=os.path.join(workdir, point),
                     layer=args.layer,
                     workers=args.workers,
-                    commit=args.commit_mode,
                     congest=args.congest,
                     store=args.store,
                 )
@@ -651,7 +633,7 @@ def _crash_drill(args, out) -> int:
             status = "PASS" if (r["killed"] and r["identical"]) else "FAIL"
             print(
                 f"{status} {r['point']:>12} layer={r['layer']} "
-                f"store={r['store']} commit={r['commit']}: "
+                f"store={r['store']}: "
                 f"killed={r['killed']} committed_at_kill={r['committed_at_kill']} "
                 f"rederived={r['rederived']} identical={r['identical']}",
                 file=out,

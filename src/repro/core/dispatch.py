@@ -197,7 +197,6 @@ def solve(
     checkpoint: str | None = None,
     store: str | None = None,
     spill_dir: str | None = None,
-    commit: str | None = None,
     engine=None,
     tracer=None,
     progress=None,
@@ -232,18 +231,12 @@ def solve(
 
     ``engine`` — a warm :class:`~repro.core.engine.SolverEngine` — routes
     the solve through the engine's amortized pool and tables (its own
-    backend/worker configuration wins over the arguments here).  The
-    engine path is bit-for-bit identical to a cold solve.  Checkpointed,
-    custom-policy or spilled solves carry per-solve failure-domain state
-    the warm engine cannot share, so they fall through to the cold path.
-
-    ``commit`` tunes the parallel solve loop (see
-    :func:`~repro.core.parallel.solve_dp_parallel`): layer-commit mode
-    ``"async"`` (default) vs ``"sync"``.  It defaults from
-    ``REPRO_COMMIT_MODE`` and is persistence mechanics only — both
-    modes yield bit-identical tables.  An explicit value is validated on
-    every path (a typo raises :class:`InvalidProblem`), even where a
-    single-process backend or a warm engine then has nothing to commit.
+    backend/worker configuration wins over valid arguments here; an
+    invalid ``backend`` or ``workers``, or ``"reference"``, which has no
+    warm path, raises :class:`InvalidProblem`).  The engine path is
+    bit-for-bit identical to a cold solve.  Checkpointed, custom-policy
+    or spilled solves carry per-solve failure-domain state the warm
+    engine cannot share, so they fall through to the cold path.
 
     ``tracer`` / ``progress`` attach observability (see :mod:`repro.obs`):
     a :class:`~repro.obs.trace.Tracer` is made ambient around whichever
@@ -252,11 +245,6 @@ def solve(
     callbacks on the parallel path.  Both are observational only —
     ``cost``/``best_action`` are bit-identical with them on or off.
     """
-    if commit is not None:
-        # Imported only on request: default solves skip loading the store.
-        from ..store.pipeline import commit_mode
-
-        commit = commit_mode(commit)
     spec = None
     store_kind = "ram"
     if store is not None or spill_dir is not None:
@@ -299,6 +287,11 @@ def solve(
         and checkpoint is None
         and store_kind != "mmap"
     ):
+        # Reject what a cold solve would reject; a valid value defers to
+        # the engine's own configuration.
+        resolve_backend(problem, backend, workers)
+        if backend == "reference":
+            raise InvalidProblem("backend 'reference' has no warm engine path")
         with ambient:
             return _finish(engine.solve(problem))
     if checkpoint is not None:
@@ -340,7 +333,6 @@ def solve(
                 p=p,
                 policy=policy,
                 store=spec,
-                commit=commit,
                 tracer=tracer,
                 progress=progress,
             )

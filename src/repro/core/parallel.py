@@ -63,21 +63,21 @@ bytes with zero table copying.
 
 The loop is store agnostic: ``open()`` reports which layers already
 hold trusted values (the journal's validated slabs), the loop computes
-every other layer in ascending order and ``commit_layer``'s each, and
-that single *skip-valid, compute-the-rest* mechanism covers cold solves,
-resume after SIGKILL, and re-derivation of corrupted layers alike.  A
+every other layer in ascending order and commits each to a persisting
+store, and that single *skip-valid, compute-the-rest* mechanism covers
+cold solves, resume after SIGKILL, and re-derivation of corrupted
+layers alike.  A
 journaled store (the spill store always; shared memory under
 ``policy.checkpoint``) whose commit fails mid-solve (``ENOSPC``)
 degrades to an unpersisted in-RAM store when the tables fit under
 ``REPRO_RAM_BUDGET_BYTES``, else the solve fails loudly.
 
-Persistence is pipelined by default (``commit="async"`` /
-``REPRO_COMMIT_MODE``): layer ``j``'s durable commit runs on a
+Persistence is pipelined: layer ``j``'s durable commit runs on a
 background :class:`~repro.store.pipeline.AsyncCommitter` thread while
 the workers compute layer ``j + 1`` — sound because a layer's table
-entries never change after its barrier and commits replay the store's
-own protocol unchanged, in order, with errors surfacing at the next
-barrier and a full drain before the manifest is marked complete.
+entries never change after its barrier and commits run the store's own
+protocol in order, with errors surfacing at the next barrier and a full
+drain before the manifest is marked complete.
 """
 
 from __future__ import annotations
@@ -347,7 +347,6 @@ def run_layers(
     metrics,
     arena: LayerArena,
     valid=frozenset(),
-    commit: str = "async",
     progress=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Run every popcount layer of ``problem`` not in ``valid`` over ``store``.
@@ -357,9 +356,8 @@ def run_layers(
     splits into several shards; single-shard layers, and every layer when
     there is no supervisor or it has degraded, run in the parent through
     :func:`~repro.core.kernels.solve_slice` over the store's tables.
-    Each computed layer is committed: inline under ``commit="sync"``,
-    else on an :class:`AsyncCommitter` when the store persists
-    anything.  A commit that fails with
+    When the store persists, each computed layer is committed on an
+    :class:`~repro.store.pipeline.AsyncCommitter`.  A commit that fails with
     :class:`~repro.store.StoreWriteError` carries the tables into RAM
     (:meth:`RamStore.adopt`), shuts the supervisor down and finishes in
     the parent.  Skipped layers must already hold trusted values.
@@ -382,7 +380,7 @@ def run_layers(
     log.store = store.kind
     layer = 0
     committer = None
-    if commit == "async" and store.persists:
+    if store.persists:
         committer = store_mod.AsyncCommitter(store, tracer=tracer, metrics=metrics)
 
     def solve_in_parent(lo: int, hi: int) -> int:
@@ -430,7 +428,10 @@ def run_layers(
         log.event("store-degraded", reason=str(exc), fallback="ram")
 
     def report_progress(hi: int) -> None:
-        stats = store.commit_stats()
+        if committer is None:  # nothing persists, or after degrade_to_ram
+            progress.layer_done(layer, hi)
+            return
+        stats = committer.stats()
         progress.layer_done(layer, hi, stats["committed_bytes"], stats["queued_bytes"])
 
     metrics.inc("layers.total", k)
@@ -473,15 +474,13 @@ def run_layers(
                 metrics.observe("layer.seconds", dt)
                 tracer.complete("layer", "layer", t0, t0 + dt,
                                 layer=layer, masks=hi - lo, shards=len(shards), mode=mode)
-                try:
-                    if committer is not None:
+                if committer is not None:
+                    try:
                         committer.submit(layer)
-                    else:
-                        store.commit_layer(layer)
-                except store_mod.StoreWriteError as exc:
-                    # An async failure surfaces here one barrier late —
-                    # same handling, one extra computed layer carried over.
-                    degrade_to_ram(exc)
+                    except store_mod.StoreWriteError as exc:
+                        # A failed commit surfaces here one barrier late;
+                        # the extra computed layer carries over to RAM.
+                        degrade_to_ram(exc)
                 if progress is not None:
                     report_progress(hi)
             if committer is not None:
@@ -515,7 +514,6 @@ def solve_dp_parallel(
     min_shard: int = MIN_SHARD,
     policy: ResiliencePolicy | None = None,
     store=None,
-    commit: str | None = None,
     tracer=None,
     metrics=None,
     progress=None,
@@ -541,11 +539,6 @@ def solve_dp_parallel(
     ``spill_dir`` for a durable out-of-core solve), or an unopened
     :class:`repro.store.LayerStore` instance.
 
-    ``commit`` selects ``"async"`` (default; layer ``j`` commits on a
-    background thread while layer ``j + 1`` computes,
-    ``REPRO_COMMIT_MODE`` overrides) or ``"sync"`` (commit inline at the
-    barrier).  Both produce bit-identical tables.
-
     Telemetry is observational only — a traced solve writes bit-identical
     tables.  ``tracer`` is a :class:`repro.obs.Tracer` (``None`` inherits
     the ambient tracer, disabled by default); ``metrics`` an optional
@@ -567,11 +560,9 @@ def solve_dp_parallel(
 
     # Validate any fault spec in the *parent*, before work is dispatched:
     # a typo'd REPRO_FAULT_SPEC must fail the solve, not silently never
-    # fire inside a worker.  The commit mode resolves here for the same
-    # reason — the store receives the decision explicitly.
+    # fire inside a worker.
     faults.env_fault_spec()
     faults.env_crash_spec()
-    commit = store_mod.commit_mode(commit)
 
     tr = tracer if tracer is not None else obs_trace.current()
     reg = metrics if metrics is not None else obs_metrics.MetricsRegistry()
@@ -634,7 +625,7 @@ def solve_dp_parallel(
             problem, store, supervisor,
             workers=workers, min_shard=min_shard, log=log, tracer=tr,
             metrics=reg, arena=LayerArena(), valid=report.valid_layers,
-            commit=commit, progress=progress,
+            progress=progress,
         )
     finally:
         # Stop the workers *before* the store tears down its tables,

@@ -12,12 +12,12 @@ bulge); the ETA extrapolates from the masks-completed fraction.  Output
 goes to ``stream`` (default ``sys.stderr``) only when the solve loop
 calls in — constructing a reporter costs nothing.
 
-The byte counts arrive as one atomic snapshot from
-``LayerStore.commit_stats()`` — the solve loop must *not* read
-``spilled_nbytes`` piecemeal while the async committer thread is
-mutating it, or the line can show torn values.  ``spilled`` is what the
-store durably committed; ``queued`` is what sits behind the in-flight
-async commit.
+The byte counts arrive as one snapshot from
+:meth:`repro.store.pipeline.AsyncCommitter.stats`, taken under the lock
+the committer retires layers under, so no line counts a layer twice.
+``spilled`` is what the committer durably wrote; ``queued`` is what the
+commit in flight and the queue behind it will write.  Both are zero for
+a store that persists nothing.
 """
 
 from __future__ import annotations

@@ -31,7 +31,7 @@ from .base import (
     tables_nbytes,
 )
 from .drill import run_crash_drill
-from .pipeline import COMMIT_MODE_ENV, COMMIT_MODES, AsyncCommitter, commit_mode
+from .pipeline import AsyncCommitter
 from .ram import RamStore
 from .spill import MmapStore
 
@@ -44,15 +44,12 @@ __all__ = [
     "AsyncCommitter",
     "open_store",
     "run_crash_drill",
-    "commit_mode",
     "StoreCorruption",
     "StoreWriteError",
     "ram_budget",
     "tables_nbytes",
     "RAM_BUDGET_ENV",
     "STORE_KINDS",
-    "COMMIT_MODES",
-    "COMMIT_MODE_ENV",
 ]
 
 

@@ -12,7 +12,9 @@ in :mod:`repro.core.parallel` is written against this contract only:
    checksums (none for an unjournaled RAM store);
 2. the loop computes every layer **not** in ``valid_layers`` — in
    ascending order, so any layer being computed only reads finalized
-   layers below it — and calls ``commit_layer(j)`` after each;
+   layers below it — and, when the store ``persists``, hands each to
+   an :class:`~repro.store.pipeline.AsyncCommitter` that calls
+   ``commit_layer(j)``;
 3. ``finish(success)`` runs cleanup (durably mark the manifest
    complete / delete a finished checkpoint journal);
 4. ``close()`` releases OS resources (idempotent, crash-ordered before
@@ -41,7 +43,6 @@ tables fit.
 from __future__ import annotations
 
 import os
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -179,15 +180,6 @@ class LayerStore:
     order: np.ndarray
     starts: np.ndarray
 
-    def __init__(self) -> None:
-        # Commit accounting crosses threads: the async committer
-        # (repro.store.pipeline) retires commits while the solve thread
-        # reads progress, so every mutation and every read snapshot goes
-        # through one mutex — the progress line must never show torn
-        # queued/committed byte counts.
-        self._commit_mutex = threading.Lock()
-        self._queued_commits: dict[int, int] = {}
-
     def bind_telemetry(self, tracer, metrics) -> None:
         """Attach the solve's tracer/metrics registry (observational only)."""
         self._tracer = tracer
@@ -195,52 +187,18 @@ class LayerStore:
 
     @property
     def persists(self) -> bool:
-        """Whether ``commit_layer`` durably writes anything at all.
+        """Whether this store has a journal to commit layers into.
 
-        The solve loop only spins up an async committer over a store
-        whose commits do real I/O — pipelining no-op commits would add a
-        thread for nothing.
+        The solve loop starts an :class:`~repro.store.pipeline.AsyncCommitter`
+        only over a store that persists; any other store never sees a
+        ``commit_layer`` call.
         """
         return self._journal is not None
 
     def commit_nbytes(self, j: int) -> int:
-        """Bytes ``commit_layer(j)`` will durably write (0 for a no-op)."""
-        if self._journal is None:
-            return 0
+        """Bytes ``commit_layer(j)`` will durably write."""
         lo, hi = self.bounds(j)
         return (hi - lo) * 16
-
-    def note_commit_queued(self, j: int) -> None:
-        """Record layer ``j`` as queued behind an asynchronous commit."""
-        with self._commit_mutex:
-            self._queued_commits.setdefault(j, self.commit_nbytes(j))
-
-    def note_commit_done(self, j: int) -> None:
-        """Retire layer ``j`` from the queued set (committed or dropped)."""
-        with self._commit_mutex:
-            self._queued_commits.pop(j, None)
-
-    def commit_stats(self) -> dict:
-        """Atomic snapshot: ``{"committed_bytes", "queued_bytes"}``.
-
-        Safe to call from the solve thread while the committer thread
-        mutates the counters — both sides hold ``_commit_mutex``.
-        """
-        with self._commit_mutex:
-            return {
-                "committed_bytes": self._committed_nbytes(),
-                "queued_bytes": sum(self._queued_commits.values()),
-            }
-
-    def _committed_nbytes(self) -> int:
-        """Durably-written bytes; called with ``_commit_mutex`` held."""
-        return 0 if self._journal is None else self._journal.written
-
-    @property
-    def spilled_nbytes(self) -> int:
-        """Bytes durably written to the journal so far (0 without one)."""
-        with self._commit_mutex:
-            return self._committed_nbytes()
 
     def open(self) -> OpenReport:
         raise NotImplementedError
@@ -252,10 +210,13 @@ class LayerStore:
     def worker_spec(self) -> dict | None:
         return None
 
-    def commit_layer(self, j: int) -> None:
-        """Persist layer ``j`` (a no-op for an unpersisted store)."""
-        if self._journal is not None:
-            self._journal.commit(j)
+    def commit_layer(self, j: int) -> int:
+        """Durably persist layer ``j``; return the bytes written.
+
+        In a solve this runs on the committer thread, and only a store
+        that ``persists`` is asked to commit.
+        """
+        return self._journal.commit(j)
 
     def finish(self, success: bool) -> None:
         """Post-solve cleanup; ``success=False`` must leave resume state."""

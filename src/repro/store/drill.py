@@ -31,14 +31,13 @@ Every point must end in bit-identical tables; they differ only in how
 much work the resume repeats.  All four fire in the solving process (the
 commit protocol is parent-side), so ``workers=1`` exercises them fully.
 
-With the default asynchronous commit pipeline the SIGKILL lands *inside
-the committer thread* while the solve thread may already be computing
-the next layer — the drill proves that making commits concurrent did not
-open a new crash window.  ``commit="sync"`` drills the inline protocol;
-``congest=True`` additionally arms a ``slow-io`` storage fault so
-commits crawl, the solve thread runs ahead, and the kill fires with a
-*non-empty commit queue* (the mid-queue case: the queued layer's slab
-must simply be recomputed on resume).
+Commits run on the asynchronous commit pipeline, so the SIGKILL lands
+*inside the committer thread* while the solve thread may already be
+computing the next layer — the drill proves that concurrent commits
+open no new crash window.  ``congest=True`` additionally arms a
+``slow-io`` storage fault so commits crawl, the solve thread runs ahead,
+and the kill fires with a *non-empty commit queue* (the mid-queue case:
+the queued layer's slab must simply be recomputed on resume).
 """
 
 from __future__ import annotations
@@ -53,7 +52,6 @@ from ..core.dispatch import solve
 from ..core.errors import InvalidProblem
 from ..core.faults import CRASH_POINT_ENV, CRASH_POINTS, FAULT_SPEC_ENV
 from .journal import MANIFEST_NAME
-from .pipeline import COMMIT_MODE_ENV, commit_mode
 
 __all__ = ["run_crash_drill", "DRILL_STORES"]
 
@@ -80,17 +78,15 @@ def run_crash_drill(
     layer: int | None = None,
     workers: int = 1,
     timeout: float = 600.0,
-    commit: str | None = None,
     congest: bool = False,
     store: str = "mmap",
 ) -> dict:
     """SIGKILL a journaled solve at ``point``, resume, compare bit-for-bit.
 
     ``store`` selects the drilled store (``"mmap"`` default / ``"ram"``
-    with a checkpoint journal); ``commit`` the drilled commit mode
-    (``"async"`` default / ``"sync"``); ``congest=True`` slows every
-    commit (``slow-io``) so the async kill fires while a further layer
-    is queued behind it.
+    with a checkpoint journal); ``congest=True`` slows every commit
+    (``slow-io``) so the kill fires while a further layer is queued
+    behind it.
 
     Returns a report dict: ``point``, ``layer``, ``store``, ``killed``
     (the subprocess actually died by SIGKILL), ``committed_at_kill``
@@ -107,7 +103,6 @@ def run_crash_drill(
         raise InvalidProblem(
             f"unknown drill store {store!r}; expected one of {DRILL_STORES}"
         )
-    commit = commit_mode(commit)
     if layer is None:
         layer = max(1, problem.k // 2)
     if not (1 <= layer <= problem.k):
@@ -132,7 +127,6 @@ def run_crash_drill(
 
     env = dict(os.environ)
     env[CRASH_POINT_ENV] = f"{point}:layer={layer}"
-    env[COMMIT_MODE_ENV] = commit
     if congest:
         # Slow every layer's first commit so the solve thread runs ahead
         # of the committer and the SIGKILL lands with a layer queued
@@ -164,7 +158,6 @@ def run_crash_drill(
         problem,
         backend="parallel",
         workers=workers,
-        commit=commit,
         **store_kwargs,
     )
     recovery = result.recovery or {}
@@ -177,7 +170,6 @@ def run_crash_drill(
         "layer": layer,
         "store": store,
         "workers": workers,
-        "commit": commit,
         "congest": congest,
         "killed": killed,
         "returncode": proc.returncode,

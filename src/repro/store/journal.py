@@ -117,7 +117,6 @@ class SlabJournal:
         self.manifest: dict | None = None
         self._resuming = False
         self._attempts: dict = {}
-        self.written = 0  # bytes committed; guarded by the store's commit mutex
 
     @property
     def manifest_path(self) -> str:
@@ -275,8 +274,12 @@ class SlabJournal:
 
     # -- commit ---------------------------------------------------------
 
-    def commit(self, j: int) -> None:
-        """Durably persist layer ``j``: slab protocol + manifest entry."""
+    def commit(self, j: int) -> int:
+        """Durably persist layer ``j``: slab protocol + manifest entry.
+
+        Returns the slab bytes written — under an injected torn write,
+        the half that actually reached the file.
+        """
         st = self._store
         t0 = time.monotonic()
         attempt = self._attempts.get(j, 0)
@@ -346,10 +349,6 @@ class SlabJournal:
         self.manifest["layers"][str(j)] = {"sha256": h.hexdigest(), "nbytes": total}
         self.write_manifest()
         t_manifest = time.monotonic()
-        # Under the commit mutex: the async committer runs this method on
-        # its own thread while the solve thread snapshots progress.
-        with st._commit_mutex:
-            self.written += written
         if st._metrics is not None:
             m = st._metrics
             m.inc("store.commits")
@@ -368,6 +367,7 @@ class SlabJournal:
                 manifest_ms=round((t_manifest - t_rename) * 1e3, 3),
             )
         faults.maybe_crash("post-commit", j)
+        return written
 
     def write_manifest(self) -> None:
         payload = json.dumps(self.manifest, indent=1, sort_keys=True).encode()

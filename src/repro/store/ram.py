@@ -44,7 +44,6 @@ class RamStore(LayerStore):
     kind = "ram"
 
     def __init__(self, problem, *, policy=None, p=None, use_shm=True):
-        super().__init__()
         self._problem = problem
         self._p_in = p
         self._use_shm = use_shm

@@ -56,7 +56,6 @@ class MmapStore(LayerStore):
     kind = "mmap"
 
     def __init__(self, problem, *, spill_dir, fsync: bool = True):
-        super().__init__()
         self._problem = problem
         self._dir = os.fspath(spill_dir)
         self._journal = SlabJournal(self, self._dir, problem, fsync=fsync)

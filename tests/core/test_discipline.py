@@ -114,25 +114,18 @@ class TestRamStoreStrict:
 
 
 class _Poisoning:
-    """A store whose every layer starts on poisoned masks: layer 1 at
-    ``open()``, layer ``j + 1`` when layer ``j`` commits."""
+    """A store whose every layer starts on poisoned masks: ``open()``
+    poisons layers ``1..k``.  A slice reads only lower layers and its own
+    masks, so each layer still holds its poison when it starts."""
 
     poison = None
 
     def open(self):
         report = super().open()
-        self._poison_layer(1)
+        lo, hi = self.bounds(1)[0], self.bounds(self.k)[1]
+        masks = np.asarray(self.order[lo:hi])
+        self.cost[masks] = self.poison(masks)
         return report
-
-    def commit_layer(self, j):
-        super().commit_layer(j)
-        self._poison_layer(j + 1)
-
-    def _poison_layer(self, j):
-        if j <= self.k:
-            lo, hi = self.bounds(j)
-            masks = np.asarray(self.order[lo:hi])
-            self.cost[masks] = self.poison(masks)
 
 
 class PoisonedRamStore(_Poisoning, RamStore):
@@ -154,11 +147,7 @@ class TestPoolShards:
             PoisonedMmapStore(problem, spill_dir=tmp_path / "spill", fsync=False),
         ):
             store.poison = poison
-            # commit="sync": layer j + 1 is poisoned at j's barrier,
-            # before any shard of it is dispatched.
-            result = solve_dp_parallel(
-                problem, workers=3, min_shard=1, commit="sync", store=store
-            )
+            result = solve_dp_parallel(problem, workers=3, min_shard=1, store=store)
             _assert_reference(result.cost, result.best_action, ref, store.kind)
             modes = [e["mode"] for e in result.recovery["layers"]]
             assert modes == ["pool"] * (problem.k - 1) + ["parent"], store.kind

@@ -88,27 +88,12 @@ class TestResolveBackend:
 
 
 class TestCommitValidation:
-    """An explicit ``commit=`` is checked on every path, not only on the
-    parallel one that commits layers."""
-
-    @pytest.mark.parametrize("path", ["numpy", "reference", "engine", "parallel"])
-    def test_bogus_commit_rejected(self, path):
-        problem = random_instance(4, 3, 2, seed=7)
-        with SolverEngine(workers=1) as engine:
-            if path == "engine":
-                kw = {"engine": engine}
-            else:
-                kw = {"backend": path, "workers": 1}
-            with pytest.raises(InvalidProblem, match="commit mode"):
-                solve(problem, commit="bogus", **kw)
-            got = solve(problem, commit="sync", **kw)
-        ref = solve_dp_reference(problem)
-        assert got.cost.tobytes() == ref.cost.tobytes()
-        assert got.best_action.tobytes() == ref.best_action.tobytes()
-        assert engine.solves == (1 if path == "engine" else 0)
+    """Persistence is the store's business: a solve that asks for no
+    store never loads it."""
 
     def test_default_solve_does_not_load_the_store(self):
-        # The check imports repro.store; a solve without commit= must not.
+        # repro.store is imported only on request (store=, spill_dir=,
+        # checkpoint= or the parallel backend); a numpy solve needs none.
         code = (
             "import sys\n"
             "from repro.core import solve\n"

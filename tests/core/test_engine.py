@@ -162,6 +162,24 @@ class TestDispatchIntegration:
         assert_same(cold, routed)
         assert engine.solves == 1
 
+    @pytest.mark.parametrize(
+        "kw", [{"backend": "bogus"}, {"backend": "reference"}, {"workers": 0}],
+        ids=["bogus", "reference", "workers0"],
+    )
+    def test_invalid_arguments_rejected_before_the_engine(self, kw):
+        with SolverEngine(workers=1) as engine:
+            with pytest.raises(InvalidProblem):
+                solve(random_instance(5, 3, 2, seed=4), engine=engine, **kw)
+        assert engine.solves == 0
+
+    def test_valid_arguments_defer_to_the_engine(self):
+        # The engine's own configuration wins over valid arguments.
+        problem = random_instance(5, 3, 2, seed=4)
+        with SolverEngine(workers=1) as engine:
+            routed = solve(problem, engine=engine, backend="parallel", workers=3)
+        assert_same(solve_dp(problem), routed)
+        assert engine.solves == 1
+
     def test_checkpoint_falls_through_to_cold_path(self, tmp_path):
         # checkpoint solves carry per-solve failure-domain state the warm
         # engine cannot share; solve() must take the cold path for them.

@@ -1,13 +1,16 @@
 """The async commit pipeline: ordering, bounds, drain, error surfacing.
 
 The :class:`~repro.store.pipeline.AsyncCommitter` is tested against a
-fake store first (ordering/drain/error semantics are pure thread
-mechanics), then end-to-end: an async-committed mmap solve must write
-byte-identical slabs, manifest and tables to a synchronous one.
+fake store first (ordering/drain/error semantics and the byte counts are
+pure thread mechanics), then end-to-end: an mmap solve must write the
+reference tables, a complete manifest, and progress bytes that cover
+every computed layer.
 """
 
+import io
 import json
 import os
+import sys
 import threading
 import time
 
@@ -15,17 +18,11 @@ import numpy as np
 import pytest
 
 from repro.core import solve
-from repro.core.errors import InvalidProblem, SolverError, StoreWriteError
+from repro.core.errors import SolverError, StoreWriteError
 from repro.core.generators import random_instance
 from repro.core.sequential import solve_dp_reference
-from repro.store import (
-    COMMIT_MODE_ENV,
-    AsyncCommitter,
-    LayerStore,
-    MmapStore,
-    StoreSpec,
-    commit_mode,
-)
+from repro.obs import ProgressReporter
+from repro.store import AsyncCommitter, LayerStore, MmapStore, StoreSpec, pipeline
 
 PROBLEM = random_instance(6, n_tests=6, n_treatments=4, seed=33)
 REF = solve_dp_reference(PROBLEM)
@@ -35,7 +32,6 @@ class FakeStore(LayerStore):
     """Records commit order; optionally blocks or fails per layer."""
 
     def __init__(self, *, fail_layers=(), block=None, commit_s=0.0):
-        super().__init__()
         self.committed = []
         self.fail_layers = set(fail_layers)
         self.block = block  # threading.Event the commit waits on
@@ -52,34 +48,7 @@ class FakeStore(LayerStore):
         if j in self.fail_layers:
             raise StoreWriteError(f"injected failure at layer {j}", layer=j)
         self.committed.append(j)
-
-
-class TestCommitMode:
-    def test_default_is_async(self, monkeypatch):
-        monkeypatch.delenv(COMMIT_MODE_ENV, raising=False)
-        assert commit_mode() == "async"
-
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv(COMMIT_MODE_ENV, "sync")
-        assert commit_mode() == "sync"
-
-    def test_explicit_request_wins(self, monkeypatch):
-        monkeypatch.setenv(COMMIT_MODE_ENV, "sync")
-        assert commit_mode("async") == "async"
-
-    def test_env_normalizes_case_and_whitespace(self, monkeypatch):
-        monkeypatch.setenv(COMMIT_MODE_ENV, " ASYNC ")
-        assert commit_mode() == "async"
-
-    @pytest.mark.parametrize("bad", ["later", "asynchronously", "0"])
-    def test_typo_fails_loudly(self, monkeypatch, bad):
-        monkeypatch.setenv(COMMIT_MODE_ENV, bad)
-        with pytest.raises(InvalidProblem, match="REPRO_COMMIT_MODE"):
-            commit_mode()
-
-    def test_explicit_typo_fails_loudly(self):
-        with pytest.raises(InvalidProblem, match="commit mode"):
-            commit_mode("eventually")
+        return self.commit_nbytes(j)
 
 
 class TestAsyncCommitter:
@@ -107,12 +76,13 @@ class TestAsyncCommitter:
         finally:
             committer.close()
 
-    def test_bounded_queue_blocks_submit(self):
-        # max_pending=1: with one commit in flight and one queued, the
+    def test_bounded_queue_blocks_submit(self, monkeypatch):
+        # MAX_PENDING=1: with one commit in flight and one queued, the
         # next submit must wait for a slot instead of growing a backlog.
+        monkeypatch.setattr(pipeline, "MAX_PENDING", 1)
         gate = threading.Event()
         store = FakeStore(block=gate)
-        committer = AsyncCommitter(store, max_pending=1)
+        committer = AsyncCommitter(store)
         t_blocked = {}
 
         def feeder():
@@ -150,10 +120,11 @@ class TestAsyncCommitter:
             committer.close()
         assert store.committed == [1]
 
-    def test_queued_commits_discarded_after_error(self):
+    def test_queued_commits_discarded_after_error(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "MAX_PENDING", 2)
         gate = threading.Event()
         store = FakeStore(fail_layers={1}, block=gate)
-        committer = AsyncCommitter(store, max_pending=2)
+        committer = AsyncCommitter(store)
         try:
             committer.submit(1)
             committer.submit(2)
@@ -192,104 +163,119 @@ class TestAsyncCommitter:
 
 
 class TestCommitStats:
-    def test_queued_then_retired(self):
+    def test_queued_then_retired(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "MAX_PENDING", 2)
         gate = threading.Event()
         store = FakeStore(block=gate)
-        committer = AsyncCommitter(store, max_pending=2)
+        committer = AsyncCommitter(store)
         try:
             committer.submit(1)
             committer.submit(2)
-            stats = store.commit_stats()
+            stats = committer.stats()
             assert stats["queued_bytes"] == 100 + 200
             assert stats["committed_bytes"] == 0
             gate.set()
             committer.drain()
-            stats = store.commit_stats()
+            stats = committer.stats()
             assert stats["queued_bytes"] == 0
+            assert stats["committed_bytes"] == 100 + 200
         finally:
             committer.close()
 
-    def test_no_torn_reads_under_concurrent_commits(self):
-        # Hammer commit_stats from the "solve thread" while the committer
-        # retires layers; every snapshot must be internally consistent
-        # (queued_bytes only ever holds whole per-layer contributions).
+    def test_no_torn_reads_under_concurrent_commits(self, monkeypatch):
+        # Hammer stats() from reader threads while the committer retires
+        # layers.  No layer fails, so every submitted layer is queued, in
+        # flight or committed: each snapshot's committed + queued bytes
+        # must be the sum over a prefix of the submitted layers.  A layer
+        # counted in both (or in neither) breaks that.
+        monkeypatch.setattr(pipeline, "MAX_PENDING", 4)
         store = FakeStore(commit_s=0.002)
-        committer = AsyncCommitter(store, max_pending=4)
+        committer = AsyncCommitter(store)
         seen = []
+        done = threading.Event()
 
         def reader():
-            for _ in range(300):
-                seen.append(store.commit_stats()["queued_bytes"])
+            while not done.is_set():
+                stats = committer.stats()
+                seen.append(stats["committed_bytes"] + stats["queued_bytes"])
 
-        thread = threading.Thread(target=reader)
+        readers = [threading.Thread(target=reader) for _ in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
         try:
-            thread.start()
+            for thread in readers:
+                thread.start()
             for j in range(1, 9):
                 committer.submit(j)
             committer.drain()
-            thread.join(timeout=30.0)
         finally:
+            done.set()
+            for thread in readers:
+                thread.join(timeout=30.0)
+            sys.setswitchinterval(interval)
             committer.close()
-        partial_sums = {
-            sum(100 * j for j in range(lo, hi + 1))
-            for lo in range(1, 9)
-            for hi in range(lo - 1, 9)
-        } | {0}
-        assert set(seen) <= partial_sums
+        assert not any(thread.is_alive() for thread in readers)
+        prefix_sums = {sum(100 * j for j in range(1, m + 1)) for m in range(9)}
+        assert seen and set(seen) <= prefix_sums
+        assert committer.stats() == {"committed_bytes": 3600, "queued_bytes": 0}
 
 
 class TestEndToEnd:
-    def _solve(self, tmp_path, name, commit):
+    def _solve(self, tmp_path, name, problem=PROBLEM, **kw):
         spec = StoreSpec(kind="mmap", spill_dir=os.fspath(tmp_path / name))
-        return solve(
-            PROBLEM, backend="parallel", workers=1, store=spec, commit=commit
-        )
+        return solve(problem, backend="parallel", workers=1, store=spec, **kw)
 
-    def test_async_solve_matches_sync_bytes(self, tmp_path):
-        sync = self._solve(tmp_path, "sync", "sync")
-        async_ = self._solve(tmp_path, "async", "async")
-        assert np.array_equal(sync.cost, async_.cost)
-        assert np.array_equal(sync.best_action, async_.best_action)
-        assert np.array_equal(async_.cost, REF.cost)
-        # Durable artifacts are byte-identical too: same slabs, same
-        # manifest layer entries (sha256 + sizes).
-        for j in range(1, PROBLEM.k + 1):
-            slab = f"layers/layer_{j:02d}.slab"
-            a = (tmp_path / "sync" / slab).read_bytes()
-            b = (tmp_path / "async" / slab).read_bytes()
-            assert a == b, f"slab bytes differ for layer {j}"
-        with open(tmp_path / "sync" / "manifest.json") as fh:
-            m_sync = json.load(fh)
-        with open(tmp_path / "async" / "manifest.json") as fh:
-            m_async = json.load(fh)
-        assert m_sync["layers"] == m_async["layers"]
-        assert m_async["complete"] is True
+    def test_mmap_solve_commits_every_layer(self, tmp_path):
+        result = self._solve(tmp_path, "a")
+        assert result.cost.tobytes() == REF.cost.tobytes()
+        assert result.best_action.tobytes() == REF.best_action.tobytes()
+        with open(tmp_path / "a" / "manifest.json") as fh:
+            manifest = json.load(fh)
+        assert manifest["complete"] is True
+        assert sorted(manifest["layers"], key=int) == [
+            str(j) for j in range(1, PROBLEM.k + 1)
+        ]
+        # Every slab verifies on reopen: nothing is computed again.
+        again = self._solve(tmp_path, "a")
+        assert again.metrics["layers.computed"] == 0
+        assert again.recovery["resumed_from_layer"] == PROBLEM.k
+        assert again.cost.tobytes() == REF.cost.tobytes()
 
     def test_async_metrics_present(self, tmp_path):
-        result = self._solve(tmp_path, "m", "async")
+        result = self._solve(tmp_path, "m")
         assert result.metrics["commit.async"] == PROBLEM.k
         assert "commit.overlap_s" in result.metrics
         assert result.metrics["store.commits"] == PROBLEM.k
 
-    def test_sync_solve_has_no_async_commits(self, tmp_path):
-        result = self._solve(tmp_path, "s", "sync")
-        assert result.metrics.get("commit.async", 0) == 0
+    def test_progress_bytes_cover_every_computed_layer(self, tmp_path):
+        # At each barrier the layer just computed has been submitted, so
+        # committed + queued bytes are the slabs of layers 1..layer: 16
+        # bytes for every mask solved so far except the empty set.
+        class Recording(ProgressReporter):
+            def __init__(self):
+                super().__init__(stream=io.StringIO())
+                self.seen = []
 
-    def test_env_typo_fails_before_any_work(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(COMMIT_MODE_ENV, "pipelined")
-        with pytest.raises(InvalidProblem, match="REPRO_COMMIT_MODE"):
-            self._solve(tmp_path, "t", None)
+            def layer_done(self, layer, masks_done, spilled_bytes=0, queued_bytes=0):
+                self.seen.append((layer, masks_done, spilled_bytes + queued_bytes))
+                super().layer_done(layer, masks_done, spilled_bytes, queued_bytes)
+
+        problem = random_instance(10, n_tests=6, n_treatments=4, seed=34)
+        progress = Recording()
+        self._solve(tmp_path, "p", problem, progress=progress)
+        assert [layer for layer, _, _ in progress.seen] == list(range(1, 11))
+        for layer, masks_done, nbytes in progress.seen:
+            assert nbytes == (masks_done - 1) * 16, layer
 
     def test_checkpointed_ram_solve_async(self, tmp_path):
-        # The RAM store persists through its checkpoint journal; async
-        # mode must produce the same tables and clean up on success.
+        # The RAM store persists through its checkpoint journal; the
+        # committer must produce the same tables and clean up on success.
         ckpt = tmp_path / "ckpt"
         result = solve(
             PROBLEM,
             backend="parallel",
             workers=1,
             checkpoint=os.fspath(ckpt),
-            commit="async",
         )
         assert np.array_equal(result.cost, REF.cost)
         assert not ckpt.exists()

@@ -218,6 +218,16 @@ class TestErrorPaths:
         assert exc.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["solve", "crash-drill"])
+    def test_commit_mode_flag_is_gone(self, command, capsys):
+        # Every persisted layer commits on the async committer; there is
+        # no inline mode left to pick.
+        with pytest.raises(SystemExit) as exc:
+            run_cli(command, "--workload", "random", "--k", "4",
+                    "--commit-mode", "sync")
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --commit-mode" in capsys.readouterr().err
+
     def test_bad_fault_spec_env_exits_2(self, monkeypatch, capsys):
         monkeypatch.setenv("REPRO_FAULT_SPEC", "explode:layer=1")
         code, _ = run_cli(
