@@ -22,7 +22,8 @@ reference machine; CI's quick variant uses 2), ``REPRO_BENCH_BVM_REPS``
 regression guard; the committed ``BENCH_BVM.json`` from the full r=3
 run shows the >= 10x replay result).
 
-Output: a ``BENCH_JSON`` line, a table, and the ``"replay"`` section of
+Output: a ``BENCH_JSON`` line, a table, and — from a run at the
+committed size (r=3) only — the ``"replay"`` section of
 ``BENCH_BVM.json`` at the repo root.
 """
 
@@ -46,10 +47,12 @@ _REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 # CCC size -> the largest integral instance whose §7 layout fits it.
 _K_FOR_R = {2: 3, 3: 4}
+# The committed size: only a run at R_FULL rewrites BENCH_BVM.json.
+R_FULL = 3
 
 
 def _bench_r() -> int:
-    return int(os.environ.get("REPRO_BENCH_BVM_R", "3"))
+    return int(os.environ.get("REPRO_BENCH_BVM_R", str(R_FULL)))
 
 
 def _reps() -> int:
@@ -139,7 +142,8 @@ def test_bvm_packed_replay():
             ["(compile)", f"{compile_s * 1e3:.1f} ms", "once per program"],
         ],
     )
-    merge_bench_json(_REPO_ROOT / "BENCH_BVM.json", "replay", payload)
+    if r == R_FULL:
+        merge_bench_json(_REPO_ROOT / "BENCH_BVM.json", "replay", payload)
 
     assert speedup >= _min_speedup(), (
         f"packed replay speedup {speedup:.2f}x below the "

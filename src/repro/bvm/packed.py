@@ -5,9 +5,9 @@ bit and interprets every instruction through an 8-entry fancy-indexed
 truth-table lookup — a dozen full-row NumPy kernels per single-bit
 machine cycle.  This backend stores each register row as a *bit-plane*:
 one arbitrary-precision integer whose machine words carry 64 PEs apiece
-(``PE q`` = bit ``q``; the ``(L, ceil(n/64))`` uint64 view is exposed as
-:attr:`PackedBVM.planes`).  Execution then becomes straight-line bitwise
-arithmetic on whole planes:
+(``PE q`` = bit ``q``; lane 0's ``(L, ceil(n/64))`` uint64 view is
+exposed as :attr:`PackedBVM.planes`).  Execution then becomes
+straight-line bitwise arithmetic on whole planes:
 
 * each 8-bit F/G truth table is *lowered once* (`lower_table`) to a
   minimal AND/OR/XOR/NOT expression over the packed ``F``, ``D``, ``B``
@@ -25,6 +25,12 @@ arithmetic on whole planes:
 Negation is always expressed as ``x ^ M`` (``M`` = the valid-PE mask),
 which keeps the *tail invariant*: bits above ``n - 1`` of every plane
 are zero at all times, so shifts never smear garbage into live PEs.
+
+A machine may hold ``lanes`` instances of the same program: lane ``b``
+holds PEs at bits ``[b*n, (b+1)*n)`` of every row, ``M`` covers every
+lane, and :func:`lane_steps` repeats each step's activation plane and
+neighbour plan per lane, so no operation crosses a lane and one replay
+advances every lane in lockstep.
 
 Cycle accounting is backend-invariant by construction: the packed
 machine executes the identical instruction stream one instruction per
@@ -53,7 +59,7 @@ from ..obs import trace as _trace
 from .isa import FN, Instruction, Operand, Reg
 from .topology import CCCTopology, pack_row, unpack_plane
 
-__all__ = ["PackedBVM", "lower_table", "lowered_fn", "compile_step"]
+__all__ = ["PackedBVM", "lower_table", "lowered_fn", "compile_step", "lane_steps"]
 
 
 # ----------------------------------------------------------------------
@@ -184,6 +190,30 @@ def compile_step(instr: Instruction, topology: CCCTopology, L: int) -> tuple:
     )
 
 
+def lane_steps(steps: list, topology: CCCTopology, lanes: int) -> list:
+    """``steps`` mapped to a machine of ``lanes`` lanes (identity at one).
+
+    Only a step's activation plane and neighbour plan see the lane
+    layout; both are replaced by their per-lane repeats.  Each distinct
+    step is mapped once, so equal steps stay one object.
+    """
+    if lanes == 1:
+        return steps
+    memo: dict[int, tuple] = {}
+    out = []
+    for step in steps:
+        mapped = memo.get(id(step))
+        if mapped is None:
+            act, plan = step[5], step[8]
+            if act is not None:
+                act = topology.lane_activation(act, lanes)
+            if plan is not None:
+                plan = topology.lane_plan(plan.name, lanes)
+            mapped = memo[id(step)] = (*step[:5], act, *step[6:8], plan, step[9])
+        out.append(mapped)
+    return out
+
+
 # ----------------------------------------------------------------------
 # The machine
 # ----------------------------------------------------------------------
@@ -196,22 +226,36 @@ class PackedBVM:
     API: ``read``/``poke``/``feed_input``/``execute``/``run``/``render``,
     ``cycles``, ``output_log``, ``input_queue``); construct directly or
     via ``BVM(r, backend="packed")`` / ``REPRO_BVM_BACKEND=packed``.
+
+    ``lanes`` machines share one register file and advance in lockstep.
+    Host access takes ``lane=0``; ``input_queues``/``output_logs`` hold
+    each lane's ``I`` port, and ``input_queue``/``output_log`` are lane
+    0's.  ``cycles`` counts lockstep machine cycles, not cycles x lanes.
     """
 
     backend = "packed"
 
-    def __init__(self, r: int, L: int = 256, backend: str | None = None):
+    def __init__(
+        self, r: int, L: int = 256, backend: str | None = None, lanes: int = 1
+    ):
         if backend not in (None, "packed"):
             raise ValueError(f"PackedBVM cannot provide backend {backend!r}")
+        if lanes < 1:
+            raise ValueError("lanes must be >= 1")
         self.topology = CCCTopology.shared(r)
         self.L = L
-        self.mask = self.topology.full_mask
+        self.lanes = lanes
+        self.mask = (1 << (lanes * self.topology.n)) - 1  # every lane's PEs
+        # The I shift keeps every bit but each lane's PE 0.
+        self._shift_keep = self.mask ^ self.topology.lane_ones(lanes)
         # Row slots: R[0..L-1], then A, B, E (see _slot_of).
         self._rows: list[int] = [0] * (L + 3)
         self._rows[L + 2] = self.mask  # fully enabled at power-on
         self.cycles = 0
-        self.input_queue: deque[bool] = deque()
-        self.output_log: list[bool] = []
+        self.input_queues: list[deque[bool]] = [deque() for _ in range(lanes)]
+        self.output_logs: list[list[bool]] = [[] for _ in range(lanes)]
+        self.input_queue = self.input_queues[0]
+        self.output_log = self.output_logs[0]
 
     # ------------------------------------------------------------------
     # Introspection / host access
@@ -232,7 +276,8 @@ class PackedBVM:
 
     @property
     def planes(self) -> np.ndarray:
-        """The general register file as an ``(L, n_words)`` uint64 array.
+        """Lane 0's general register file as an ``(L, n_words)`` uint64
+        array.
 
         A host-side snapshot of the packed representation (the live
         planes are Python integers, i.e. the same words in CPython limb
@@ -241,29 +286,45 @@ class PackedBVM:
         nw = self.n_words
         out = np.empty((self.L, nw), dtype=np.uint64)
         for j in range(self.L):
-            raw = self._rows[j].to_bytes(nw * 8, "little")
+            raw = self.plane(Reg("R", j)).to_bytes(nw * 8, "little")
             out[j] = np.frombuffer(raw, dtype="<u8")
         return out
 
-    def plane(self, reg: Reg) -> int:
-        """The raw bit-plane integer of a register row."""
-        return self._rows[_slot_of(reg, self.L)]
+    def _check_lane(self, lane: int) -> int:
+        """``lane``, if the machine has it: a lane outside would write
+        above ``M`` and break the tail invariant every shift relies on."""
+        if not 0 <= lane < self.lanes:
+            raise ValueError(f"lane {lane} outside [0, {self.lanes})")
+        return lane
 
-    def read(self, reg: Reg) -> np.ndarray:
-        """Host read of a full register row (unpacked bool copy)."""
-        return unpack_plane(self.plane(reg), self.n)
+    def plane(self, reg: Reg, lane: int = 0) -> int:
+        """The raw ``n``-bit plane of one lane's register row."""
+        row = self._rows[_slot_of(reg, self.L)]
+        return (row >> (self._check_lane(lane) * self.n)) & self.topology.full_mask
 
-    def poke(self, reg: Reg, values) -> None:
-        """Host write of a full register row (costs no machine cycles)."""
+    def read(self, reg: Reg, lane: int = 0) -> np.ndarray:
+        """Host read of one lane's register row (unpacked bool copy)."""
+        return unpack_plane(self.plane(reg, lane), self.n)
+
+    def poke(self, reg: Reg, values, lane: int = 0) -> None:
+        """Host write of one lane's register row, or of every lane from a
+        ``(lanes, n)`` array in one pack (costs no machine cycles)."""
         row = np.asarray(values, dtype=bool)
+        slot = _slot_of(reg, self.L)
+        if row.ndim == 2:
+            if row.shape != (self.lanes, self.n):
+                raise ValueError(f"rows must have shape ({self.lanes}, {self.n})")
+            self._rows[slot] = pack_row(row)
+            return
         if row.shape != (self.n,):
             raise ValueError(f"row must have shape ({self.n},)")
-        self._rows[_slot_of(reg, self.L)] = pack_row(row)
+        shift = self._check_lane(lane) * self.n
+        keep = self.mask ^ (self.topology.full_mask << shift)
+        self._rows[slot] = (self._rows[slot] & keep) | (pack_row(row) << shift)
 
-    def feed_input(self, bits) -> None:
-        """Queue bits for the ``I`` input port (consumed FIFO)."""
-        for b in bits:
-            self.input_queue.append(bool(b))
+    def feed_input(self, bits, lane: int = 0) -> None:
+        """Queue bits for one lane's ``I`` input port (consumed FIFO)."""
+        self.input_queues[self._check_lane(lane)].extend(bool(b) for b in bits)
 
     # ------------------------------------------------------------------
     # Execution
@@ -271,19 +332,21 @@ class PackedBVM:
 
     def execute(self, instr: Instruction) -> None:
         """Run one instruction (one machine cycle)."""
-        self._exec_step(compile_step(instr, self.topology, self.L))
+        topo = self.topology
+        (step,) = lane_steps([compile_step(instr, topo, self.L)], topo, self.lanes)
+        self._exec_step(step)
 
     def run(self, instructions) -> int:
         """Execute a sequence; returns the cycles it consumed."""
         topo, L = self.topology, self.L
-        return self.run_compiled(
-            [compile_step(i, topo, L) for i in instructions]
-        )
+        steps = [compile_step(i, topo, L) for i in instructions]
+        return self.run_compiled(lane_steps(steps, topo, self.lanes))
 
     def run_compiled(self, steps) -> int:
-        """Replay pre-compiled steps; returns the cycles consumed."""
-        # One span per replay, never per step: _exec_step is the hot
-        # loop and must stay untouched by telemetry.
+        """Replay steps already mapped to this machine's lanes
+        (:func:`lane_steps`); returns the cycles consumed."""
+        # One span per replay, never per step or per lane: _exec_step is
+        # the hot loop and must stay untouched by telemetry.
         tr = _trace.current()
         t0 = time.monotonic() if tr.collecting else 0.0
         start = self.cycles
@@ -294,8 +357,21 @@ class PackedBVM:
             tr.complete(
                 "bvm.replay", "bvm", t0, time.monotonic(),
                 r=self.topology.r, steps=len(steps), cycles=cycles,
+                batch=self.lanes,
             )
         return cycles
+
+    def _shift_in(self, plane: int) -> int:
+        """The ``I`` port, per lane: every PE takes its linear
+        predecessor's bit, PE 0 the lane's next input bit, and PE
+        ``n - 1``'s bit goes to the lane's output log."""
+        n = self.n
+        out = (plane << 1) & self._shift_keep
+        for b, (queue, log) in enumerate(zip(self.input_queues, self.output_logs)):
+            log.append(bool((plane >> (b * n + n - 1)) & 1))
+            if queue and queue.popleft():
+                out |= 1 << (b * n)
+        return out
 
     def _exec_step(self, step: tuple) -> None:
         (
@@ -308,10 +384,7 @@ class PackedBVM:
         # Operand fetch (the I shift's port traffic happens regardless
         # of activation, exactly as on the boolean machine).
         if d_is_input:
-            d_plane = rows[d_slot]
-            self.output_log.append(bool((d_plane >> (self.n - 1)) & 1))
-            in_bit = 1 if (self.input_queue.popleft() if self.input_queue else False) else 0
-            d_plane = ((d_plane << 1) | in_bit) & M
+            d_plane = self._shift_in(rows[d_slot])
         elif d_plan is not None:
             d_plane = d_plan.apply(rows[d_slot])
         else:

@@ -52,7 +52,9 @@ class CompiledProgram:
     one ``bvm.compile`` span, and none when nothing is left to lower.
 
     The slot mapping depends on ``L``, so a compiled program binds to
-    machines of exactly the geometry it was compiled for.
+    machines of exactly the geometry it was compiled for.  A machine of
+    several lanes replays the steps mapped by
+    :func:`~repro.bvm.packed.lane_steps`, once per lane count.
     """
 
     def __init__(self, instructions, r: int, L: int, reuse=()):
@@ -91,13 +93,15 @@ class CompiledProgram:
                 pos = start + len(cp)
             steps += lower(self.instructions[pos:])
         self.steps = steps
+        self._lane_steps: dict[int, list[tuple]] = {1: steps}
 
     def __len__(self) -> int:
         return len(self.instructions)
 
     def run(self, machine) -> int:
-        """Replay on a packed (or batched) machine; returns cycles consumed."""
-        if getattr(machine, "backend", "bool") not in ("packed", "packed-batch"):
+        """Replay on a packed machine of any lane count; returns cycles
+        consumed."""
+        if getattr(machine, "backend", "bool") != "packed":
             # The boolean oracle has no compiled form; replay the source.
             return machine.run(self.instructions)
         if machine.topology.r != self.r or machine.L != self.L:
@@ -105,7 +109,14 @@ class CompiledProgram:
                 f"compiled for CCC(r={self.r}), L={self.L}; machine is "
                 f"CCC(r={machine.topology.r}), L={machine.L}"
             )
-        return machine.run_compiled(self.steps)
+        steps = self._lane_steps.get(machine.lanes)
+        if steps is None:
+            from .packed import lane_steps
+
+            steps = self._lane_steps[machine.lanes] = lane_steps(
+                self.steps, machine.topology, machine.lanes
+            )
+        return machine.run_compiled(steps)
 
 
 class RegisterPool:
@@ -320,7 +331,7 @@ class ProgramBuilder:
             raise ValueError("machine geometry does not match program")
         if self.pool.high_water > machine.L:
             raise ValueError("program uses more registers than the machine has")
-        if getattr(machine, "backend", "bool") in ("packed", "packed-batch"):
+        if getattr(machine, "backend", "bool") == "packed":
             return self.compiled(machine.L).run(machine)
         return machine.run(self.instructions)
 

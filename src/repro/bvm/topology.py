@@ -38,12 +38,7 @@ __all__ = [
     "NEIGHBOR_NAMES",
     "PackedPlan",
     "pack_row",
-    "pack_row_words",
-    "plane_to_words",
-    "shift_words",
     "unpack_plane",
-    "unpack_words",
-    "words_to_plane",
 ]
 
 NEIGHBOR_NAMES = ("S", "P", "L", "XS", "XP", "I")
@@ -66,81 +61,6 @@ def unpack_plane(plane: int, n: int) -> np.ndarray:
     return bits.astype(bool)
 
 
-# ----------------------------------------------------------------------
-# uint64 word-array planes (the batched backend's representation)
-# ----------------------------------------------------------------------
-#
-# The big-int plane of :mod:`repro.bvm.packed` and the ``(.., n_words)``
-# uint64 arrays below are the *same words* in two containers: bit ``q``
-# of the plane is bit ``q % 64`` of word ``q // 64``.  The conversions
-# round-trip exactly, which is what the lockstep differential relies on.
-
-
-def pack_row_words(bits, n_words: int) -> np.ndarray:
-    """Pack a boolean PE row into an ``(n_words,)`` uint64 word array."""
-    arr = np.ascontiguousarray(bits, dtype=bool)
-    packed = np.packbits(arr, bitorder="little")
-    buf = np.zeros(n_words * 8, dtype=np.uint8)
-    buf[: packed.size] = packed
-    return buf.view("<u8")
-
-
-def unpack_words(words: np.ndarray, n: int) -> np.ndarray:
-    """Inverse of :func:`pack_row_words`: word array -> ``(n,)`` bool row."""
-    raw = np.ascontiguousarray(words).view(np.uint8)
-    bits = np.unpackbits(raw, count=n, bitorder="little")
-    return bits.astype(bool)
-
-
-def plane_to_words(plane: int, n_words: int) -> np.ndarray:
-    """Big-int bit-plane -> read-only ``(n_words,)`` uint64 word array."""
-    out = np.frombuffer(plane.to_bytes(n_words * 8, "little"), dtype="<u8")
-    return out
-
-
-def words_to_plane(words: np.ndarray) -> int:
-    """Word array -> big-int bit-plane (host-side, for differentials)."""
-    return int.from_bytes(np.ascontiguousarray(words).tobytes(), "little")
-
-
-def shift_words(x: np.ndarray, d: int, out: np.ndarray) -> np.ndarray:
-    """Whole-bit-plane shift over the last axis: ``out = x >> d`` for
-    ``d >= 0``, ``out = x << -d`` for ``d < 0`` (big-int shift semantics:
-    bit ``q`` of the result is bit ``q + d`` of the source, vacated bits
-    are zero).
-
-    Cross-word distances become a funnel shift — word offset ``d // 64``
-    plus a bit offset with carry from the adjacent word; the ``d % 64 ==
-    0`` case is split out because a uint64 shift by 64 is undefined in
-    NumPy.  ``out`` must not alias ``x``.
-    """
-    nw = x.shape[-1]
-    out[...] = 0
-    if d >= 0:
-        wo, bo = divmod(d, 64)
-        if wo >= nw:
-            return out
-        src = x[..., wo:]
-        dst = out[..., : nw - wo]
-        if bo == 0:
-            dst[...] = src
-        else:
-            np.right_shift(src, bo, out=dst)
-            dst[..., : nw - wo - 1] |= x[..., wo + 1 :] << (64 - bo)
-    else:
-        wo, bo = divmod(-d, 64)
-        if wo >= nw:
-            return out
-        src = x[..., : nw - wo]
-        dst = out[..., wo:]
-        if bo == 0:
-            dst[...] = src
-        else:
-            np.left_shift(src, bo, out=dst)
-            dst[..., 1:] |= x[..., : nw - wo - 1] >> (64 - bo)
-    return out
-
-
 class PackedPlan:
     """A gather ``dst[p] = src[index[p]]`` lowered to masked word shifts.
 
@@ -152,11 +72,10 @@ class PackedPlan:
     instead of an ``n``-entry index build + gather per call.
     """
 
-    __slots__ = ("name", "terms", "apply", "_word_terms")
+    __slots__ = ("name", "terms", "apply")
 
     def __init__(self, name: str, index: np.ndarray):
         self.name = name
-        self._word_terms: dict = {}
         pes = np.arange(index.size, dtype=np.int64)
         deltas = index.astype(np.int64) - pes
         terms = []
@@ -181,32 +100,6 @@ class PackedPlan:
     def __call__(self, plane: int) -> int:
         return self.apply(plane)
 
-    def word_terms(self, n_words: int):
-        """The shift terms with masks lowered to uint64 word arrays,
-        cached per geometry (one conversion per plan per process)."""
-        terms = self._word_terms.get(n_words)
-        if terms is None:
-            terms = tuple(
-                (d, plane_to_words(m, n_words)) for d, m in self.terms
-            )
-            self._word_terms[n_words] = terms
-        return terms
-
-    def apply_words(self, x: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-        """Word-array form of the gather: ``out = OR_d (shift(x, d) & mask_d)``.
-
-        ``x`` may carry leading batch axes; each ``(n_words,)`` mask
-        broadcasts across them, so one call routes every instance in
-        lockstep.  ``out``/``scratch`` are caller-owned buffers shaped
-        like ``x`` (neither may alias ``x``).
-        """
-        out[...] = 0
-        for d, mask in self.word_terms(x.shape[-1]):
-            shift_words(x, d, scratch)
-            scratch &= mask
-            out |= scratch
-        return out
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"PackedPlan({self.name!r}, {len(self.terms)} shift terms)"
 
@@ -223,6 +116,8 @@ class CCCTopology:
         self.n = self.Q * self.n_cycles
         self._act_masks: dict = {}
         self._act_planes: dict = {}
+        self._lane_plans: dict = {}
+        self._lane_acts: dict = {}
 
     @classmethod
     @lru_cache(maxsize=None)
@@ -357,6 +252,38 @@ class CCCTopology:
             plane = pack_row(self.activation_mask(activation))
             self._act_planes[activation] = plane
         return plane
+
+    # ------------------------------------------------------------------
+    # Lanes: one row of ``lanes`` machines, lane ``b`` at bits [b*n, (b+1)*n)
+    # ------------------------------------------------------------------
+
+    def lane_ones(self, lanes: int) -> int:
+        """Bit 0 of every lane.  ``plane * lane_ones(lanes)`` repeats an
+        ``n``-bit plane in every lane (each partial product fits its own
+        lane, so nothing carries)."""
+        return sum(1 << (b * self.n) for b in range(lanes))
+
+    def lane_plan(self, name: str, lanes: int) -> PackedPlan:
+        """:meth:`packed_plan` over ``lanes`` lanes, cached per pair.
+
+        Built from the lane-tiled gather index (``index + b*n`` in lane
+        ``b``): each shift term ``(x >> d) & m`` then repeats per lane,
+        and ``m`` sets bit ``p`` of a lane only where ``p + d`` lies in
+        ``[0, n)``, so no term reads across a lane.
+        """
+        plan = self._lane_plans.get((name, lanes))
+        if plan is None:
+            index = self.neighbor_index(name)
+            tiled = (index + self.n * np.arange(lanes)[:, None]).ravel()
+            plan = self._lane_plans[name, lanes] = PackedPlan(name, tiled)
+        return plan
+
+    def lane_activation(self, plane: int, lanes: int) -> int:
+        """An activation plane repeated in every lane, cached per pair."""
+        tiled = self._lane_acts.get((plane, lanes))
+        if tiled is None:
+            tiled = self._lane_acts[plane, lanes] = plane * self.lane_ones(lanes)
+        return tiled
 
     # ------------------------------------------------------------------
     # Structural facts (for the link-census benchmark)

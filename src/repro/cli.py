@@ -245,9 +245,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--bvm-backend",
         choices=("packed", "bool"),
         default="packed",
-        help="simulation backend for --solver bvm: packed (vectorized "
-        "uint64 bit-planes, lanes in lockstep) or bool (per-instance "
-        "boolean oracle; slow, for cross-checks)",
+        help="simulation backend for --solver bvm: packed (one lane per "
+        "instance in big-int bit-plane rows, lanes in lockstep) or bool "
+        "(per-instance boolean oracle; slow, for cross-checks)",
     )
 
     p_verify = sub.add_parser(

@@ -246,11 +246,12 @@ class SolverEngine:
         and overlaps cleanly.  Results are returned in input order and
         are bit-for-bit what per-instance :meth:`solve` calls produce.
 
-        ``solver="bvm"`` routes the whole stream through the
-        instance-batched packed BVM instead
+        ``solver="bvm"`` routes the whole stream through lanes of the
+        packed BVM instead
         (:func:`~repro.ttpar.bvm_tt.solve_tt_bvm_batch`): instances are
         grouped by machine shape and each group replays one compiled
-        program over all its lanes in lockstep, returning
+        program on a :class:`~repro.bvm.packed.PackedBVM` with one lane
+        per instance, all lanes in lockstep, returning
         :class:`~repro.ttpar.bvm_tt.BVMTTResult` rows (still in input
         order).  ``width`` / ``bvm_backend`` configure the fixed-point
         cost lattice and the simulation backend for that path and are

@@ -29,16 +29,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from ..bvm import bitserial as bs
-from ..bvm.batch import PackedBatchBVM
 from ..bvm.hyperops import route_dim
 from ..bvm.isa import FN, Reg
 from ..bvm.machine import BVM
+from ..bvm.packed import PackedBVM
 from ..bvm.primitives import processor_id
 from ..bvm.program import ProgramBuilder
 from ..core.errors import InvalidProblem
@@ -425,8 +425,9 @@ def solve_tt_bvm(
 # per-instance data lands in host-poked register rows (the paper's
 # "T_i should be input to the BVM" host-load, which costs no machine
 # cycles).  Every instance of the same shape then replays the identical
-# compiled instruction stream, which is exactly what lets a
-# :class:`~repro.bvm.batch.PackedBatchBVM` run B of them in lockstep.
+# compiled instruction stream, which is exactly what lets one
+# :class:`~repro.bvm.packed.PackedBVM` of B lanes run B of them in
+# lockstep.
 
 BATCH_BACKENDS = ("packed", "bool")
 
@@ -555,28 +556,44 @@ def _saturating_subset_sums(enc_weights: list[int], k: int, width: int) -> np.nd
     return acc
 
 
-def _poke_lane(poke, plan: _BatchPlan, padded: TTProblem, scale, enc_costs, enc_weights) -> None:
-    """Load one instance's data rows (host pokes, zero machine cycles)."""
+def _lane_rows(plan: _BatchPlan, padded: TTProblem, scale, enc_costs, enc_weights) -> list:
+    """One instance's host-loaded rows as ``(register, bool row)`` pairs
+    (the host pokes them at zero machine cycles)."""
     i_pe, s_pe = plan.i_pe, plan.s_pe
+    rows = []
     for w, row in enumerate(plan.IWORD):
-        poke(row, ((i_pe >> w) & 1).astype(bool))
+        rows.append((row, ((i_pe >> w) & 1).astype(bool)))
     for e, row in enumerate(plan.SBITS):
-        poke(row, ((s_pe >> e) & 1).astype(bool))
+        rows.append((row, ((s_pe >> e) & 1).astype(bool)))
     for w, row in enumerate(plan.LAYER):
-        poke(row, ((plan.layer_pe >> w) & 1).astype(bool))
+        rows.append((row, ((plan.layer_pe >> w) & 1).astype(bool)))
     subs = np.array([a.subset for a in padded.actions], dtype=np.int64)
     tests = np.array([a.is_test for a in padded.actions], dtype=bool)
     for e, row in enumerate(plan.TB):
-        poke(row, ((subs[i_pe] >> e) & 1).astype(bool))
-    poke(plan.IS_TEST, tests[i_pe])
+        rows.append((row, ((subs[i_pe] >> e) & 1).astype(bool)))
+    rows.append((plan.IS_TEST, tests[i_pe]))
     ps = _saturating_subset_sums(enc_weights, plan.layout.k, plan.width)[s_pe]
     for w, row in enumerate(plan.PS):
-        poke(row, ((ps >> w) & 1).astype(bool))
+        rows.append((row, ((ps >> w) & 1).astype(bool)))
     cw = np.array([min(c, scale.inf) for c in enc_costs], dtype=np.int64)[i_pe]
     for w, row in enumerate(plan.CW):
-        poke(row, ((cw >> w) & 1).astype(bool))
+        rows.append((row, ((cw >> w) & 1).astype(bool)))
     is_inf = np.array([c == scale.inf for c in enc_costs], dtype=bool)
-    poke(plan.INFM, is_inf[i_pe])
+    rows.append((plan.INFM, is_inf[i_pe]))
+    return rows
+
+
+def _lane_machine(plan: _BatchPlan, encs) -> PackedBVM:
+    """A packed machine with one lane per encoded instance of ``encs``.
+
+    Each row is loaded whole, one pack over its ``(lanes, n)`` array:
+    poking lane by lane would rewrite the row once per lane.
+    """
+    machine = PackedBVM(plan.r, L=plan.prog.L, lanes=len(encs))
+    loads = [_lane_rows(plan, *enc) for enc in encs]
+    for j, (reg, _) in enumerate(loads[0]):
+        machine.poke(reg, np.stack([rows[j][1] for rows in loads]))
+    return machine
 
 
 def solve_tt_bvm_batch(
@@ -587,13 +604,13 @@ def solve_tt_bvm_batch(
 ) -> list[BVMTTResult]:
     """Solve many TT instances through lockstep batched replays.
 
-    Instances are grouped by shape ``(r, k, p)``; each group pokes its
-    per-lane data into one :class:`~repro.bvm.batch.PackedBatchBVM` and
-    replays the shape's compiled program *once*, so B instances cost one
-    replay's interpreter overhead.  Ragged batches (mixed ``k``/``N``)
-    simply form several groups.  Results come back in input order, each
-    lane bit-identical to a ``B = 1`` run and to
-    :func:`solve_tt_bvm` on the same instance.
+    Instances are grouped by shape ``(r, k, p)``; each group loads its
+    per-lane data into one :class:`~repro.bvm.packed.PackedBVM` with a
+    lane per instance and replays the shape's compiled program *once*,
+    so B instances cost one replay's interpreter overhead.  Ragged
+    batches (mixed ``k``/``N``) simply form several groups.  Results
+    come back in input order, each lane bit-identical to a ``B = 1`` run
+    and to :func:`solve_tt_bvm` on the same instance.
 
     ``backend="bool"`` runs each lane of the *same* shape-generic poked
     program on the boolean oracle machine instead (slow; differential
@@ -616,43 +633,30 @@ def solve_tt_bvm_batch(
             problem, padded, layout.k, width
         )
         groups.setdefault((rr, layout.k, layout.p), []).append(
-            (idx, problem, padded, scale, enc_costs, enc_weights)
+            (idx, problem, (padded, scale, enc_costs, enc_weights))
         )
 
-    for (rr, k, p), lanes in groups.items():
+    for (rr, k, p), group in groups.items():
         plan = _batch_plan(rr, k, p, width)
         if backend == "packed":
-            compiled = plan.prog.compiled()
-            machine = PackedBatchBVM(rr, batch=len(lanes), L=plan.prog.L)
-            for lane, (_, _, padded, scale, enc_costs, enc_weights) in enumerate(lanes):
-                _poke_lane(
-                    lambda row, bits, lane=lane: machine.poke_lane(row, lane, bits),
-                    plan, padded, scale, enc_costs, enc_weights,
-                )
-            cycles = compiled.run(machine)
-            for lane, (idx, problem, padded, scale, enc_costs, enc_weights) in enumerate(lanes):
-                cost, best = _decode_tables(
-                    plan.M, plan.ARG,
-                    lambda row, lane=lane: machine.read_lane(row, lane),
-                    machine.n, plan.layout, scale, problem,
-                )
-                results[idx] = BVMTTResult(
-                    problem=problem, layout=plan.layout, scale=scale,
-                    cost=cost, best_action=best, cycles=cycles,
-                    r=rr, width=width, backend="packed-batch",
-                )
-        else:
-            for idx, problem, padded, scale, enc_costs, enc_weights in lanes:
+            machine = _lane_machine(plan, [enc for _, _, enc in group])
+            cycles = plan.prog.compiled().run(machine)
+        for lane, (idx, problem, enc) in enumerate(group):
+            if backend == "packed":
+                read = partial(machine.read, lane=lane)
+            else:
                 machine = plan.prog.build_machine(backend="bool")
-                _poke_lane(machine.poke, plan, padded, scale, enc_costs, enc_weights)
+                for reg, bits in _lane_rows(plan, *enc):
+                    machine.poke(reg, bits)
                 cycles = plan.prog.run(machine)
-                cost, best = _decode_tables(
-                    plan.M, plan.ARG, machine.read, machine.n,
-                    plan.layout, scale, problem,
-                )
-                results[idx] = BVMTTResult(
-                    problem=problem, layout=plan.layout, scale=scale,
-                    cost=cost, best_action=best, cycles=cycles,
-                    r=rr, width=width, backend="bool",
-                )
+                read = machine.read
+            scale = enc[1]
+            cost, best = _decode_tables(
+                plan.M, plan.ARG, read, machine.n, plan.layout, scale, problem
+            )
+            results[idx] = BVMTTResult(
+                problem=problem, layout=plan.layout, scale=scale,
+                cost=cost, best_action=best, cycles=cycles, r=rr, width=width,
+                backend="packed-batch" if backend == "packed" else "bool",
+            )
     return results  # type: ignore[return-value]

@@ -255,12 +255,13 @@ class _BVMBackend(VerifyBackend):
 
 
 class _BVMBatchBackend(VerifyBackend):
-    """The instance-batched packed BVM, exercised as genuine batches.
+    """Lanes of the packed BVM, exercised as genuine batches.
 
     :meth:`tables_batch` hands the whole accepted chunk to
     :func:`~repro.ttpar.bvm_tt.solve_tt_bvm_batch` — instances grouped
-    by machine shape, one compiled replay per group with all lanes in
-    lockstep (``B > 1`` whenever the chunk allows it) — so the harness
+    by machine shape, one compiled replay per group on a
+    :class:`~repro.bvm.packed.PackedBVM` with a lane per instance
+    (``B > 1`` whenever the chunk allows it) — so the harness
     checks each *lane* of a real batched replay against the oracle, not
     a degenerate stream of one-lane batches.  Same bit-exact domain as
     :class:`_BVMBackend`.

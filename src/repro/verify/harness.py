@@ -59,15 +59,23 @@ class Discrepancy:
 
 @dataclass
 class VerifyReport:
-    """Outcome of one :func:`run_verification` sweep."""
+    """Outcome of one :func:`run_verification` sweep.
+
+    ``backend_seconds`` times each backend's ``tables_batch`` calls;
+    ``oracle_s`` times the reference oracle plus the property checks
+    (a failing property's shrink included).  Together they are at most
+    ``elapsed_s``: the rest is enumeration and comparison.
+    """
 
     bounds: str
     total_instances: int  # size of the full bounded space
     checked_instances: int  # actually checked (== total unless budgeted)
     backend_checks: dict[str, int] = field(default_factory=dict)
     backend_declines: dict[str, int] = field(default_factory=dict)
+    backend_seconds: dict[str, float] = field(default_factory=dict)
     property_checks: dict[str, int] = field(default_factory=dict)
     discrepancies: list[Discrepancy] = field(default_factory=list)
+    oracle_s: float = 0.0
     elapsed_s: float = 0.0
 
     @property
@@ -82,8 +90,12 @@ class VerifyReport:
             "checked_instances": self.checked_instances,
             "backend_checks": self.backend_checks,
             "backend_declines": self.backend_declines,
+            "backend_seconds": {
+                name: round(s, 3) for name, s in self.backend_seconds.items()
+            },
             "property_checks": self.property_checks,
             "discrepancies": [d.to_dict() for d in self.discrepancies],
+            "oracle_s": round(self.oracle_s, 3),
             "elapsed_s": round(self.elapsed_s, 3),
         }
 
@@ -97,9 +109,16 @@ class VerifyReport:
             declined = self.backend_declines.get(name, 0)
             if declined:
                 extra = f" ({declined} declined)"
-            lines.append(f"  backend {name}: {self.backend_checks[name]} checks{extra}")
+            lines.append(
+                f"  backend {name}: {self.backend_checks[name]} checks{extra}, "
+                f"{self.backend_seconds.get(name, 0.0):.1f} s"
+            )
         for name in sorted(self.property_checks):
             lines.append(f"  property {name}: {self.property_checks[name]} checks")
+        lines.append(
+            f"  reference oracle + properties: {self.oracle_s:.1f} s "
+            f"of {self.elapsed_s:.1f} s"
+        )
         if self.ok:
             lines.append("OK: all backends bit-identical, all properties hold")
         else:
@@ -179,6 +198,7 @@ def run_verification(
     for b in backends:
         report.backend_checks[b.name] = 0
         report.backend_declines[b.name] = 0
+        report.backend_seconds[b.name] = 0.0
     for p in PROPERTIES:
         report.property_checks[p] = 0
 
@@ -213,15 +233,19 @@ def run_verification(
         p for i, p in enumerate(enumerate_instances(bounds)) if i % stride == 0
     )
     for chunk_idx, chunk in enumerate(_chunks(instances, _CHUNK)):
+        t0 = time.monotonic()
         refs = [solve_dp_reference(p) for p in chunk]
+        report.oracle_s += time.monotonic() - t0
         for backend in backends:
             _check_backend(backend, chunk, refs, report, sampled_seen, bounds, emit)
+        t0 = time.monotonic()
         for problem, ref in zip(chunk, refs):
             for pname, prop in PROPERTIES.items():
                 detail = prop(problem, ref)
                 report.property_checks[pname] += 1
                 if detail is not None:
                     emit(f"property:{pname}", problem, detail)
+        report.oracle_s += time.monotonic() - t0
         report.checked_instances += len(chunk)
         if log and (chunk_idx + 1) % 20 == 0:
             done = report.checked_instances
@@ -256,7 +280,9 @@ def _check_backend(
         chunk, refs = picked, picked_refs
         if not chunk:
             return
+    t0 = time.monotonic()
     results = backend.tables_batch(chunk)
+    report.backend_seconds[backend.name] += time.monotonic() - t0
     for problem, ref, got in zip(chunk, refs, results):
         if got is None:
             report.backend_declines[backend.name] += 1

@@ -29,6 +29,17 @@ class TestRunVerification:
         assert report.property_checks["bellman"] == report.total_instances
         assert report.to_dict()["ok"] is True
 
+    def test_seconds_split_by_backend(self):
+        report = run_verification(TINY, backend_names=["numpy", "bvm-packed-batch"])
+        assert report.ok
+        assert set(report.backend_seconds) == set(report.backend_checks)
+        assert all(s >= 0 for s in report.backend_seconds.values())
+        assert report.oracle_s >= 0
+        assert sum(report.backend_seconds.values()) + report.oracle_s <= report.elapsed_s
+        data = report.to_dict()
+        assert set(data["backend_seconds"]) == {"numpy", "bvm-packed-batch"}
+        assert "reference oracle + properties" in report.summary()
+
     def test_budget_is_stride_not_prefix(self):
         report = run_verification(TINY, backend_names=["numpy"], budget=50)
         assert report.ok
