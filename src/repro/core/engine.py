@@ -23,10 +23,10 @@ stream of instances arriving faster than that start-up cost.
   releases the GIL).
 
 Small instances (below the warm crossover ``PARALLEL_MIN_K_WARM``, or a
-one-worker engine) skip the workers entirely and run the fused
-single-process path with the engine's persistent scratch arena — still
-allocation-free and still bit-for-bit identical to a cold
-:func:`repro.core.solve`.
+one-worker engine) skip the workers entirely and run
+:func:`~repro.core.sequential.solve_dp` — the same loop over unshared
+tables — with the engine's persistent scratch arena, still bit-for-bit
+identical to a cold :func:`repro.core.solve`.
 
 The engine is a context manager; use it as one (or call :meth:`close`)
 so the shared segments and the workers are released deterministically.
@@ -216,18 +216,10 @@ class SolverEngine:
         else:
             supervisor.rebind(task, log, tracer=tr, metrics=reg)
 
-        cost, best = run_layers(
+        return run_layers(
             problem, store, supervisor,
             workers=workers, min_shard=self.min_shard, log=log, tracer=tr,
             metrics=reg, arena=self._arena,
-        )
-        return DPResult(
-            problem=problem,
-            cost=cost,
-            best_action=best,
-            op_count=((1 << problem.k) - 1) * problem.n_actions,
-            recovery=log.as_dict(),
-            metrics=reg.as_dict(),
         )
 
     def solve_many(

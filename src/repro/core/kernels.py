@@ -49,16 +49,17 @@ gathered, the companion gather hits ``cost[S] == INF`` and the sum is
 per action.
 
 One caller holds the invariant: :func:`solve_slice`, which every host
-path runs — each layer of :func:`~repro.core.sequential.solve_dp`,
-every pool shard and every parent slice over a layer store.  It first
+path runs — every pool shard and every parent slice of the one layer
+loop, :func:`~repro.core.parallel.run_layers`, including each layer of
+the single-process :func:`~repro.core.sequential.solve_dp`.  It first
 sets its own masks to ``INF``.  A slice reads the layer being computed
 only at those masks (the self-reads above), and no other process
 writes them while it runs: the other slices of the layer write only
 their own masks, and the supervisor reaps a killed or timed-out
 attempt, or finds a raising one idle, before it retries the slice.  So
 that one scatter clears whatever an earlier attempt left there, NaNs
-included.  (On ``solve_dp``'s fresh table the reset is redundant, and
-costs one pass over the layer's masks.)
+included.  (On a freshly opened store the reset is redundant, and costs
+one pass over the layer's masks.)
 
 Bit-for-bit contract
 --------------------
@@ -195,9 +196,9 @@ class LayerPlan:
     ascending inside each layer — the same order the legacy boolean-mask
     selection produced), and ``starts[j] : starts[j+1]`` brackets layer
     ``j``.  Both arrays are frozen: they are shared by every solve of
-    the same ``k``, including the multiprocess engine (which copies
-    ``order`` into shared memory once) and the checkpoint journal
-    (whose slabs store each layer in this order).
+    the same ``k`` — a RAM store's ``order`` *is* this array, and each
+    pool worker takes it from its own plan — and the checkpoint journal
+    stores each layer's slab in this order.
     """
 
     __slots__ = ("k", "order", "starts")
@@ -476,9 +477,8 @@ def solve_layer_kernel_fused(
 
 
 # Masks per kernel call of solve_slice: bounds the arena's output
-# buffers on every slice — a solve_dp layer, a child's shard and the
-# parent's alike (each subset's argmin is independent, so chunking
-# cannot change a result).
+# buffers on every slice — a child's shard and the parent's alike (each
+# subset's argmin is independent, so chunking cannot change a result).
 PARENT_CHUNK = 1 << 18
 
 
@@ -487,8 +487,7 @@ def solve_slice(cost, best, p, order, lo, hi, subsets, costs, is_test, arena) ->
 
     ``cost``, ``best``, ``p`` and ``order`` are the four ``2^k`` tables
     of a :class:`~repro.store.LayerStore` (shared memory, plain RAM or
-    file-backed memmaps), as the parent or a pool child maps them, or
-    :func:`~repro.core.sequential.solve_dp`'s fresh arrays.  Each
+    file-backed memmaps), as the parent or a pool child maps them.  Each
     chunk of :data:`PARENT_CHUNK` masks sets its own ``cost`` entries to
     ``INF`` — the table-state invariant, whatever an earlier attempt left
     there (see the module docstring) — then runs the fused kernel and

@@ -9,11 +9,12 @@ the layers as ASCEND phases with one barrier between layers (§6); here
 the same dataflow is mapped onto a handful of OS processes by a single
 loop, :func:`run_layers`:
 
-* the tables (``C``, ``best_action``, the subset weights ``p`` and the
-  layer-sorted mask order) live in an opened
-  :class:`~repro.store.LayerStore` — shared memory
-  (:class:`~repro.store.RamStore`) or memory-mapped spill files
-  (:class:`~repro.store.MmapStore`);
+* the tables (``C``, ``best_action`` and the subset weights ``p``) live
+  in an opened :class:`~repro.store.LayerStore` — shared memory or plain
+  RAM (:class:`~repro.store.RamStore`), or memory-mapped spill files
+  (:class:`~repro.store.MmapStore`); the layer-sorted mask order is the
+  cached :func:`~repro.core.kernels.layer_plan`'s, which every solving
+  process holds (the spill store keeps a checksummed file copy);
 * each layer is sharded into contiguous runs of masks, at most one per
   worker; a layer too small to amortize IPC runs in the parent on the
   same tables (the same :func:`~repro.core.kernels.solve_slice`);
@@ -32,8 +33,12 @@ loop, :func:`run_layers`:
   past the retry budget the shard is finished in the parent instead of
   hanging or raising.
 
-Two callers drive that loop.  :func:`solve_dp_parallel` is the cold
-path: open a store, build a supervisor, run the layers, tear both down.
+Three callers drive that loop, and each returns the
+:class:`~repro.core.sequential.DPResult` it builds.
+:func:`~repro.core.sequential.solve_dp` runs it over unshared RAM
+tables with no supervisor, every layer in the parent.
+:func:`solve_dp_parallel` is the cold pool path: open a store, build a
+supervisor, run the layers, tear both down.
 :class:`~repro.core.engine.SolverEngine` keeps one opened RAM store and
 its supervisor per ``k`` and re-arms the store for every instance.
 Either way the per-problem statics (action subsets, costs, test mask)
@@ -94,7 +99,7 @@ from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from . import faults
 from .errors import InvalidProblem, SolverError
-from .kernels import LayerArena, solve_slice
+from .kernels import LayerArena, layer_plan, solve_slice
 from .problem import TTProblem
 from .sequential import DPResult
 from .supervisor import RecoveryLog, ResiliencePolicy, Supervisor
@@ -177,6 +182,11 @@ def _init_worker(access):
     per-problem statics are not here — they ride every task (see
     :func:`_solve_shard`), so one worker serves every problem of its
     ``k``.
+
+    A shared-memory worker takes the mask order from its own
+    :func:`~repro.core.kernels.layer_plan`: a forked child inherits the
+    plan the parent built in ``RamStore.open`` (children start lazily,
+    after it), and a spawned child builds it once.
     """
     global _WORKER
     n_sub = access["n_sub"]
@@ -187,7 +197,9 @@ def _init_worker(access):
             "cost": np.ndarray(n_sub, dtype=np.float64, buffer=blocks["cost"].buf),
             "best": np.ndarray(n_sub, dtype=np.int64, buffer=blocks["best"].buf),
             "p": np.ndarray(n_sub, dtype=np.float64, buffer=blocks["p"].buf),
-            "order": np.ndarray(n_sub, dtype=np.int64, buffer=blocks["order"].buf),
+            # Safe to call after a fork: no parent thread but the solve
+            # thread calls layer_plan, so its lock is free at every fork.
+            "order": layer_plan(n_sub.bit_length() - 1).order,
         }
     else:
         spill = access["dir"]
@@ -348,7 +360,7 @@ def run_layers(
     arena: LayerArena,
     valid=frozenset(),
     progress=None,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> DPResult:
     """Run every popcount layer of ``problem`` not in ``valid`` over ``store``.
 
     ``store`` is an opened :class:`~repro.store.LayerStore`.
@@ -363,9 +375,11 @@ def run_layers(
     the parent.  Skipped layers must already hold trusted values.
 
     Layer spans, ``log`` entries and ``metrics`` are recorded here, the
-    same for every caller.  Returns ``(cost, best)`` from
-    ``result_tables()`` after ``finish(True)``: arrays that stay valid
-    once the caller closes the store.
+    same for every caller, and this is where every host backend's
+    :class:`~repro.core.sequential.DPResult` is built: its tables come
+    from ``result_tables()`` after ``finish(True)`` — arrays that stay
+    valid once the caller closes the store — and its ``recovery`` and
+    ``metrics`` are snapshots of ``log`` and ``metrics``.
     """
     from .. import store as store_mod  # runtime import: store builds on core
 
@@ -394,7 +408,8 @@ def run_layers(
         dt = time.monotonic() - ts
         metrics.inc("time.kernel_s", dt)
         metrics.observe("shard.seconds", dt)
-        tracer.complete("parent-slice", "shard", ts, ts + dt, layer=layer, masks=n)
+        if tracer.collecting:
+            tracer.complete("parent-slice", "shard", ts, ts + dt, layer=layer, masks=n)
         return n
 
     def degrade_to_ram(exc) -> None:
@@ -413,9 +428,7 @@ def run_layers(
             supervisor.shutdown()
             supervisor = None
         try:
-            adopted = store_mod.RamStore.adopt(
-                problem, store.cost, store.best, store.p, store.order, store.starts,
-            )
+            adopted = store_mod.RamStore.adopt(problem, store.cost, store.best, store.p)
         except SolverError as budget_exc:
             raise SolverError(
                 f"{store.kind} store failed ({exc}) and falling back to "
@@ -472,8 +485,9 @@ def run_layers(
                 log.layer(layer, dt, len(shards), mode)
                 metrics.inc("layers.computed")
                 metrics.observe("layer.seconds", dt)
-                tracer.complete("layer", "layer", t0, t0 + dt,
-                                layer=layer, masks=hi - lo, shards=len(shards), mode=mode)
+                if tracer.collecting:
+                    tracer.complete("layer", "layer", t0, t0 + dt, layer=layer,
+                                    masks=hi - lo, shards=len(shards), mode=mode)
                 if committer is not None:
                     try:
                         committer.submit(layer)
@@ -503,7 +517,14 @@ def run_layers(
                 progress.finish()
     metrics.set_gauge("time.solve_s", round(time.monotonic() - t_start, 6))
     metrics.inc("arena.grows", arena.grows - grows0)
-    return cost, best
+    return DPResult(
+        problem=problem,
+        cost=cost,
+        best_action=best,
+        op_count=((1 << k) - 1) * problem.n_actions,
+        recovery=log.as_dict(),
+        metrics=metrics.as_dict(),
+    )
 
 
 def solve_dp_parallel(
@@ -549,8 +570,6 @@ def solve_dp_parallel(
     """
     from .. import store as store_mod  # runtime import: store builds on core
 
-    k, n_act = problem.k, problem.n_actions
-    n_sub = 1 << k
     if workers is None:
         workers = default_workers()
     if workers < 1:
@@ -569,12 +588,6 @@ def solve_dp_parallel(
     log = RecoveryLog()
     log.tracer = tr  # recovery events double as trace instants
     log.checkpoint = os.fspath(policy.checkpoint) if policy.checkpoint else None
-
-    if k == 0:  # degenerate empty universe: nothing to diagnose
-        cost = np.array([0.0])
-        return DPResult(problem=problem, cost=cost,
-                        best_action=np.array([-1], dtype=np.int64), op_count=0,
-                        recovery=log.as_dict())
 
     if store is None:
         store = store_mod.StoreSpec()
@@ -621,7 +634,7 @@ def solve_dp_parallel(
     )
     supervisor = _pool_supervisor(store, workers, policy, task, log, tracer=tr, metrics=reg)
     try:
-        out_cost, out_best = run_layers(
+        return run_layers(
             problem, store, supervisor,
             workers=workers, min_shard=min_shard, log=log, tracer=tr,
             metrics=reg, arena=LayerArena(), valid=report.valid_layers,
@@ -633,12 +646,3 @@ def solve_dp_parallel(
         if supervisor is not None:
             supervisor.shutdown()
         store.close()
-
-    return DPResult(
-        problem=problem,
-        cost=out_cost,
-        best_action=out_best,
-        op_count=(n_sub - 1) * n_act,
-        recovery=log.as_dict(),
-        metrics=reg.as_dict(),
-    )

@@ -11,11 +11,12 @@ each subset ``S`` and action ``i``, evaluate
 taking ``C(S) = min_i M[S,i]``.  Non-splitting tests and non-progressing
 treatments are excluded via ``INF`` sentinels exactly as in the paper.
 
-Two implementations are provided:
+Two entry points are provided:
 
-* :func:`solve_dp` — the production solver, vectorized with NumPy over whole
-  popcount layers (gathers into the ``C`` table); this is the throughput
-  baseline used by the speedup benchmarks.
+* :func:`solve_dp` — the single-process production solver: the one layer
+  loop, :func:`repro.core.parallel.run_layers`, over unshared in-RAM
+  tables with no worker pool; this is the throughput baseline used by the
+  speedup benchmarks.
 * :func:`solve_dp_reference` — a deliberately plain, loop-based rendition of
   the same recurrence used as an internal cross-check in the test suite.
 
@@ -40,16 +41,16 @@ multiprocess engine in :mod:`repro.core.parallel`):
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..obs import trace as _trace
-from ..obs.metrics import zeroed_metrics, zeroed_recovery
+from ..obs.metrics import MetricsRegistry, zeroed_metrics, zeroed_recovery
 from ..util.bitops import subsets_of_size
-from .kernels import LayerArena, layer_plan, solve_slice
+from .kernels import LayerArena
 from .problem import TTProblem
+from .supervisor import RecoveryLog
 from .tree import TTNode, TTTree
 
 __all__ = [
@@ -65,7 +66,7 @@ __all__ = [
 INF = np.inf
 
 
-def subset_weights(problem: TTProblem) -> np.ndarray:
+def subset_weights(problem: TTProblem, out: np.ndarray | None = None) -> np.ndarray:
     """Vector ``p`` with ``p[S]`` = total weight of subset ``S`` (all ``2^k``).
 
     Uses the in-place butterfly accumulation: viewing ``p`` as blocks of
@@ -74,13 +75,22 @@ def subset_weights(problem: TTProblem) -> np.ndarray:
     temporaries.  Per entry the additions happen in ascending object order
     over the *set* bits only, which is bit-for-bit the order of
     :meth:`TTProblem.weight_of` (skipped zero-additions are exact no-ops).
+
+    ``out`` — a float64 array of ``2^k`` entries, e.g. a store's shared
+    or file-backed ``p`` — is zeroed and filled in place (and returned)
+    instead of allocating a new vector.
     """
-    k = problem.k
-    p = np.zeros(1 << k, dtype=np.float64)
+    n_sub = 1 << problem.k
+    if out is None:
+        out = np.zeros(n_sub, dtype=np.float64)
+    elif out.shape != (n_sub,):
+        raise ValueError(f"out must hold {n_sub} weights, got shape {out.shape}")
+    else:
+        out[:] = 0.0
     for j, w in enumerate(problem.weights):
         half = 1 << j
-        p.reshape(-1, 2 * half)[:, half:] += w
-    return p
+        out.reshape(-1, 2 * half)[:, half:] += w
+    return out
 
 
 @dataclass
@@ -101,16 +111,17 @@ class DPResult:
         Number of ``M[S,i]`` evaluations performed — the sequential work
         measure ``(2^k - 1) * N`` used by the speedup analysis.
     recovery:
-        Machine-readable recovery log from the supervised parallel engine
-        (retries, respawns, fallbacks, per-layer wall clock; see
-        :class:`repro.core.supervisor.RecoveryLog`).  Single-process
-        backends report the same keys with everything zeroed — consumers
-        never have to guard against absent fields.
+        Machine-readable recovery log of the layer loop (retries,
+        respawns, fallbacks, per-layer wall clock; see
+        :class:`repro.core.supervisor.RecoveryLog`).  The reference
+        oracle, which runs no layer loop, reports the same keys with
+        everything zeroed — consumers never have to guard against absent
+        fields.
     metrics:
         Flat metrics snapshot from the solve's
         :class:`repro.obs.metrics.MetricsRegistry` (shard/layer timings,
         store commit latency, cache hit rates).  Same uniformity rule:
-        single-process backends carry the full key set, zeroed.
+        the reference oracle carries the full key set, zeroed.
     """
 
     problem: TTProblem
@@ -214,49 +225,29 @@ def solve_dp(
 ) -> DPResult:
     """Vectorized backward-induction solve of the TT recurrence.
 
-    Processes subsets one popcount layer at a time: each layer is one
-    :func:`~repro.core.kernels.solve_slice` call over the fresh tables,
-    the same chunked reset–kernel–scatter body every pool shard and
-    parent slice runs.  The popcount partition comes from the per-``k``
-    :func:`~repro.core.kernels.layer_plan` cache, and the only per-call
-    allocations are the output tables.  Pass a precomputed ``p`` (from
-    :func:`subset_weights`) to skip recomputing it, and/or a warm
-    :class:`~repro.core.kernels.LayerArena` (e.g. from a
-    :class:`~repro.core.engine.SolverEngine`) to reuse kernel scratch
+    The single-process backend: :func:`~repro.core.parallel.run_layers`
+    over an unshared :class:`~repro.store.RamStore` with no supervisor,
+    so every popcount layer is one parent slice — the same loop, layer
+    spans, recovery log and metrics as the pool and store paths, with a
+    measured ``recovery``/``metrics`` block.  The store borrows a
+    precomputed ``p`` (from :func:`subset_weights`) instead of copying
+    it, and the ``REPRO_RAM_BUDGET_BYTES`` budget applies as for any RAM
+    store.  Pass a warm :class:`~repro.core.kernels.LayerArena` (e.g. from
+    a :class:`~repro.core.engine.SolverEngine`) to reuse kernel scratch
     across solves.
     """
-    k, n_act = problem.k, problem.n_actions
-    n_sub = 1 << k
-    if p is None:
-        p = subset_weights(problem)
-    subsets = problem.subset_array
-    costs = problem.cost_array
-    is_test = problem.test_mask_array
+    # Runtime imports: the loop and the store build on this module.
+    from ..store import RamStore
+    from .parallel import MIN_SHARD, run_layers
 
-    cost = np.full(n_sub, INF, dtype=np.float64)
-    cost[0] = 0.0
-    best = np.full(n_sub, -1, dtype=np.int64)
-
-    if k == 0:  # degenerate empty universe: nothing to diagnose
-        return DPResult(problem=problem, cost=cost, best_action=best, op_count=0)
-
-    plan = layer_plan(k)
-    if arena is None:
-        arena = LayerArena()
-
-    tr = _trace.current()
-    for j in range(1, k + 1):
-        lo, hi = plan.bounds(j)
-        t0 = time.monotonic() if tr.collecting else 0.0
-        solve_slice(cost, best, p, plan.order, lo, hi, subsets, costs, is_test, arena)
-        if tr.collecting:
-            tr.complete(
-                "layer", "layer", t0, time.monotonic(),
-                layer=j, masks=hi - lo, shards=1, mode="numpy",
-            )
-
-    op_count = (n_sub - 1) * n_act
-    return DPResult(problem=problem, cost=cost, best_action=best, op_count=op_count)
+    store = RamStore(problem, p=p, use_shm=False)
+    store.open()
+    return run_layers(
+        problem, store, None,
+        workers=1, min_shard=MIN_SHARD, log=RecoveryLog(),
+        tracer=_trace.current(), metrics=MetricsRegistry(),
+        arena=arena if arena is not None else LayerArena(),
+    )
 
 
 def solve_dp_reference(problem: TTProblem) -> DPResult:

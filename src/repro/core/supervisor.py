@@ -222,8 +222,9 @@ def _install_guard() -> None:
 class SharedTables:
     """Owner of the shared-memory blocks backing one parallel solve.
 
-    Creates the ``cost`` / ``best`` / ``p`` / ``order`` segments, exposes
-    them as numpy views, and guarantees they are closed **and unlinked**
+    Creates the ``cost`` / ``best`` / ``p`` segments (the mask order is
+    the layer plan's, which every solving process holds), exposes them
+    as numpy views, and guarantees they are closed **and unlinked**
     exactly once — on normal exit, on any raised exception (context
     manager), at interpreter shutdown (``atexit``), and on SIGTERM/SIGINT
     (signal guard) — so no failure mode strands ``/dev/shm`` segments.
@@ -240,13 +241,11 @@ class SharedTables:
             ("cost", n_sub * 8),
             ("best", n_sub * 8),
             ("p", n_sub * 8),
-            ("order", n_sub * 8),
         ):
             self._blocks[key] = shared_memory.SharedMemory(create=True, size=nbytes)
         self.cost = np.ndarray(n_sub, dtype=np.float64, buffer=self._blocks["cost"].buf)
         self.best = np.ndarray(n_sub, dtype=np.int64, buffer=self._blocks["best"].buf)
         self.p = np.ndarray(n_sub, dtype=np.float64, buffer=self._blocks["p"].buf)
-        self.order = np.ndarray(n_sub, dtype=np.int64, buffer=self._blocks["order"].buf)
         self.names = {key: blk.name for key, blk in self._blocks.items()}
         _install_guard()
         _LIVE_TABLES.add(self)
@@ -272,7 +271,7 @@ class SharedTables:
         self._closed = True
         _LIVE_TABLES.discard(self)
         # Views must be released before close(), else BufferError.
-        self.cost = self.best = self.p = self.order = None
+        self.cost = self.best = self.p = None
         for blk in self._blocks.values():
             try:
                 blk.close()

@@ -4,24 +4,18 @@ One :class:`MetricsRegistry` per solve.  The registry is flat-keyed
 (``"store.commit_s"``, ``"shard.retries"``) and serializes with
 :meth:`MetricsRegistry.as_dict` into the ``DPResult.metrics`` block the
 CLI exposes under ``--json``.  :func:`zeroed_metrics` defines the
-*standard key set*: every backend — including the single-process numpy
-and reference paths — returns a metrics dict with at least these keys,
-zero-valued when the backend cannot measure them, so downstream
-consumers never branch on key presence.
+*standard key set*: every backend returns a metrics dict with at least
+these keys, zero-valued when the backend cannot measure them (the
+reference oracle measures none), so downstream consumers never branch
+on key presence.
 
-Instruments are deliberately minimal: the solve loop is single-threaded
-on the parent side, so counter increments are plain ``+=`` (GIL-atomic)
-and only registry-level get-or-create takes a lock.
+The registry is three plain dicts, one per kind, so each recording call
+is one dict update on the solve's hot path.
 """
 
 from __future__ import annotations
 
-import threading
-
 __all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "NullMetrics",
     "NULL_METRICS",
@@ -33,127 +27,83 @@ __all__ = [
 ]
 
 
-class Counter:
-    """Monotonically increasing count (or accumulated seconds/bytes)."""
+class MetricsRegistry:
+    """Named counters, gauges and histograms, created on first use.
 
-    __slots__ = ("value",)
+    A name keeps the kind of its first use; using it as another kind
+    raises ``TypeError``.  Histograms are streaming five-number summaries
+    (count / total / min / max / mean): per-layer latencies are tens of
+    observations per solve, and the summary round-trips through JSON.
 
-    def __init__(self):
-        self.value = 0
-
-    def inc(self, n=1):
-        self.value += n
-
-    def snapshot(self):
-        return self.value
-
-
-class Gauge:
-    """Last-write-wins scalar."""
-
-    __slots__ = ("value",)
-
-    def __init__(self):
-        self.value = 0
-
-    def set(self, v):
-        self.value = v
-
-    def snapshot(self):
-        return self.value
-
-
-class Histogram:
-    """Streaming summary: count / total / min / max / mean.
-
-    Full quantile sketches are overkill for per-layer latencies (tens of
-    observations per solve); the five-number summary round-trips through
-    JSON and is enough for the trace-report tables.
+    No lock: the async layer committer records only ``commit.async``,
+    ``commit.async_s``, ``store.commits``, ``store.bytes_written``,
+    ``store.commit_s`` and ``store.fsync_s``, and no other thread writes
+    those names, so each name has one writer and every dict update is
+    atomic under the GIL.
     """
 
-    __slots__ = ("count", "total", "min", "max")
-
     def __init__(self):
-        self.count = 0
-        self.total = 0.0
-        self.min = None
-        self.max = None
+        self._counters: dict = {}
+        self._gauges: dict = {}
+        self._histograms: dict = {}  # name -> [count, total, min, max]
 
-    def observe(self, v):
-        v = float(v)
-        self.count += 1
-        self.total += v
-        if self.min is None or v < self.min:
-            self.min = v
-        if self.max is None or v > self.max:
-            self.max = v
+    def _claim(self, name, table: dict) -> None:
+        """A name's first use in ``table``: refuse it if another kind holds it."""
+        for kind, other in (
+            ("counter", self._counters),
+            ("gauge", self._gauges),
+            ("histogram", self._histograms),
+        ):
+            if other is not table and name in other:
+                raise TypeError(f"metric {name!r} already registered as a {kind}")
 
-    def snapshot(self):
-        return {
-            "count": self.count,
-            "total": round(self.total, 6),
-            "min": round(self.min, 6) if self.min is not None else 0.0,
-            "max": round(self.max, 6) if self.max is not None else 0.0,
-            "mean": round(self.total / self.count, 6) if self.count else 0.0,
-        }
-
-
-class MetricsRegistry:
-    """Thread-safe get-or-create registry of named instruments."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._instruments: dict[str, Counter | Gauge | Histogram] = {}
-
-    def _get(self, name, cls):
-        inst = self._instruments.get(name)
-        if inst is None:
-            with self._lock:
-                inst = self._instruments.setdefault(name, cls())
-        if not isinstance(inst, cls):
-            raise TypeError(
-                f"metric {name!r} already registered as {type(inst).__name__}"
-            )
-        return inst
-
-    def counter(self, name) -> Counter:
-        return self._get(name, Counter)
-
-    def gauge(self, name) -> Gauge:
-        return self._get(name, Gauge)
-
-    def histogram(self, name) -> Histogram:
-        return self._get(name, Histogram)
-
-    # Conveniences used at instrumentation sites.
     def inc(self, name, n=1):
-        self.counter(name).inc(n)
+        try:
+            self._counters[name] += n
+        except KeyError:
+            self._claim(name, self._counters)
+            self._counters[name] = n
 
     def set_gauge(self, name, v):
-        self.gauge(name).set(v)
+        if name not in self._gauges:
+            self._claim(name, self._gauges)
+        self._gauges[name] = v
 
     def observe(self, name, v):
-        self.histogram(name).observe(v)
+        v = float(v)
+        try:
+            h = self._histograms[name]
+        except KeyError:
+            self._claim(name, self._histograms)
+            # A total starts at +0.0, so a first -0.0 sums to +0.0.
+            self._histograms[name] = [1, 0.0 + v, v, v]
+            return
+        h[0] += 1
+        h[1] += v
+        if v < h[2]:
+            h[2] = v
+        if v > h[3]:
+            h[3] = v
 
     def as_dict(self) -> dict:
         """Flat JSON-safe snapshot over the standard (zeroed) key set."""
+        recorded = {**self._counters, **self._gauges}
+        for name, (count, total, lo, hi) in self._histograms.items():
+            recorded[name] = {
+                "count": count,
+                "total": round(total, 6),
+                "min": round(lo, 6),
+                "max": round(hi, 6),
+                "mean": round(total / count, 6),
+            }
         out = zeroed_metrics()
-        for name, inst in sorted(self._instruments.items()):
-            out[name] = inst.snapshot()
+        for name in sorted(recorded):
+            out[name] = recorded[name]
         return out
 
 
 class NullMetrics:
     """Disabled registry: accepts every call, records nothing."""
-
-    def counter(self, name):
-        return _NULL_COUNTER
-
-    def gauge(self, name):
-        return _NULL_GAUGE
-
-    def histogram(self, name):
-        return _NULL_HISTOGRAM
 
     def inc(self, name, n=1):
         return None
@@ -167,26 +117,6 @@ class NullMetrics:
     def as_dict(self):
         return zeroed_metrics()
 
-
-class _NullInstrument:
-    __slots__ = ()
-
-    def inc(self, n=1):
-        return None
-
-    def set(self, v):
-        return None
-
-    def observe(self, v):
-        return None
-
-    def snapshot(self):
-        return 0
-
-
-_NULL_COUNTER = _NullInstrument()
-_NULL_GAUGE = _NullInstrument()
-_NULL_HISTOGRAM = _NullInstrument()
 
 NULL_METRICS = NullMetrics()
 

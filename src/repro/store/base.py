@@ -1,6 +1,6 @@
 """The :class:`LayerStore` contract shared by the RAM and spill backends.
 
-A *layer store* owns the four DP tables of one solve — ``cost``,
+A *layer store* holds the four DP tables of one solve — ``cost``,
 ``best``, the subset weights ``p`` and the popcount-sorted mask
 ``order`` — plus whatever persistence those tables have.  The solve loop
 in :mod:`repro.core.parallel` is written against this contract only:
@@ -155,7 +155,8 @@ class LayerStore:
 
     After ``open()`` a store exposes ``cost``, ``best``, ``p``,
     ``order`` (each a length-``2^k`` array — shared memory, plain RAM,
-    or a file-backed memmap) and ``starts`` (the ``k + 2`` layer
+    a file-backed memmap, or for ``order`` in RAM the cached layer
+    plan's own read-only array) and ``starts`` (the ``k + 2`` layer
     offsets).  ``worker_spec()`` returns a picklable description pool
     workers use to attach to the same tables, or ``None`` when this
     store cannot be shared with workers (the solve then runs
@@ -202,6 +203,13 @@ class LayerStore:
 
     def open(self) -> OpenReport:
         raise NotImplementedError
+
+    def _reset(self) -> None:
+        """Set ``cost`` and ``best`` to a fresh solve's: nothing solved
+        but the empty set (``C(∅) = 0``)."""
+        self.cost[:] = np.inf
+        self.cost[0] = 0.0
+        self.best[:] = -1
 
     def bounds(self, j: int) -> tuple[int, int]:
         """``(lo, hi)`` such that ``order[lo:hi]`` is popcount layer ``j``."""

@@ -1,9 +1,11 @@
 """In-RAM layer store: shared-memory tables, optionally journaled.
 
-This wraps what the parallel engine always did — tables in
-``multiprocessing.shared_memory`` owned by a leak-proof
+This wraps what the parallel engine always did — ``cost``, ``best`` and
+``p`` in ``multiprocessing.shared_memory`` owned by a leak-proof
 :class:`~repro.core.supervisor.SharedTables` — behind the
-:class:`LayerStore` contract, and adds:
+:class:`LayerStore` contract.  The mask ``order`` is never copied: it is
+the cached :func:`~repro.core.kernels.layer_plan`'s, which pool workers
+take from their own plan.  The store adds:
 
 * ``checkpoint=DIR`` persistence: the tables stay in shared memory, but
   every computed layer is committed to ``DIR`` through the
@@ -15,14 +17,19 @@ This wraps what the parallel engine always did — tables in
   accumulate;
 * the RAM budget (``REPRO_RAM_BUDGET_BYTES``) is enforced up front: when
   the four ``2^k`` tables exceed it, opening fails loudly and points at
-  the spill store;
+  the spill store — for every RAM solve, the single-process backend's
+  included;
 * :meth:`RamStore.rearm` resets open tables for another instance of the
   same ``k``, which is how the warm
   :class:`~repro.core.engine.SolverEngine` keeps one store open across a
   stream of solves.
 
-A second, shared-memory-free mode backs the ``ENOSPC`` degradation path:
-:meth:`RamStore.adopt` builds a store around plain-RAM copies of another
+A second, unshared mode (``use_shm=False``) keeps ``cost`` and ``best``
+in plain RAM and borrows ``p`` as given — every slice only reads it, and
+the weights cache hands out read-only vectors.  It backs
+:func:`~repro.core.sequential.solve_dp`, which runs the layer loop over
+it with no workers, and the ``ENOSPC`` degradation path:
+:meth:`RamStore.adopt` builds one around plain-RAM copies of another
 store's tables so a solve whose journal could not be written mid-run can
 finish single-process (when the budget allows).
 """
@@ -32,7 +39,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.kernels import layer_plan
-from ..core.sequential import INF, subset_weights
+from ..core.sequential import subset_weights
 from ..core.supervisor import SharedTables
 from .base import LayerStore, OpenReport, tables_nbytes
 from .journal import SlabJournal, order_digest
@@ -60,7 +67,7 @@ class RamStore(LayerStore):
             f"the in-RAM DP tables for k={self.k}",
         )
         plan = layer_plan(self.k)
-        self.starts = plan.starts
+        self.order, self.starts = plan.order, plan.starts
         # Loud journal failures (a foreign manifest, a legacy file at the
         # path) surface before any shared memory exists.
         events = [] if self._journal is None else self._journal.load()
@@ -70,15 +77,15 @@ class RamStore(LayerStore):
             self.cost = self._tables.cost
             self.best = self._tables.best
             self.p = self._tables.p
-            self.order = self._tables.order
-        else:
+            if self._p_in is None:
+                subset_weights(self._problem, out=self.p)
+            else:
+                self.p[:] = self._p_in
+        else:  # borrow p: every slice only reads it
             self.cost = np.empty(self.n_sub, dtype=np.float64)
             self.best = np.empty(self.n_sub, dtype=np.int64)
-            self.p = np.empty(self.n_sub, dtype=np.float64)
-            self.order = np.empty(self.n_sub, dtype=np.int64)
-
-        self.order[:] = plan.order
-        self.rearm(subset_weights(self._problem) if self._p_in is None else self._p_in)
+            self.p = subset_weights(self._problem) if self._p_in is None else self._p_in
+        self._reset()
         if self._journal is None:
             return OpenReport()
         try:
@@ -89,19 +96,16 @@ class RamStore(LayerStore):
             raise
 
     def rearm(self, p) -> None:
-        """Reset the open tables to a fresh solve with subset weights ``p``.
+        """Reset the open shared tables to a fresh solve with weights ``p``.
 
-        ``open()`` starts every solve here; the warm
-        :class:`~repro.core.engine.SolverEngine` calls it again for each
-        further instance of the same ``k`` over the same shared tables.
+        The warm :class:`~repro.core.engine.SolverEngine` calls it for
+        each further instance of the same ``k`` over the same tables.
         """
         self.p[:] = p
-        self.cost[:] = INF
-        self.cost[0] = 0.0
-        self.best[:] = -1
+        self._reset()
 
     @classmethod
-    def adopt(cls, problem, cost, best, p, order, starts) -> "RamStore":
+    def adopt(cls, problem, cost, best, p) -> "RamStore":
         """A ready (already-open) store around RAM copies of live tables.
 
         Used when a journaled store's commit fails mid-solve
@@ -115,11 +119,11 @@ class RamStore(LayerStore):
             tables_nbytes(problem.k),
             "falling back from a failed durable store to in-RAM tables",
         )
+        plan = layer_plan(problem.k)
+        self.order, self.starts = plan.order, plan.starts
         self.cost = np.array(cost, dtype=np.float64)
         self.best = np.array(best, dtype=np.int64)
         self.p = np.array(p, dtype=np.float64)
-        self.order = np.array(order, dtype=np.int64)
-        self.starts = np.asarray(starts)
         return self
 
     def worker_spec(self) -> dict | None:
@@ -142,7 +146,7 @@ class RamStore(LayerStore):
 
     def close(self) -> None:
         if self._tables is not None:
-            self.cost = self.best = self.p = self.order = None
+            self.cost = self.best = self.p = None
             self._tables.close()
             self._tables = None
 

@@ -38,7 +38,7 @@ import numpy as np
 
 from ..core.errors import StoreWriteError
 from ..core.kernels import layer_starts, popcount_order_into
-from ..core.sequential import INF
+from ..core.sequential import subset_weights
 from .base import LayerStore, OpenReport
 from .journal import CHUNK, SlabJournal
 
@@ -92,10 +92,8 @@ class MmapStore(LayerStore):
 
         # The mapped tables are scratch: wipe and re-scatter only what
         # the manifest can vouch for.
-        self.cost[:] = INF
-        self.cost[0] = 0.0
-        self.best[:] = -1
-        self._fill_p()
+        self._reset()
+        subset_weights(self._problem, out=self.p)
         return self._journal.replay(events)
 
     def _allocate_data_files(self) -> None:
@@ -143,14 +141,6 @@ class MmapStore(LayerStore):
         for lo in range(0, self.n_sub, CHUNK):
             h.update(np.ascontiguousarray(self.order[lo:lo + CHUNK]).tobytes())
         return h.hexdigest()
-
-    def _fill_p(self) -> None:
-        """Subset weights via the in-place butterfly, directly on p.dat."""
-        p = self.p
-        p[:] = 0.0
-        for j, w in enumerate(self._problem.weights):
-            half = 1 << j
-            p.reshape(-1, 2 * half)[:, half:] += w
 
     # -- solve-loop hooks -----------------------------------------------
 

@@ -165,12 +165,25 @@ class _LoopRegs(NamedTuple):
     SBITS: Sequence[Reg]     # subset-membership bits of the PE address
 
 
-def _emit_tt_loop(prog: ProgramBuilder, layout: TTLayout, regs: _LoopRegs) -> None:
-    """Emit the §6 TT() loop: k layers of e-loop, finalize and min-ASCEND.
+@lru_cache(maxsize=16)
+def _tt_loop(
+    r: int, k: int, p: int, width: int, L: int, regs: _LoopRegs, pool_state
+) -> ProgramBuilder:
+    """The §6 TT() loop — k layers of e-loop, finalize and min-ASCEND —
+    emitted, interned and (on first packed use) compiled once per key.
 
-    Every immediate is a shape fact (layer indices, subset dimensions);
-    instance data reaches the loop only through the registers.
+    The key is everything the loop reads: the machine shape ``(r, k, p,
+    width, L)``, the register map, and the allocator's free list and
+    high-water mark on entry (the loop's scratch allocations depend on
+    them).  Every immediate is a shape fact (layer indices, subset
+    dimensions) and instance data reaches the loop only through the
+    registers, so every instance of a shape — alone or in a batch —
+    splices the same program.  Interning makes a cached loop *smaller*
+    than one emitted per instance: at k=4, N=16 its 14,316 instructions
+    are 542 objects and its compiled steps 541 tuples.
     """
+    prog = ProgramBuilder(r, L=L, pool_state=pool_state)
+    layout = TTLayout(k=k, p=p)
     M, Rw, Qw, TP, PB, ARG, ARG0, PARG, LAYER, TB, IS_TEST, GATE, GATE2, SBITS = regs
     for j in range(1, layout.k + 1):
         prog.mark("copy-buffers")
@@ -210,27 +223,8 @@ def _emit_tt_loop(prog: ProgramBuilder, layout: TTLayout, regs: _LoopRegs) -> No
             route_dim(prog, M, PB, t)
             route_dim(prog, ARG, PARG, t)
             bs.min_tagged_into(prog, M, ARG, PB, PARG, gate=GATE)
-
-
-@lru_cache(maxsize=16)
-def _tt_loop(
-    r: int, k: int, p: int, width: int, L: int, regs: _LoopRegs, pool_state
-) -> ProgramBuilder:
-    """The §6 loop for one key, emitted, interned and (on first packed
-    use) compiled once per process.
-
-    The key is everything the loop reads: the machine shape ``(r, k, p,
-    width, L)``, the register map, and the allocator's free list and
-    high-water mark on entry (the loop's scratch allocations depend on
-    them).  Instance data never enters, so every instance of a shape
-    splices the same program.  Interning makes a cached loop *smaller*
-    than one emitted per instance: at k=4, N=16 its 14,316 instructions
-    are 542 objects and its compiled steps 541 tuples.
-    """
-    loop = ProgramBuilder(r, L=L, pool_state=pool_state)
-    _emit_tt_loop(loop, TTLayout(k=k, p=p), regs)
-    loop.intern()
-    return loop
+    prog.intern()
+    return prog
 
 
 def build_bvm_tt(problem: TTProblem, width: int = 16, r: int | None = None) -> _Plan:
@@ -519,10 +513,14 @@ def _batch_plan(r: int, k: int, p: int, width: int) -> _BatchPlan:
     bs.copy_word(prog, ARG0, IWORD)
     bs.copy_word(prog, ARG, ARG0)
 
-    # The §6 TT() loop — the single-instance phase 3's emitter.
-    _emit_tt_loop(prog, layout, _LoopRegs(
-        M, Rw, Qw, TP, PB, ARG, ARG0, PARG, LAYER, TB, IS_TEST, GATE, GATE2, SBITS,
-    ))
+    # The §6 TT() loop — the cached program phase 3 of a single
+    # instance splices too.
+    regs = _LoopRegs(
+        tuple(M), tuple(Rw), tuple(Qw), tuple(TP), tuple(PB), tuple(ARG),
+        tuple(ARG0), tuple(PARG), tuple(LAYER), tuple(TB), IS_TEST, GATE,
+        GATE2, tuple(SBITS),
+    )
+    prog.splice(_tt_loop(r, k, p, width, prog.L, regs, pool.state()))
 
     n = (1 << r) * (1 << (1 << r))
     q = np.arange(n, dtype=np.int64)

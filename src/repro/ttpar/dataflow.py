@@ -21,8 +21,9 @@ Program structure, per layer ``j = 1..k`` (exactly the TT() loop of §6):
    after which ``R[S,i] = M[S-T_i, i]`` and ``Q[S,i] = M[S∩T_i, i]``
    (the broadcast of Figs. 8–9);
 3. finalize (local, layer ``j`` only):
-   ``M = R + TP (+ Q if i is a test)`` — ``INF`` charges automatically
-   exclude non-splitting tests and non-progressing treatments;
+   ``M = TP (+ Q if i is a test) + R``, in the DP's float association
+   — ``INF`` charges automatically exclude non-splitting tests and
+   non-progressing treatments;
 4. the §6 ASCEND minimization over the ``i`` dimensions ``0..p-1``,
    flooding ``C(S)`` (and the argmin index) into every ``(S, ·)`` PE.
 
@@ -149,11 +150,14 @@ def _copy_buffers_op() -> LocalOp:
 
 
 def _finalize_op(j: int) -> LocalOp:
-    """Layer-``j`` combine: ``M = R + TP (+ Q if test)``; reset ``ARG``."""
+    """Layer-``j`` combine: ``M = TP (+ Q if test) + R``; reset ``ARG``."""
 
     def fn(own, addr):
         gate = own["LAYER"] == j
-        m = own["R"] + own["TP"] + np.where(own["IS_TEST"], own["Q"], 0.0)
+        # The DP's association, ((c_i * p) + C(S ∩ T_i)) + C(S - T_i):
+        # another order rounds differently, and a near-tie then flips
+        # the argmin.
+        m = (own["TP"] + np.where(own["IS_TEST"], own["Q"], 0.0)) + own["R"]
         return {
             "M": np.where(gate, m, own["M"]),
             # ARG restarts from this PE's own action index each layer

@@ -2,8 +2,6 @@
 
 import json
 import pathlib
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -85,26 +83,6 @@ class TestResolveBackend:
 
     def test_backend_names_exported(self):
         assert set(BACKENDS) == {"auto", "numpy", "parallel", "reference"}
-
-
-class TestCommitValidation:
-    """Persistence is the store's business: a solve that asks for no
-    store never loads it."""
-
-    def test_default_solve_does_not_load_the_store(self):
-        # repro.store is imported only on request (store=, spill_dir=,
-        # checkpoint= or the parallel backend); a numpy solve needs none.
-        code = (
-            "import sys\n"
-            "from repro.core import solve\n"
-            "from repro.core.generators import random_instance\n"
-            "solve(random_instance(4, 3, 2, seed=7), backend='numpy')\n"
-            "assert 'repro.store' not in sys.modules\n"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True
-        )
-        assert proc.returncode == 0, proc.stderr[-2000:]
 
 
 class TestLadderCrossovers:

@@ -328,15 +328,21 @@ class TestSolveDpSlices:
         assert got.best_action.tobytes() == ref.best_action.tobytes()
         assert arena.best.size <= 3 and arena.arg.size <= 3
 
-    def test_layer_spans_report_numpy_mode_by_default(self):
+    def test_layer_spans_report_parent_mode(self):
+        # solve_dp runs the one layer loop with no workers: every layer
+        # is one parent slice, traced like any other backend's.
         problem = random_instance(4, 2, 2, seed=0)
         tracer = obs_trace.Tracer()
         with obs_trace.tracing(tracer):
             solve_dp(problem)
-        layers = [e for e in tracer.raw_events() if e["name"] == "layer"]
+        events = tracer.raw_events()
+        layers = [e for e in events if e["name"] == "layer"]
         assert [e["args"]["layer"] for e in layers] == [1, 2, 3, 4]
-        assert all(e["args"]["mode"] == "numpy" for e in layers)
+        assert all(e["args"]["mode"] == "parent" for e in layers)
         assert [e["args"]["masks"] for e in layers] == [4, 6, 4, 1]
+        slices = [e for e in events if e["name"] == "parent-slice"]
+        assert [e["args"]["layer"] for e in slices] == [1, 2, 3, 4]
+        assert not [e for e in events if "numpy" in (e["args"] or {}).values()]
 
 
 class TestTileEnv:

@@ -200,8 +200,8 @@ class TestDegenerate:
         assert not par.feasible
 
     def test_k_zero_guard(self):
-        """`TTProblem` refuses k=0, but the engines guard it anyway (the
-        layer loop would otherwise silently fall through untested)."""
+        """`TTProblem` refuses k=0, but a k=0 stub still solves: the one
+        layer loop runs zero layers over the store's one-mask tables."""
         stub = types.SimpleNamespace(
             k=0,
             n_actions=1,

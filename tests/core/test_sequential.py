@@ -49,6 +49,22 @@ class TestSubsetWeights:
         problem = TTProblem.build([2.5], [Action.treatment({0}, 1.0)])
         assert subset_weights(problem).tolist() == [0.0, 2.5]
 
+    @pytest.mark.parametrize("fill", [0.0, np.nan, -7.25])
+    def test_fills_out_in_place(self, tmp_path, fill):
+        # The spill store's p.dat and the shared p are filled this way;
+        # whatever the buffer held before must not reach the weights.
+        problem = random_instance(7, 3, 2, seed=4)
+        out = np.memmap(tmp_path / "p.dat", dtype=np.float64, mode="w+",
+                        shape=(1 << problem.k,))
+        out[:] = fill
+        assert subset_weights(problem, out=out) is out
+        assert out.tobytes() == subset_weights(problem).tobytes()
+
+    def test_out_of_the_wrong_size_rejected(self):
+        problem = random_instance(4, 3, 2, seed=4)
+        with pytest.raises(ValueError, match="16 weights"):
+            subset_weights(problem, out=np.empty(8))
+
 
 class TestAgainstReference:
     @settings(max_examples=60)

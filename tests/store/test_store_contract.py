@@ -15,8 +15,9 @@ import pytest
 from repro.core import solve
 from repro.core.errors import InvalidProblem, SolverError
 from repro.core.generators import random_instance
+from repro.core.kernels import layer_plan
 from repro.core.parallel import solve_dp_parallel
-from repro.core.sequential import solve_dp_reference
+from repro.core.sequential import solve_dp_reference, subset_weights
 from repro.core.supervisor import ResiliencePolicy
 from repro.store import (
     RAM_BUDGET_ENV,
@@ -84,6 +85,14 @@ class TestRamBudget:
         with pytest.raises(SolverError, match="--store=mmap"):
             solve_dp_parallel(PROBLEM, workers=1)
 
+    def test_numpy_solve_honours_the_budget(self, monkeypatch):
+        # solve_dp runs over a RAM store, so the budget gates it too.
+        monkeypatch.setenv(RAM_BUDGET_ENV, str(tables_nbytes(PROBLEM.k) - 1))
+        with pytest.raises(SolverError, match="mmap"):
+            solve(PROBLEM, backend="numpy")
+        monkeypatch.setenv(RAM_BUDGET_ENV, str(tables_nbytes(PROBLEM.k)))
+        assert_ref_tables(solve(PROBLEM, backend="numpy"))
+
     def test_mmap_store_runs_under_budget(self, monkeypatch, tmp_path):
         # The same budget that stops the RAM store: file-backed tables
         # are page cache, not anonymous memory, so the spill store runs.
@@ -95,6 +104,35 @@ class TestRamBudget:
     def test_mmap_resident_scratch_is_bounded(self, tmp_path):
         store = MmapStore(PROBLEM, spill_dir=str(tmp_path / "spill"))
         assert store.resident_nbytes < tables_nbytes(20)
+
+
+class TestRamStoreTables:
+    """A RAM store copies no table another owner already holds."""
+
+    def test_shared_store_maps_three_segments(self):
+        store = RamStore(PROBLEM)
+        store.open()
+        try:
+            assert set(store.worker_spec()["names"]) == {"cost", "best", "p"}
+        finally:
+            store.close()
+
+    @pytest.mark.parametrize("use_shm", [True, False])
+    def test_order_is_the_layer_plan(self, use_shm):
+        store = RamStore(PROBLEM, use_shm=use_shm)
+        store.open()
+        try:
+            assert np.shares_memory(store.order, layer_plan(PROBLEM.k).order)
+        finally:
+            store.close()
+
+    def test_unshared_store_borrows_p(self):
+        p = subset_weights(PROBLEM)
+        p.setflags(write=False)  # as the weights cache hands it out
+        store = RamStore(PROBLEM, p=p, use_shm=False)
+        store.open()
+        assert store.p is p
+        assert store.worker_spec() is None
 
 
 class TestColdSolveIdentity:

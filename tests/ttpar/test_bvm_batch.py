@@ -7,6 +7,8 @@ per-lane tables must still be bit-for-bit what a ``B = 1`` replay and
 the sequential DP produce.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -151,6 +153,23 @@ class TestBatchPlanReuse:
     def test_r_too_small_rejected(self):
         with pytest.raises(ValueError, match="dims"):
             solve_tt_bvm_batch([_integral(3, 0)], r=1)
+
+    @pytest.mark.parametrize("shape, digest", [
+        ((3, 4, 3), "59f33df5941147c4ed7334e22ade381e260da0950645a013a680c9a046877320"),
+        ((3, 3, 5), "57b941df0813c710b83afeef43effa23510832435570e987d8c5d30fd775a7e8"),
+    ])
+    def test_instruction_stream_is_pinned(self, shape, digest):
+        # The program splices the cached §6 loop that single-instance
+        # programs splice; the stream is the one it emitted inline.
+        text = "\n".join(map(str, build_bvm_tt_batch(*shape).prog.instructions))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_cached_program_is_interned(self):
+        # 12,987 instructions, ~870 distinct by value: the spliced loop
+        # holds each once, and only the prologue is emitted per shape.
+        instructions = build_bvm_tt_batch(3, 4, 3).prog.instructions
+        assert len(instructions) == 12_987
+        assert len({id(i) for i in instructions}) <= 1_100
 
 
 class TestTelemetry:
