@@ -27,7 +27,6 @@ import pytest
 
 from benchmarks.conftest import print_table
 from repro.core import random_instance
-from repro.core.faults import FAULT_SPEC_ENV
 from repro.core.parallel import solve_dp_parallel
 from repro.core.supervisor import ResiliencePolicy
 
@@ -40,14 +39,14 @@ def _bench_k() -> int:
 
 def _timed_solve(problem, policy, fault=None):
     if fault is not None:
-        os.environ[FAULT_SPEC_ENV] = fault
+        os.environ["REPRO_FAULT_SPEC"] = fault
     try:
         t0 = time.perf_counter()
         # min_shard=1 keeps every layer on the pool so drills always land.
         result = solve_dp_parallel(problem, workers=2, min_shard=1, policy=policy)
         return result, time.perf_counter() - t0
     finally:
-        os.environ.pop(FAULT_SPEC_ENV, None)
+        os.environ.pop("REPRO_FAULT_SPEC", None)
 
 
 def test_supervised_overhead_and_recovery_drills():

@@ -35,7 +35,7 @@ from benchmarks.conftest import bench_payload, print_table
 from repro.core import random_instance
 from repro.core.errors import SolverError
 from repro.core.parallel import solve_dp_parallel
-from repro.store import RAM_BUDGET_ENV, StoreSpec, tables_nbytes
+from repro.store import StoreSpec, tables_nbytes
 
 pytestmark = pytest.mark.slow
 
@@ -58,8 +58,8 @@ def test_spill_solve_under_ram_budget():
     ram_s = time.perf_counter() - t0
 
     tmp = tempfile.mkdtemp(prefix="repro-bench-spill-")
-    old = os.environ.get(RAM_BUDGET_ENV)
-    os.environ[RAM_BUDGET_ENV] = str(budget)
+    old = os.environ.get("REPRO_RAM_BUDGET_BYTES")
+    os.environ["REPRO_RAM_BUDGET_BYTES"] = str(budget)
     try:
         # Under the budget the RAM store must refuse, not thrash.
         with pytest.raises(SolverError) as excinfo:
@@ -83,9 +83,9 @@ def test_spill_solve_under_ram_budget():
         )
     finally:
         if old is None:
-            os.environ.pop(RAM_BUDGET_ENV, None)
+            os.environ.pop("REPRO_RAM_BUDGET_BYTES", None)
         else:
-            os.environ[RAM_BUDGET_ENV] = old
+            os.environ["REPRO_RAM_BUDGET_BYTES"] = old
         shutil.rmtree(tmp, ignore_errors=True)
 
     assert identical, "spilled tables diverged from the in-RAM tables"

@@ -32,17 +32,16 @@ bit-for-bit identical in registers, output log and cycle count.
 
 from __future__ import annotations
 
-import os
 from collections import deque
 
 import numpy as np
 
+from ..config import BVM_BACKENDS, knob
+from ..core.errors import InvalidProblem
 from .isa import Instruction, Operand, Reg
 from .topology import CCCTopology
 
 __all__ = ["BVM", "resolve_backend"]
-
-BACKENDS = ("bool", "packed")
 
 # Truth-table decode for the whole ISA: row ``t`` holds the 8 output bits
 # of table ``t`` (precomputed once instead of per executed instruction).
@@ -54,30 +53,20 @@ _TT_BITS = np.array(
 def resolve_backend(backend: str | None = None) -> str:
     """Pick the execution backend: explicit arg, else ``REPRO_BVM_BACKEND``.
 
-    Unknown values fail loudly and name their source (argument vs env
-    var) instead of falling back: a typo'd ``REPRO_BVM_BACKEND=packd``
-    that silently ran the boolean machine would turn a 64x word-packed
-    run into a 64x slowdown nobody notices.  The error is
-    :class:`~repro.core.errors.InvalidProblem` — the CLI's taxonomy
+    An unknown explicit backend fails loudly instead of falling back: a
+    typo'd ``packd`` that silently ran the boolean machine would turn a
+    64x word-packed run into a 64x slowdown nobody notices.  The error
+    is :class:`~repro.core.errors.InvalidProblem` — the CLI's taxonomy
     reports it as a one-line user error (exit 2), and it still
-    ``isinstance`` ``ValueError`` for older callers.  A set-but-blank
-    env var means "default", matching the ``REPRO_WORKERS`` precedent.
+    ``isinstance`` ``ValueError`` for older callers.  The environment
+    value is checked the same way by :func:`repro.config.knob`.
     """
-    from ..core.errors import InvalidProblem
-
-    if backend is not None:
-        chosen, source = backend, "backend argument"
-    else:
-        env = os.environ.get("REPRO_BVM_BACKEND")
-        if env is None or not env.strip():
-            return "bool"
-        chosen, source = env.strip(), "REPRO_BVM_BACKEND"
-    if chosen not in BACKENDS:
+    if backend is not None and backend not in BVM_BACKENDS:
         raise InvalidProblem(
-            f"unknown BVM backend {chosen!r} from {source} "
-            f"(choose from {BACKENDS})"
+            f"unknown BVM backend {backend!r} from backend argument "
+            f"(choose from {BVM_BACKENDS})"
         )
-    return chosen
+    return knob("REPRO_BVM_BACKEND", backend)
 
 
 class BVM:
@@ -177,10 +166,6 @@ class BVM:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-
-    @staticmethod
-    def _truth_lookup(table: int, idx: np.ndarray) -> np.ndarray:
-        return _TT_BITS[table][idx]
 
     def _row(self, reg: Reg) -> np.ndarray:
         if reg.kind == "A":

@@ -56,6 +56,7 @@ import sys
 
 import numpy as np
 
+from .config import KNOBS, unknown_names
 from .core import (
     BACKENDS,
     WORKLOADS,
@@ -64,7 +65,6 @@ from .core import (
     SolverError,
     TTProblem,
     canonicalize,
-    resolve_backend,
     solve,
 )
 from .core.engine import ENGINE_BACKENDS
@@ -441,9 +441,6 @@ def _solve(args, out) -> int:
     with tracing(tracer) if tracer is not None else contextlib.nullcontext():
         if args.solver == "dp":
             use_store = args.store != "auto" or args.spill_dir is not None
-            backend, workers = resolve_backend(problem, args.backend, args.workers)
-            if use_store and (args.store == "mmap" or args.spill_dir is not None):
-                backend = "parallel"  # the mmap store rides the parallel loop
             result = solve(
                 problem,
                 backend=args.backend,
@@ -455,9 +452,10 @@ def _solve(args, out) -> int:
                 progress=progress,
             )
             counters["sequential_ops"] = result.op_count
-            counters["backend"] = backend
-            if backend == "parallel":
-                counters["workers"] = workers
+            # What solve() ran, after every rule that forces a backend.
+            counters["backend"] = result.backend
+            if result.backend == "parallel":
+                counters["workers"] = result.workers
             # Uniform across backends: single-process solves carry the
             # same recovery keys, zeroed (see DPResult).
             counters["recovery"] = {
@@ -775,6 +773,14 @@ def main(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
     args = build_parser().parse_args(argv)
     try:
+        unknown = unknown_names()
+        if unknown:
+            # A misspelt or retired knob would otherwise be ignored.
+            raise InvalidProblem(
+                f"unknown environment variable {', '.join(unknown)}: the "
+                f"REPRO_* knobs are {', '.join(KNOBS)} (REPRO_BENCH_* and "
+                "REPRO_TEST_* are left to the harness)"
+            )
         return _dispatch(args, out)
     except SolverError as exc:
         # One line, exit code 2 — the taxonomy means no raw tracebacks

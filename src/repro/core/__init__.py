@@ -53,12 +53,7 @@ from .errors import (
     WorkerCrash,
 )
 from .faults import Fault, parse_fault_spec
-from .parallel import (
-    PARALLEL_MIN_K_COLD,
-    PARALLEL_MIN_K_WARM,
-    default_workers,
-    solve_dp_parallel,
-)
+from .parallel import PARALLEL_MIN_K_COLD, PARALLEL_MIN_K_WARM, solve_dp_parallel
 from .supervisor import (
     RecoveryLog,
     ResiliencePolicy,
@@ -126,7 +121,6 @@ __all__ = [
     "LayerPlan",
     "layer_plan",
     "SolverEngine",
-    "default_workers",
     "PARALLEL_MIN_K_COLD",
     "PARALLEL_MIN_K_WARM",
     "cached_subset_weights",

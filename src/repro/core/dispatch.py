@@ -45,16 +45,16 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import os
 import threading
 from collections import OrderedDict
 
 import numpy as np
 
+from ..config import knob
 from ..obs import trace as obs_trace
 from .errors import InvalidProblem
 from .kernels import plan_cache_stats
-from .parallel import PARALLEL_MIN_K_COLD, default_workers, solve_dp_parallel
+from .parallel import PARALLEL_MIN_K_COLD, solve_dp_parallel
 from .problem import TTProblem
 from .sequential import DPResult, solve_dp, solve_dp_reference, subset_weights
 from .supervisor import ResiliencePolicy
@@ -66,37 +66,13 @@ __all__ = [
     "weights_cache_nbytes",
     "weights_cache_stats",
     "BACKENDS",
-    "WEIGHTS_CACHE_ENV",
-    "DEFAULT_WEIGHTS_CACHE_BYTES",
 ]
 
 BACKENDS = ("auto", "numpy", "parallel", "reference")
 
-# Byte budget for the subset-weights cache; override via the env var.
-# At k = 20 one vector is 8 MiB, so the default keeps roughly eight of
-# the largest instances (or hundreds of small ones).
-DEFAULT_WEIGHTS_CACHE_BYTES = 64 * 2**20
-WEIGHTS_CACHE_ENV = "REPRO_WEIGHTS_CACHE_BYTES"
-
 _WEIGHTS_LOCK = threading.Lock()
 _WEIGHTS_CACHE: OrderedDict[tuple, np.ndarray] = OrderedDict()
 _WEIGHTS_STATS = {"hits": 0, "misses": 0}
-
-
-def _weights_budget() -> int:
-    """Cache budget in bytes, validated loudly (read per call: testable)."""
-    env = os.environ.get(WEIGHTS_CACHE_ENV, "").strip()
-    if not env:
-        return DEFAULT_WEIGHTS_CACHE_BYTES
-    try:
-        value = int(env)
-    except ValueError:
-        raise InvalidProblem(
-            f"{WEIGHTS_CACHE_ENV} must be a non-negative integer, got {env!r}"
-        ) from None
-    if value < 0:
-        raise InvalidProblem(f"{WEIGHTS_CACHE_ENV} must be >= 0, got {value}")
-    return value
 
 
 def weights_cache_nbytes() -> int:
@@ -143,7 +119,7 @@ def cached_subset_weights(problem: TTProblem) -> np.ndarray:
         _WEIGHTS_STATS["misses"] += 1
     p = subset_weights(problem)
     p.setflags(write=False)
-    budget = _weights_budget()
+    budget = knob("REPRO_WEIGHTS_CACHE_BYTES")
     if p.nbytes > budget:
         return p
     with _WEIGHTS_LOCK:
@@ -179,7 +155,7 @@ def _resolve(
         raise InvalidProblem(f"unknown backend {backend!r}; expected one of {BACKENDS}")
     if workers is not None and workers < 1:
         raise InvalidProblem("workers must be >= 1")
-    eff_workers = workers if workers is not None else default_workers()
+    eff_workers = knob("REPRO_WORKERS", workers)
     if backend == "auto":
         big = problem.k >= min_k
         backend = "parallel" if (big and eff_workers > 1) else "numpy"

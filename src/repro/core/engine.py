@@ -44,9 +44,9 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from ..config import knob
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
-from . import faults
 from . import parallel as _par
 from .dispatch import BACKENDS, _resolve, cached_subset_weights
 from .errors import InvalidProblem, SolverError
@@ -70,7 +70,7 @@ class SolverEngine:
     ----------
     workers:
         Processes for the parallel path, the parent included (default:
-        :func:`~repro.core.parallel.default_workers`): ``workers - 1``
+        the ``REPRO_WORKERS`` knob, see :mod:`repro.config`): ``workers - 1``
         children are kept warm.  ``1`` keeps every solve single-process
         (arena reuse only).
     backend:
@@ -114,7 +114,7 @@ class SolverEngine:
                 f"unknown SolverEngine backend {backend!r}; expected one of "
                 f"{ENGINE_BACKENDS}"
             )
-        self.workers = workers if workers is not None else _par.default_workers()
+        self.workers = knob("REPRO_WORKERS", workers)
         self.backend = backend
         self.policy = policy if policy is not None else ResiliencePolicy()
         self.min_shard = min_shard
@@ -175,7 +175,7 @@ class SolverEngine:
         from ..store import RamStore  # runtime import: store builds on core
 
         # Validate any fault spec in the parent, like the cold path.
-        faults.env_fault_spec()
+        knob("REPRO_FAULT_SPEC")
         # Telemetry rides the ambient tracer (the CLI / caller activates
         # one around the solve); each solve gets its own registry so the
         # result's metrics block describes this instance only.
@@ -218,8 +218,8 @@ class SolverEngine:
 
         return run_layers(
             problem, store, supervisor,
-            workers=workers, min_shard=self.min_shard, log=log, tracer=tr,
-            metrics=reg, arena=self._arena,
+            backend="parallel", workers=workers, min_shard=self.min_shard,
+            log=log, tracer=tr, metrics=reg, arena=self._arena,
         )
 
     def solve_many(

@@ -19,9 +19,8 @@ Every failure the supervised parallel engine can surface is a
   (``ENOSPC``, I/O error); the solver may degrade gracefully to RAM
   when the tables fit, otherwise this surfaces as the solve's failure;
 * :class:`InvalidProblem` — the request itself is malformed: a bad spec
-  file, an unknown backend, or an invalid environment knob
-  (``REPRO_WORKERS``, ``REPRO_FAULT_SPEC``, ``REPRO_START_METHOD``,
-  ``REPRO_RAM_BUDGET_BYTES``).
+  file, an unknown backend, or an invalid environment knob (any entry
+  of :data:`repro.config.KNOBS`).
 
 :class:`InvalidProblem` also subclasses :class:`ValueError` so
 pre-taxonomy call sites written against ``ValueError`` keep working.

@@ -51,6 +51,7 @@ import time
 from dataclasses import dataclass
 from functools import lru_cache
 
+from ..config import knob
 from ..obs import trace as _trace
 from .errors import InvalidProblem
 
@@ -58,19 +59,12 @@ __all__ = [
     "Fault",
     "parse_fault_spec",
     "inject",
-    "env_fault_spec",
-    "FAULT_SPEC_ENV",
     "STORAGE_KINDS",
     "storage_faults_for",
-    "CRASH_POINT_ENV",
     "CRASH_POINTS",
     "parse_crash_spec",
-    "env_crash_spec",
     "maybe_crash",
 ]
-
-FAULT_SPEC_ENV = "REPRO_FAULT_SPEC"
-CRASH_POINT_ENV = "REPRO_STORE_CRASH"
 
 _KINDS = ("kill", "hang", "slow", "exc")
 
@@ -159,12 +153,6 @@ def parse_fault_spec(spec: str) -> tuple[Fault, ...]:
     return tuple(faults)
 
 
-def env_fault_spec() -> tuple[Fault, ...]:
-    """Parse (and validate) ``REPRO_FAULT_SPEC``; empty/unset = no faults."""
-    spec = os.environ.get(FAULT_SPEC_ENV, "").strip()
-    return parse_fault_spec(spec) if spec else ()
-
-
 def inject(layer: int, shard: int, attempt: int = 0, *, spec: str | None = None) -> None:
     """Fire any matching injected fault for this ``(layer, shard, attempt)``.
 
@@ -172,7 +160,7 @@ def inject(layer: int, shard: int, attempt: int = 0, *, spec: str | None = None)
     the environment for direct testing; normally the worker reads
     ``REPRO_FAULT_SPEC`` (inherited under both fork and spawn).
     """
-    faults = parse_fault_spec(spec) if spec is not None else env_fault_spec()
+    faults = parse_fault_spec(spec) if spec is not None else knob("REPRO_FAULT_SPEC")
     for fault in faults:
         if fault.is_storage or not fault.matches(layer, shard, attempt):
             continue
@@ -212,7 +200,7 @@ def storage_faults_for(
     layer within one process (a re-derived layer re-commits with attempt
     1), mirroring the shard-retry escape semantics of ``times=``.
     """
-    faults = parse_fault_spec(spec) if spec is not None else env_fault_spec()
+    faults = parse_fault_spec(spec) if spec is not None else knob("REPRO_FAULT_SPEC")
     matched = tuple(
         f for f in faults if f.is_storage and f.matches(layer, 0, attempt)
     )
@@ -241,7 +229,7 @@ def parse_crash_spec(spec: str) -> tuple[str, int | None]:
     point = parts[0].strip().lower()
     if point not in CRASH_POINTS:
         raise InvalidProblem(
-            f"invalid {CRASH_POINT_ENV} {spec!r}: unknown crash point "
+            f"invalid crash spec {spec!r}: unknown crash point "
             f"{point!r} (expected one of {', '.join(CRASH_POINTS)})"
         )
     layer: int | None = None
@@ -249,23 +237,17 @@ def parse_crash_spec(spec: str) -> tuple[str, int | None]:
         key, sep, value = part.partition("=")
         if not sep or key.strip() != "layer":
             raise InvalidProblem(
-                f"invalid {CRASH_POINT_ENV} {spec!r}: bad field {part!r} "
+                f"invalid crash spec {spec!r}: bad field {part!r} "
                 "(expected layer=J)"
             )
         try:
             layer = int(value)
         except ValueError:
             raise InvalidProblem(
-                f"invalid {CRASH_POINT_ENV} {spec!r}: layer={value!r} is not "
+                f"invalid crash spec {spec!r}: layer={value!r} is not "
                 "an integer"
             ) from None
     return point, layer
-
-
-def env_crash_spec() -> tuple[str, int | None] | None:
-    """Parse (and validate) ``REPRO_STORE_CRASH``; unset/empty = no crash."""
-    spec = os.environ.get(CRASH_POINT_ENV, "").strip()
-    return parse_crash_spec(spec) if spec else None
 
 
 def maybe_crash(point: str, layer: int) -> None:
@@ -278,7 +260,7 @@ def maybe_crash(point: str, layer: int) -> None:
     """
     import signal
 
-    spec = env_crash_spec()
+    spec = knob("REPRO_STORE_CRASH")
     if spec is None:
         return
     want_point, want_layer = spec

@@ -99,11 +99,11 @@ by the sequential path, the parallel engine, checkpoint resume and the
 from __future__ import annotations
 
 import math
-import os
 import threading
 
 import numpy as np
 
+from ..config import knob
 from ..util.bitops import popcount_array
 from .errors import InvalidProblem
 
@@ -117,38 +117,9 @@ __all__ = [
     "solve_layer_kernel_fused",
     "solve_slice",
     "PARENT_CHUNK",
-    "DEFAULT_TILE",
-    "TILE_ENV",
 ]
 
 INF = np.inf
-
-# Subsets per tile.  A tile touches seven scratch rows (2 x float64,
-# 4 x int32, 1 x bool) plus the best/arg output slices;
-# 16384 keeps the
-# streamed working set around half a MiB — L2-resident — which measured
-# fastest on the k = 18 reference sweep (the gathers into the 2 MiB cost
-# table are latency-bound either way, so larger tiles only dilute the
-# fixed per-tile ufunc dispatch cost).
-DEFAULT_TILE = 16384
-
-# Override the tile size; "0" disables tiling (whole layer per pass).
-TILE_ENV = "REPRO_KERNEL_TILE"
-
-def _env_tile() -> int:
-    """Tile size from the environment, validated loudly."""
-    env = os.environ.get(TILE_ENV, "").strip()
-    if not env:
-        return DEFAULT_TILE
-    try:
-        value = int(env)
-    except ValueError:
-        raise InvalidProblem(
-            f"{TILE_ENV} must be a non-negative integer, got {env!r}"
-        ) from None
-    if value < 0:
-        raise InvalidProblem(f"{TILE_ENV} must be >= 0, got {value}")
-    return value
 
 
 # ----------------------------------------------------------------------
@@ -402,8 +373,8 @@ def solve_layer_kernel_fused(
     ``arena`` supplies the scratch buffers; omit it for a private
     throwaway arena (correct, but the allocation savings then only apply
     within this one call).  ``tile`` bounds how many subsets one pass
-    over the actions touches (``0`` disables tiling; default
-    :data:`DEFAULT_TILE`, overridable via ``REPRO_KERNEL_TILE``).
+    over the actions touches (``0`` disables tiling; default the
+    ``REPRO_KERNEL_TILE`` knob, see :mod:`repro.config`).
 
     The returned arrays are *views into the arena*: valid until the next
     kernel call on the same arena, so scatter them into the cost table
@@ -413,8 +384,7 @@ def solve_layer_kernel_fused(
     n = layer.size
     if arena is None:
         arena = LayerArena()
-    if tile is None:
-        tile = _env_tile()
+    tile = knob("REPRO_KERNEL_TILE", tile)
     best, arg = arena.out(n)
     best.fill(INF)
     n_act = len(costs)

@@ -95,6 +95,7 @@ from multiprocessing import shared_memory, util
 
 import numpy as np
 
+from ..config import knob
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from . import faults
@@ -107,11 +108,9 @@ from .supervisor import RecoveryLog, ResiliencePolicy, Supervisor
 __all__ = [
     "solve_dp_parallel",
     "run_layers",
-    "default_workers",
     "PARALLEL_MIN_K_COLD",
     "PARALLEL_MIN_K_WARM",
     "MIN_SHARD",
-    "START_METHOD_ENV",
 ]
 
 # The "auto" crossovers (repro.core.dispatch): the smallest k from which
@@ -126,32 +125,6 @@ PARALLEL_MIN_K_WARM = 20
 # shipping to a worker; smaller layers are solved in the parent process
 # (same kernel, same shared table, zero IPC).
 MIN_SHARD = 2048
-
-# Override the multiprocessing start method ("fork" / "spawn" /
-# "forkserver"); unset picks fork where available.
-START_METHOD_ENV = "REPRO_START_METHOD"
-
-
-def default_workers() -> int:
-    """Worker count used when none is requested: one per core, capped.
-
-    ``REPRO_WORKERS`` overrides; it must be a positive integer — a typo'd
-    or negative value fails loudly (:class:`InvalidProblem`) instead of
-    surfacing as a bare ``ValueError`` from ``int()`` or being silently
-    clamped.
-    """
-    env = os.environ.get("REPRO_WORKERS")
-    if env is None or not env.strip():
-        return max(1, min(os.cpu_count() or 1, 8))
-    try:
-        value = int(env)
-    except ValueError:
-        raise InvalidProblem(
-            f"REPRO_WORKERS must be a positive integer, got {env!r}"
-        ) from None
-    if value < 1:
-        raise InvalidProblem(f"REPRO_WORKERS must be >= 1, got {value}")
-    return value
 
 
 # ----------------------------------------------------------------------
@@ -289,7 +262,7 @@ def _worker_main(conn, access) -> None:
 
 def _start_worker(access) -> tuple:
     """Start one owned worker over ``access``: ``(process, parent pipe end)``."""
-    ctx = _mp_context()
+    ctx = mp.get_context(knob("REPRO_START_METHOD"))
     parent_end, child_end = ctx.Pipe()
     # Forked children close every inherited parent end (their own and
     # their siblings'), so a dead parent leaves each child's recv at EOF.
@@ -315,23 +288,6 @@ def _shard_bounds(lo: int, hi: int, workers: int, min_shard: int) -> list[tuple[
     return [(int(cuts[t]), int(cuts[t + 1])) for t in range(n) if cuts[t] < cuts[t + 1]]
 
 
-def _mp_context():
-    """Pick the start method: env override, else fork (cheap, Linux).
-
-    ``REPRO_START_METHOD`` forces a specific method (the spawn fallback
-    path is exercised in CI this way); an unknown name fails loudly.
-    """
-    methods = mp.get_all_start_methods()
-    env = os.environ.get(START_METHOD_ENV, "").strip()
-    if env:
-        if env not in methods:
-            raise InvalidProblem(
-                f"{START_METHOD_ENV} must be one of {methods}, got {env!r}"
-            )
-        return mp.get_context(env)
-    return mp.get_context("fork" if "fork" in methods else "spawn")
-
-
 def _pool_supervisor(store, workers: int, policy, task, log, *, tracer, metrics):
     """A :class:`Supervisor` whose ``workers - 1`` children map ``store``'s tables.
 
@@ -352,6 +308,7 @@ def run_layers(
     store,
     supervisor: Supervisor | None,
     *,
+    backend: str,
     workers: int,
     min_shard: int,
     log: RecoveryLog,
@@ -379,7 +336,8 @@ def run_layers(
     :class:`~repro.core.sequential.DPResult` is built: its tables come
     from ``result_tables()`` after ``finish(True)`` — arrays that stay
     valid once the caller closes the store — and its ``recovery`` and
-    ``metrics`` are snapshots of ``log`` and ``metrics``.
+    ``metrics`` are snapshots of ``log`` and ``metrics``; its
+    ``backend`` and ``workers`` are the caller's.
     """
     from .. import store as store_mod  # runtime import: store builds on core
 
@@ -524,6 +482,8 @@ def run_layers(
         op_count=((1 << k) - 1) * problem.n_actions,
         recovery=log.as_dict(),
         metrics=metrics.as_dict(),
+        backend=backend,
+        workers=workers,
     )
 
 
@@ -570,8 +530,7 @@ def solve_dp_parallel(
     """
     from .. import store as store_mod  # runtime import: store builds on core
 
-    if workers is None:
-        workers = default_workers()
+    workers = knob("REPRO_WORKERS", workers)
     if workers < 1:
         raise InvalidProblem("workers must be >= 1")
     if policy is None:
@@ -580,8 +539,8 @@ def solve_dp_parallel(
     # Validate any fault spec in the *parent*, before work is dispatched:
     # a typo'd REPRO_FAULT_SPEC must fail the solve, not silently never
     # fire inside a worker.
-    faults.env_fault_spec()
-    faults.env_crash_spec()
+    knob("REPRO_FAULT_SPEC")
+    knob("REPRO_STORE_CRASH")
 
     tr = tracer if tracer is not None else obs_trace.current()
     reg = metrics if metrics is not None else obs_metrics.MetricsRegistry()
@@ -636,8 +595,8 @@ def solve_dp_parallel(
     try:
         return run_layers(
             problem, store, supervisor,
-            workers=workers, min_shard=min_shard, log=log, tracer=tr,
-            metrics=reg, arena=LayerArena(), valid=report.valid_layers,
+            backend="parallel", workers=workers, min_shard=min_shard, log=log,
+            tracer=tr, metrics=reg, arena=LayerArena(), valid=report.valid_layers,
             progress=progress,
         )
     finally:

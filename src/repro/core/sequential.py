@@ -122,6 +122,13 @@ class DPResult:
         :class:`repro.obs.metrics.MetricsRegistry` (shard/layer timings,
         store commit latency, cache hit rates).  Same uniformity rule:
         the reference oracle carries the full key set, zeroed.
+    backend:
+        The host backend that ran: ``"numpy"``, ``"parallel"`` or
+        ``"reference"``, after every rule of :func:`repro.core.solve`
+        that forces one (a checkpoint or the mmap store runs
+        ``"parallel"``).
+    workers:
+        Processes the backend ran on, the parent included.
     """
 
     problem: TTProblem
@@ -130,6 +137,8 @@ class DPResult:
     op_count: int
     recovery: dict | None = None
     metrics: dict | None = None
+    backend: str | None = None
+    workers: int | None = None
 
     def __post_init__(self) -> None:
         # Uniform observability contract: every backend's result exposes
@@ -244,7 +253,7 @@ def solve_dp(
     store.open()
     return run_layers(
         problem, store, None,
-        workers=1, min_shard=MIN_SHARD, log=RecoveryLog(),
+        backend="numpy", workers=1, min_shard=MIN_SHARD, log=RecoveryLog(),
         tracer=_trace.current(), metrics=MetricsRegistry(),
         arena=arena if arena is not None else LayerArena(),
     )
@@ -289,7 +298,10 @@ def solve_dp_reference(problem: TTProblem) -> DPResult:
             cost[s] = best_val
             best[s] = best_i
 
-    return DPResult(problem=problem, cost=cost, best_action=best, op_count=ops)
+    return DPResult(
+        problem=problem, cost=cost, best_action=best, op_count=ops,
+        backend="reference", workers=1,
+    )
 
 
 def optimal_cost(problem: TTProblem) -> float:

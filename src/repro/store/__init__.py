@@ -21,15 +21,7 @@ store=..., spill_dir=...)`` or the CLI ``--store/--spill-dir`` flags.
 from __future__ import annotations
 
 from ..core.errors import InvalidProblem, StoreCorruption, StoreWriteError
-from .base import (
-    RAM_BUDGET_ENV,
-    STORE_KINDS,
-    LayerStore,
-    OpenReport,
-    StoreSpec,
-    ram_budget,
-    tables_nbytes,
-)
+from .base import STORE_KINDS, LayerStore, OpenReport, StoreSpec, tables_nbytes
 from .drill import run_crash_drill
 from .pipeline import AsyncCommitter
 from .ram import RamStore
@@ -46,9 +38,7 @@ __all__ = [
     "run_crash_drill",
     "StoreCorruption",
     "StoreWriteError",
-    "ram_budget",
     "tables_nbytes",
-    "RAM_BUDGET_ENV",
     "STORE_KINDS",
 ]
 

@@ -47,41 +47,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..config import knob
 from ..core.errors import InvalidProblem, SolverError
 
 __all__ = [
-    "RAM_BUDGET_ENV",
     "STORE_KINDS",
-    "ram_budget",
     "tables_nbytes",
     "StoreSpec",
     "OpenReport",
     "LayerStore",
 ]
 
-RAM_BUDGET_ENV = "REPRO_RAM_BUDGET_BYTES"
-
 STORE_KINDS = ("auto", "ram", "mmap")
-
-
-def ram_budget() -> int | None:
-    """The RAM budget from the environment; ``None`` when unset.
-
-    Must be a positive integer number of bytes — a typo fails the solve
-    loudly instead of silently disabling the budget.
-    """
-    env = os.environ.get(RAM_BUDGET_ENV)
-    if env is None or not env.strip():
-        return None
-    try:
-        value = int(env)
-    except ValueError:
-        raise InvalidProblem(
-            f"{RAM_BUDGET_ENV} must be a positive integer (bytes), got {env!r}"
-        ) from None
-    if value < 1:
-        raise InvalidProblem(f"{RAM_BUDGET_ENV} must be >= 1, got {value}")
-    return value
 
 
 def tables_nbytes(k: int) -> int:
@@ -236,17 +213,12 @@ class LayerStore:
         """``(cost, best)`` arrays that stay valid after ``close()``."""
         raise NotImplementedError
 
-    @property
-    def resident_nbytes(self) -> int:
-        """Anonymous (non-reclaimable) bytes this store holds resident."""
-        return 0
-
     def check_budget(self, need: int, what: str) -> None:
         """Raise loudly when ``need`` anonymous bytes exceed the budget."""
-        budget = ram_budget()
+        budget = knob("REPRO_RAM_BUDGET_BYTES")
         if budget is not None and need > budget:
             raise SolverError(
-                f"{what} needs {need} bytes of RAM but {RAM_BUDGET_ENV}="
+                f"{what} needs {need} bytes of RAM but REPRO_RAM_BUDGET_BYTES="
                 f"{budget} — use --store=mmap with --spill-dir to run "
                 "out-of-core, or raise the budget"
             )

@@ -50,7 +50,7 @@ import sys
 
 from ..core.dispatch import solve
 from ..core.errors import InvalidProblem
-from ..core.faults import CRASH_POINT_ENV, CRASH_POINTS, FAULT_SPEC_ENV
+from ..core.faults import CRASH_POINTS
 from .journal import MANIFEST_NAME
 
 __all__ = ["run_crash_drill", "DRILL_STORES"]
@@ -126,12 +126,12 @@ def run_crash_drill(
     expected = solve(problem)
 
     env = dict(os.environ)
-    env[CRASH_POINT_ENV] = f"{point}:layer={layer}"
+    env["REPRO_STORE_CRASH"] = f"{point}:layer={layer}"
     if congest:
         # Slow every layer's first commit so the solve thread runs ahead
         # of the committer and the SIGKILL lands with a layer queued
         # behind the in-flight commit.
-        env[FAULT_SPEC_ENV] = "slow-io:ms=150"
+        env["REPRO_FAULT_SPEC"] = "slow-io:ms=150"
     # The subprocess must import *this* repro, wherever it runs from.
     pkg_root = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
     env["PYTHONPATH"] = pkg_root + os.pathsep + env.get("PYTHONPATH", "")

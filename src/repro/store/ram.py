@@ -149,7 +149,3 @@ class RamStore(LayerStore):
             self.cost = self.best = self.p = None
             self._tables.close()
             self._tables = None
-
-    @property
-    def resident_nbytes(self) -> int:
-        return tables_nbytes(self.k)

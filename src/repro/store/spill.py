@@ -165,10 +165,3 @@ class MmapStore(LayerStore):
         # Drop the r+ views; workers hold their own mappings and the
         # result tables are independent read-only maps.
         self.cost = self.best = self.p = self.order = None
-
-    @property
-    def resident_nbytes(self) -> int:
-        # Streaming scratch only: one gather chunk + its byte copy per
-        # pass.  The mapped tables are reclaimable page cache, not
-        # anonymous memory.
-        return CHUNK * 16

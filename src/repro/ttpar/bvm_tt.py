@@ -41,6 +41,7 @@ from ..bvm.machine import BVM
 from ..bvm.packed import PackedBVM
 from ..bvm.primitives import processor_id
 from ..bvm.program import ProgramBuilder
+from ..config import BVM_BACKENDS
 from ..core.errors import InvalidProblem
 from ..core.problem import TTProblem
 from ..util.bitops import popcount_array
@@ -423,8 +424,6 @@ def solve_tt_bvm(
 # :class:`~repro.bvm.packed.PackedBVM` of B lanes run B of them in
 # lockstep.
 
-BATCH_BACKENDS = ("packed", "bool")
-
 
 @dataclass
 class _BatchPlan:
@@ -615,9 +614,9 @@ def solve_tt_bvm_batch(
     use).  ``cycles`` is the lockstep replay's machine-cycle count — a
     shape property, identical for every lane of a group.
     """
-    if backend not in BATCH_BACKENDS:
+    if backend not in BVM_BACKENDS:
         raise InvalidProblem(
-            f"unknown batch backend {backend!r} (choose from {BATCH_BACKENDS})"
+            f"unknown batch backend {backend!r} (choose from {BVM_BACKENDS})"
         )
     problems = list(problems)
     results: list[BVMTTResult | None] = [None] * len(problems)

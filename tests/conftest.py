@@ -19,7 +19,7 @@ from repro.core.problem import Action, TTProblem
 
 _DEFAULT_TEST_TIMEOUT = float(os.environ.get("REPRO_TEST_TIMEOUT", "600"))
 
-if os.environ.get("REPRO_MP_DEBUG"):
+if os.environ.get("REPRO_TEST_MP_DEBUG"):
     # Surface multiprocessing's own lifecycle narration (fork, sentinel,
     # terminate, join) — invaluable when a pool teardown misbehaves.
     from multiprocessing import util as _mputil

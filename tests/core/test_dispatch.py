@@ -152,16 +152,12 @@ class TestWeightsCacheBudget:
     """The cache must never pin more than its byte budget."""
 
     def test_budget_bounds_resident_bytes(self, monkeypatch):
-        from repro.core.dispatch import (
-            WEIGHTS_CACHE_ENV,
-            _clear_weights_cache,
-            weights_cache_nbytes,
-        )
+        from repro.core.dispatch import _clear_weights_cache, weights_cache_nbytes
 
         _clear_weights_cache()
         k = 8
         one_vector = (1 << k) * 8  # float64 per subset
-        monkeypatch.setenv(WEIGHTS_CACHE_ENV, str(3 * one_vector))
+        monkeypatch.setenv("REPRO_WEIGHTS_CACHE_BYTES", str(3 * one_vector))
         try:
             for seed in range(10):
                 cached_subset_weights(random_instance(k, 3, 2, seed=seed))
@@ -173,14 +169,11 @@ class TestWeightsCacheBudget:
             _clear_weights_cache()
 
     def test_oversized_vector_not_cached(self, monkeypatch):
-        from repro.core.dispatch import (
-            WEIGHTS_CACHE_ENV,
-            _clear_weights_cache,
-            weights_cache_nbytes,
-        )
+        from repro.core.dispatch import _clear_weights_cache, weights_cache_nbytes
 
         _clear_weights_cache()
-        monkeypatch.setenv(WEIGHTS_CACHE_ENV, "64")  # smaller than any k>=4 vector
+        # 64 bytes: smaller than any k>=4 vector.
+        monkeypatch.setenv("REPRO_WEIGHTS_CACHE_BYTES", "64")
         try:
             problem = random_instance(5, 3, 2, seed=0)
             p = cached_subset_weights(problem)
@@ -189,24 +182,13 @@ class TestWeightsCacheBudget:
         finally:
             _clear_weights_cache()
 
-    def test_invalid_budget_rejected(self, monkeypatch):
-        from repro.core.dispatch import WEIGHTS_CACHE_ENV
-        from repro.core.errors import InvalidProblem
-
-        monkeypatch.setenv(WEIGHTS_CACHE_ENV, "not-a-number")
-        with pytest.raises(InvalidProblem):
-            cached_subset_weights(random_instance(4, 3, 2, seed=0))
-
     def test_lru_refresh_on_hit(self, monkeypatch):
-        from repro.core.dispatch import (
-            WEIGHTS_CACHE_ENV,
-            _clear_weights_cache,
-        )
+        from repro.core.dispatch import _clear_weights_cache
 
         _clear_weights_cache()
         k = 6
         one_vector = (1 << k) * 8
-        monkeypatch.setenv(WEIGHTS_CACHE_ENV, str(2 * one_vector))
+        monkeypatch.setenv("REPRO_WEIGHTS_CACHE_BYTES", str(2 * one_vector))
         try:
             a = random_instance(k, 3, 2, seed=0)
             b = random_instance(k, 3, 2, seed=1)

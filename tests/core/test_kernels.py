@@ -13,12 +13,9 @@ from repro.core import kernels
 from repro.core.errors import InvalidProblem
 from repro.core.generators import random_instance
 from repro.core.kernels import (
-    DEFAULT_TILE,
-    TILE_ENV,
     LayerArena,
     LayerPlan,
     _clear_plan_cache,
-    _env_tile,
     layer_plan,
     solve_layer_kernel_fused,
 )
@@ -346,24 +343,8 @@ class TestSolveDpSlices:
 
 
 class TestTileEnv:
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv(TILE_ENV, raising=False)
-        assert _env_tile() == DEFAULT_TILE
-
-    def test_override_and_disable(self, monkeypatch):
-        monkeypatch.setenv(TILE_ENV, "1024")
-        assert _env_tile() == 1024
-        monkeypatch.setenv(TILE_ENV, "0")
-        assert _env_tile() == 0
-
-    @pytest.mark.parametrize("bad", ["-1", "abc", "1.5"])
-    def test_invalid_rejected(self, monkeypatch, bad):
-        monkeypatch.setenv(TILE_ENV, bad)
-        with pytest.raises(InvalidProblem):
-            _env_tile()
-
     def test_env_tile_changes_nothing_numerically(self, monkeypatch):
         problem = random_instance(5, 4, 3, seed=3)
         p = subset_weights(problem)
-        monkeypatch.setenv(TILE_ENV, "5")
+        monkeypatch.setenv("REPRO_KERNEL_TILE", "5")
         assert_layers_match(problem, p, tiles=(None,))

@@ -18,11 +18,7 @@ from repro.cli import main
 from repro.core import SolverEngine, solve
 from repro.core.errors import InvalidProblem
 from repro.core.generators import random_instance
-from repro.core.parallel import (
-    _shard_bounds,
-    default_workers,
-    solve_dp_parallel,
-)
+from repro.core.parallel import _shard_bounds, solve_dp_parallel
 from repro.core.problem import Action, TTProblem
 from repro.core.sequential import solve_dp, solve_dp_reference
 
@@ -253,13 +249,6 @@ class TestSharding:
         par = solve_dp_parallel(problem, workers=4, min_shard=10_000)
         assert np.array_equal(par.cost, ref.cost)
         assert np.array_equal(par.best_action, ref.best_action)
-
-    def test_default_workers_positive(self):
-        assert default_workers() >= 1
-
-    def test_default_workers_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "3")
-        assert default_workers() == 3
 
 
 class TestStartMethod:

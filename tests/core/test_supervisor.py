@@ -639,25 +639,3 @@ class TestPolicyValidation:
         assert policy.fallback
         assert policy.max_retries >= 1
 
-
-class TestEnvKnobValidation:
-    def test_repro_workers_non_integer(self, monkeypatch):
-        from repro.core.parallel import default_workers
-
-        monkeypatch.setenv("REPRO_WORKERS", "lots")
-        with pytest.raises(InvalidProblem, match="REPRO_WORKERS"):
-            default_workers()
-
-    def test_repro_workers_negative(self, monkeypatch):
-        from repro.core.parallel import default_workers
-
-        monkeypatch.setenv("REPRO_WORKERS", "-2")
-        with pytest.raises(InvalidProblem, match="REPRO_WORKERS"):
-            default_workers()
-
-    def test_repro_start_method_unknown(self, monkeypatch):
-        from repro.core.parallel import _mp_context
-
-        monkeypatch.setenv("REPRO_START_METHOD", "teleport")
-        with pytest.raises(InvalidProblem, match="REPRO_START_METHOD"):
-            _mp_context()

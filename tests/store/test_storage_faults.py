@@ -19,12 +19,12 @@ import numpy as np
 import pytest
 
 from repro.core.errors import InvalidProblem, SolverError
-from repro.core.faults import FAULT_SPEC_ENV, parse_fault_spec, storage_faults_for
+from repro.core.faults import parse_fault_spec, storage_faults_for
 from repro.core.generators import random_instance
 from repro.core.parallel import solve_dp_parallel
 from repro.core.sequential import solve_dp_reference
 from repro.core.supervisor import ResiliencePolicy
-from repro.store import RAM_BUDGET_ENV, StoreSpec
+from repro.store import StoreSpec
 
 PROBLEM = random_instance(6, n_tests=6, n_treatments=4, seed=41)
 REF = solve_dp_reference(PROBLEM)
@@ -43,12 +43,12 @@ def spilled_solve(spill_dir, monkeypatch=None, fault=None, workers=1, store="mma
         policy = ResiliencePolicy(checkpoint=str(spill_dir), keep_checkpoint=True)
         where = {"policy": policy}
     if fault is not None:
-        monkeypatch.setenv(FAULT_SPEC_ENV, fault)
+        monkeypatch.setenv("REPRO_FAULT_SPEC", fault)
     try:
         return solve_dp_parallel(PROBLEM, workers=workers, **where)
     finally:
         if fault is not None:
-            monkeypatch.delenv(FAULT_SPEC_ENV)
+            monkeypatch.delenv("REPRO_FAULT_SPEC")
 
 
 class TestSpecGrammar:
@@ -76,7 +76,7 @@ class TestSpecGrammar:
         assert list(storage_faults_for(3, 0, spec="kill:layer=3")) == []
 
     def test_typod_spec_fails_solve_before_dispatch(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(FAULT_SPEC_ENV, "torn-wrote:layer=1")
+        monkeypatch.setenv("REPRO_FAULT_SPEC", "torn-wrote:layer=1")
         with pytest.raises(InvalidProblem, match="unknown kind"):
             solve_dp_parallel(
                 PROBLEM, workers=1,
@@ -131,21 +131,21 @@ class TestEnospc:
         # Tables over the budget: the spill store existed to honour the
         # limit, so falling back to RAM is refused and the original
         # disk failure surfaces loudly.
-        monkeypatch.setenv(RAM_BUDGET_ENV, "1024")  # < the 2 KiB of k=6 tables
+        monkeypatch.setenv("REPRO_RAM_BUDGET_BYTES", "1024")  # < the 2 KiB of k=6 tables
         spill = tmp_path / "spill"
         with pytest.raises(SolverError, match="not possible"):
             spilled_solve(spill, monkeypatch, fault="enospc:layer=3")
 
     def test_degraded_solve_still_bit_identical_with_pool(self, tmp_path, monkeypatch):
         spill = tmp_path / "spill"
-        monkeypatch.setenv(FAULT_SPEC_ENV, "enospc:layer=2")
+        monkeypatch.setenv("REPRO_FAULT_SPEC", "enospc:layer=2")
         try:
             result = solve_dp_parallel(
                 PROBLEM, workers=2, min_shard=1,
                 store=StoreSpec(kind="mmap", spill_dir=str(spill)),
             )
         finally:
-            monkeypatch.delenv(FAULT_SPEC_ENV)
+            monkeypatch.delenv("REPRO_FAULT_SPEC")
         # Layers 1-2 ran on the pool against the spill tables; 3-6 ran
         # in-process on the adopted RAM tables.  Same bytes regardless.
         assert np.array_equal(result.cost, REF.cost)

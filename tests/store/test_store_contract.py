@@ -19,15 +19,7 @@ from repro.core.kernels import layer_plan
 from repro.core.parallel import solve_dp_parallel
 from repro.core.sequential import solve_dp_reference, subset_weights
 from repro.core.supervisor import ResiliencePolicy
-from repro.store import (
-    RAM_BUDGET_ENV,
-    MmapStore,
-    RamStore,
-    StoreSpec,
-    open_store,
-    ram_budget,
-    tables_nbytes,
-)
+from repro.store import MmapStore, RamStore, StoreSpec, open_store, tables_nbytes
 
 PROBLEM = random_instance(6, n_tests=6, n_treatments=4, seed=21)
 REF = solve_dp_reference(PROBLEM)
@@ -70,40 +62,26 @@ class TestStoreSpec:
 
 
 class TestRamBudget:
-    def test_unset_means_unlimited(self, monkeypatch):
-        monkeypatch.delenv(RAM_BUDGET_ENV, raising=False)
-        assert ram_budget() is None
-
-    @pytest.mark.parametrize("bad", ["lots", "-1", "0"])
-    def test_garbage_budget_is_loud(self, monkeypatch, bad):
-        monkeypatch.setenv(RAM_BUDGET_ENV, bad)
-        with pytest.raises(InvalidProblem, match=RAM_BUDGET_ENV):
-            ram_budget()
-
     def test_ram_store_refuses_over_budget(self, monkeypatch):
-        monkeypatch.setenv(RAM_BUDGET_ENV, str(tables_nbytes(PROBLEM.k) - 1))
+        monkeypatch.setenv("REPRO_RAM_BUDGET_BYTES", str(tables_nbytes(PROBLEM.k) - 1))
         with pytest.raises(SolverError, match="--store=mmap"):
             solve_dp_parallel(PROBLEM, workers=1)
 
     def test_numpy_solve_honours_the_budget(self, monkeypatch):
         # solve_dp runs over a RAM store, so the budget gates it too.
-        monkeypatch.setenv(RAM_BUDGET_ENV, str(tables_nbytes(PROBLEM.k) - 1))
+        monkeypatch.setenv("REPRO_RAM_BUDGET_BYTES", str(tables_nbytes(PROBLEM.k) - 1))
         with pytest.raises(SolverError, match="mmap"):
             solve(PROBLEM, backend="numpy")
-        monkeypatch.setenv(RAM_BUDGET_ENV, str(tables_nbytes(PROBLEM.k)))
+        monkeypatch.setenv("REPRO_RAM_BUDGET_BYTES", str(tables_nbytes(PROBLEM.k)))
         assert_ref_tables(solve(PROBLEM, backend="numpy"))
 
     def test_mmap_store_runs_under_budget(self, monkeypatch, tmp_path):
         # The same budget that stops the RAM store: file-backed tables
         # are page cache, not anonymous memory, so the spill store runs.
-        monkeypatch.setenv(RAM_BUDGET_ENV, str(tables_nbytes(PROBLEM.k) - 1))
+        monkeypatch.setenv("REPRO_RAM_BUDGET_BYTES", str(tables_nbytes(PROBLEM.k) - 1))
         spec = StoreSpec(kind="mmap", spill_dir=str(tmp_path / "spill"))
         result = solve_dp_parallel(PROBLEM, workers=1, store=spec)
         assert_ref_tables(result)
-
-    def test_mmap_resident_scratch_is_bounded(self, tmp_path):
-        store = MmapStore(PROBLEM, spill_dir=str(tmp_path / "spill"))
-        assert store.resident_nbytes < tables_nbytes(20)
 
 
 class TestRamStoreTables:

@@ -165,6 +165,28 @@ class TestResilienceFlags:
         assert again["recovery"]["rederived"] == 0
         assert again["optimal_cost"] == payload["optimal_cost"]
 
+    # The CLI reports what solve() ran, after the rules that force the
+    # parallel backend, with the worker count it resolved.
+    def test_checkpoint_reports_the_forced_parallel_backend(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_WORKERS", "2")
+        code, text = run_cli(
+            "solve", "--workload", "medical", "--k", "6",
+            "--checkpoint", str(tmp_path / "ckpt"), "--json",
+        )
+        assert code == 0
+        payload = json.loads(text)
+        assert (payload["backend"], payload["workers"]) == ("parallel", 2)
+
+    def test_mmap_store_reports_the_workers_it_ran(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_WORKERS", "2")
+        code, text = run_cli(
+            "solve", "--workload", "medical", "--k", "5",
+            "--store", "mmap", "--spill-dir", str(tmp_path / "spill"), "--json",
+        )
+        assert code == 0
+        payload = json.loads(text)
+        assert (payload["backend"], payload["workers"]) == ("parallel", 2)
+
     def test_crash_drill_subcommand_json(self, tmp_path):
         code, text = run_cli(
             "crash-drill", "--workload", "random", "--k", "6", "--seed", "3",

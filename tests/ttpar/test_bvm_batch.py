@@ -12,12 +12,12 @@ import hashlib
 import numpy as np
 import pytest
 
+from repro.config import BVM_BACKENDS
 from repro.core.errors import InvalidProblem
 from repro.core.problem import Action, TTProblem
 from repro.core.sequential import solve_dp_reference
 from repro.obs import trace as obs_trace
 from repro.ttpar.bvm_tt import (
-    BATCH_BACKENDS,
     _batch_plan,
     build_bvm_tt_batch,
     solve_tt_bvm,
@@ -138,7 +138,7 @@ class TestBoolOracle:
     def test_unknown_backend_raises(self):
         with pytest.raises(InvalidProblem, match="batch backend"):
             solve_tt_bvm_batch([_integral(2, 0)], backend="simd512")
-        assert set(BATCH_BACKENDS) == {"packed", "bool"}
+        assert set(BVM_BACKENDS) == {"packed", "bool"}
 
     def test_empty_batch(self):
         assert solve_tt_bvm_batch([]) == []
