@@ -17,7 +17,7 @@ durability tax:
 
 Instance size comes from ``REPRO_BENCH_SPILL_K`` (default 16; the
 committed ``BENCH_SPILL.json`` was produced at ``k=24``, where the cost
-table alone is 128 MiB and the budget was 64 MiB).  Output: a
+table alone is 128 MiB and the budget was 48 MiB).  Output: a
 ``BENCH_JSON`` line, a table, and — from a k=24 run only —
 ``BENCH_SPILL.json``.
 """
@@ -49,7 +49,7 @@ def test_spill_solve_under_ram_budget():
     problem = random_instance(k, n_tests=10, n_treatments=6, seed=k)
     tables = tables_nbytes(k)
     # An eighth of the table footprint: strictly below even the cost
-    # table alone (8 * 2^k of the 32 * 2^k total).
+    # table alone (8 * 2^k of the 24 * 2^k total).
     budget = tables // 8
 
     # Truth: the unbudgeted in-RAM solve.

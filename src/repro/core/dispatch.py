@@ -50,10 +50,10 @@ from collections import OrderedDict
 
 import numpy as np
 
-from ..config import knob
+from ..config import KNOBS, knob
 from ..obs import trace as obs_trace
 from .errors import InvalidProblem
-from .kernels import plan_cache_stats
+from .kernels import check_k, plan_cache_stats
 from .parallel import PARALLEL_MIN_K_COLD, solve_dp_parallel
 from .problem import TTProblem
 from .sequential import DPResult, solve_dp, solve_dp_reference, subset_weights
@@ -69,6 +69,10 @@ __all__ = [
 ]
 
 BACKENDS = ("auto", "numpy", "parallel", "reference")
+
+# Every knob a DP solve can read: all but the BVM's backend, whose path
+# does not go through solve().
+SOLVE_KNOBS = tuple(name for name in KNOBS if name != "REPRO_BVM_BACKEND")
 
 _WEIGHTS_LOCK = threading.Lock()
 _WEIGHTS_CACHE: OrderedDict[tuple, np.ndarray] = OrderedDict()
@@ -220,7 +224,18 @@ def solve(
     a :class:`~repro.obs.progress.ProgressReporter` gets live per-layer
     callbacks on the parallel path.  Both are observational only —
     ``cost``/``best_action`` are bit-identical with them on or off.
+
+    On entry, before any dispatch (the engine's included), ``k`` above
+    :data:`~repro.core.kernels.MAX_K` and a bad value of any knob a DP
+    solve can read (:data:`SOLVE_KNOBS`; ``workers`` given here stands
+    in for ``REPRO_WORKERS``) raise :class:`InvalidProblem`.
     """
+    check_k(problem.k)
+    # Parse every knob this solve can read, once, before dispatch: a bad
+    # value must fail even where the run would never reach its read (a
+    # pool layer too small to start a worker, a weights-cache hit).
+    for name in SOLVE_KNOBS:
+        knob(name, workers if name == "REPRO_WORKERS" else None)
     spec = None
     store_kind = "ram"
     if store is not None or spill_dir is not None:

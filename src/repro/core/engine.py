@@ -16,7 +16,9 @@ stream of instances arriving faster than that start-up cost.
   own recovery log and telemetry (:meth:`Supervisor.rebind`), and runs
   the same :func:`~repro.core.parallel.run_layers` barrier loop as the
   cold path — the per-problem statics ride every shard task, so the
-  workers never need restarting between problems;
+  workers never need restarting between problems.  Because the next
+  solve re-arms the tables, each result gets copies of them, where a
+  cold solve's store hands its own over;
 * :meth:`SolverEngine.solve_many` pipelines the ``subset_weights``
   precompute of the *next* instance against the in-flight solve on a
   background thread (the butterfly accumulation is numpy work that
@@ -50,7 +52,7 @@ from ..obs import trace as obs_trace
 from . import parallel as _par
 from .dispatch import BACKENDS, _resolve, cached_subset_weights
 from .errors import InvalidProblem, SolverError
-from .kernels import LayerArena
+from .kernels import LayerArena, check_k
 from .parallel import MIN_SHARD, PARALLEL_MIN_K_WARM, run_layers
 from .problem import TTProblem
 from .sequential import DPResult, solve_dp
@@ -159,6 +161,7 @@ class SolverEngine:
         """
         if self._closed:
             raise SolverError("SolverEngine is closed")
+        check_k(problem.k)
         backend, eff_workers = _resolve(
             problem, self.backend, self.workers, PARALLEL_MIN_K_WARM
         )
@@ -216,11 +219,16 @@ class SolverEngine:
         else:
             supervisor.rebind(task, log, tracer=tr, metrics=reg)
 
-        return run_layers(
+        result = run_layers(
             problem, store, supervisor,
             backend="parallel", workers=workers, min_shard=self.min_shard,
             log=log, tracer=tr, metrics=reg, arena=self._arena,
         )
+        # The store's tables are re-armed by the next solve: the result
+        # gets copies (a cold solve's store hands its own tables over).
+        result.cost = result.cost.copy()
+        result.best_action = result.best_action.copy()
+        return result
 
     def solve_many(
         self,

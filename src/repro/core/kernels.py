@@ -14,7 +14,7 @@ middle layers are far past glibc's malloc threshold.  The kernel here,
 * every elementwise op writes ``out=`` into the arena
   (``np.bitwise_and``, ``np.multiply``, in-place ``np.add`` for the
   gathered table values, ``cost.take(..., out=)`` for the gathers);
-* mask scratch is ``int32`` (masks fit for every supported ``k``),
+* mask scratch is ``int32`` (masks fit for every ``k <= MAX_K``),
   which halves the bitwise traffic and costs nothing on the gathers;
 * the running argmin is updated *branch-free*: ``np.minimum`` for the
   value, and for the action index an ``int32`` max-blend
@@ -25,8 +25,8 @@ middle layers are far past glibc's malloc threshold.  The kernel here,
   (``np.copyto(..., where=)``) cost up to 7x more when the
   improvement mask is dense, which it always is for the first few
   actions of a layer scan; the blend is memory-bound so the narrow
-  dtype halves its cost (the scatter into the ``int64`` result table
-  casts for free);
+  dtype halves its cost, and the ``best`` table is ``int32`` too
+  (:data:`BEST_DTYPE`), so the result scatters without a cast;
 * the explicit validity masks of the legacy kernel are *dropped
   entirely* — see "table-state invariant" below;
 * the subset axis is optionally *tiled* so one tile's working set
@@ -108,6 +108,13 @@ from ..util.bitops import popcount_array
 from .errors import InvalidProblem
 
 __all__ = [
+    "COST_DTYPE",
+    "BEST_DTYPE",
+    "P_DTYPE",
+    "ORDER_DTYPE",
+    "TABLE_DTYPES",
+    "MAX_K",
+    "check_k",
     "LayerPlan",
     "layer_plan",
     "layer_starts",
@@ -120,6 +127,40 @@ __all__ = [
 ]
 
 INF = np.inf
+
+
+# ----------------------------------------------------------------------
+# Table widths
+# ----------------------------------------------------------------------
+
+# The dtype of each of a solve's four 2^k tables.  Every site that
+# allocates, maps, persists or decodes a table spells its dtype through
+# these: 24 bytes per mask in all.  ``best`` holds action indices (-1 =
+# none) and ``order`` holds masks, so both fit int32 — the masks because
+# k is at most MAX_K.
+COST_DTYPE = np.dtype(np.float64)
+BEST_DTYPE = np.dtype(np.int32)
+P_DTYPE = np.dtype(np.float64)
+ORDER_DTYPE = np.dtype(np.int32)
+TABLE_DTYPES = {"cost": COST_DTYPE, "best": BEST_DTYPE, "p": P_DTYPE, "order": ORDER_DTYPE}
+
+# The largest k whose masks fit ORDER_DTYPE (and the kernel's int32 mask
+# scratch).  A 2^31-mask solve needs 48 GiB of tables, so the limit only
+# turns a silent wrap into an error.
+MAX_K = 31
+
+
+def check_k(k: int) -> None:
+    """Raise :class:`InvalidProblem` when ``k`` is above :data:`MAX_K`.
+
+    Every DP path calls it before it allocates a ``2^k`` array or a
+    spill file.
+    """
+    if k > MAX_K:
+        raise InvalidProblem(
+            f"k={k} is above the DP solver's limit of k <= {MAX_K}: "
+            f"subset masks are stored as {ORDER_DTYPE}"
+        )
 
 
 # ----------------------------------------------------------------------
@@ -177,7 +218,8 @@ class LayerPlan:
     def __init__(self, k: int):
         if k < 0:
             raise InvalidProblem(f"layer plan needs k >= 0, got {k}")
-        order = np.empty(1 << k, dtype=np.int64)
+        check_k(k)
+        order = np.empty(1 << k, dtype=ORDER_DTYPE)
         popcount_order_into(order, k)
         starts = layer_starts(k)
         order.setflags(write=False)
@@ -209,7 +251,7 @@ _PLAN_LOCK = threading.Lock()
 _PLAN_CACHE: dict[int, LayerPlan] = {}
 _PLAN_STATS = {"hits": 0, "misses": 0}
 
-# A plan is 8 bytes per mask; 8 cached k's at k <= 20 is at most ~64 MiB
+# A plan is 4 bytes per mask; 8 cached k's at k <= 20 is at most ~32 MiB
 # and in practice a handful of small ones.  Plans for distinct k are
 # evicted least-recently-inserted beyond this bound.
 _PLAN_CACHE_MAX = 8
@@ -305,8 +347,8 @@ class LayerArena:
         """Views of the ``best`` (float64) / ``arg`` (int32) output
         buffers, length ``n``.  ``arg`` is int32 on purpose: action
         indices are tiny, the branch-free blend that updates it is
-        memory-bound, and scattering into the int64 result table
-        upcasts for free."""
+        memory-bound, and it scatters into the int32 ``best`` table
+        (:data:`BEST_DTYPE`) without a cast."""
         if n > self._out_cap:
             self.grows += 1
             self.best = np.empty(n, dtype=np.float64)
@@ -465,7 +507,9 @@ def solve_slice(cost, best, p, order, lo, hi, subsets, costs, is_test, arena) ->
     """
     for off in range(lo, hi, PARENT_CHUNK):
         end = min(off + PARENT_CHUNK, hi)
-        layer = np.asarray(order[off:end])
+        # numpy converts a non-intp index array to intp on every fancy
+        # index, so the int32 order is converted once per chunk, here.
+        layer = np.asarray(order[off:end], dtype=np.intp)
         cost[layer] = INF
         layer_best, layer_arg = solve_layer_kernel_fused(
             layer, p[layer], cost, subsets, costs, is_test, arena=arena,

@@ -100,7 +100,7 @@ from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from . import faults
 from .errors import InvalidProblem, SolverError
-from .kernels import LayerArena, layer_plan, solve_slice
+from .kernels import TABLE_DTYPES, LayerArena, layer_plan, solve_slice
 from .problem import TTProblem
 from .sequential import DPResult
 from .supervisor import RecoveryLog, ResiliencePolicy, Supervisor
@@ -166,27 +166,22 @@ def _init_worker(access):
     if access["mode"] == "shm":
         blocks = {key: _attach(name) for key, name in access["names"].items()}
         _WORKER = {
-            "blocks": blocks,
-            "cost": np.ndarray(n_sub, dtype=np.float64, buffer=blocks["cost"].buf),
-            "best": np.ndarray(n_sub, dtype=np.int64, buffer=blocks["best"].buf),
-            "p": np.ndarray(n_sub, dtype=np.float64, buffer=blocks["p"].buf),
-            # Safe to call after a fork: no parent thread but the solve
-            # thread calls layer_plan, so its lock is free at every fork.
-            "order": layer_plan(n_sub.bit_length() - 1).order,
+            key: np.ndarray(n_sub, dtype=TABLE_DTYPES[key], buffer=blk.buf)
+            for key, blk in blocks.items()
         }
+        _WORKER["blocks"] = blocks
+        # Safe to call after a fork: no parent thread but the solve
+        # thread calls layer_plan, so its lock is free at every fork.
+        _WORKER["order"] = layer_plan(n_sub.bit_length() - 1).order
     else:
         spill = access["dir"]
         _WORKER = {
-            "blocks": {},
-            "cost": np.memmap(os.path.join(spill, "cost.dat"),
-                              dtype=np.float64, mode="r+", shape=(n_sub,)),
-            "best": np.memmap(os.path.join(spill, "best.dat"),
-                              dtype=np.int64, mode="r+", shape=(n_sub,)),
-            "p": np.memmap(os.path.join(spill, "p.dat"),
-                           dtype=np.float64, mode="r", shape=(n_sub,)),
-            "order": np.memmap(os.path.join(spill, "order.dat"),
-                               dtype=np.int64, mode="r", shape=(n_sub,)),
+            key: np.memmap(os.path.join(spill, key + ".dat"), dtype=dtype,
+                           mode="r+" if key in ("cost", "best") else "r",
+                           shape=(n_sub,))
+            for key, dtype in TABLE_DTYPES.items()
         }
+        _WORKER["blocks"] = {}
     _WORKER["arena"] = LayerArena()
 
 

@@ -48,7 +48,7 @@ import numpy as np
 from ..obs import trace as _trace
 from ..obs.metrics import MetricsRegistry, zeroed_metrics, zeroed_recovery
 from ..util.bitops import subsets_of_size
-from .kernels import LayerArena
+from .kernels import BEST_DTYPE, COST_DTYPE, LayerArena
 from .problem import TTProblem
 from .supervisor import RecoveryLog
 from .tree import TTNode, TTTree
@@ -106,7 +106,8 @@ class DPResult:
         sub-procedure exists).
     best_action:
         Index of a minimizing action per subset (``-1`` for the empty set
-        and for infeasible subsets).
+        and for infeasible subsets), as ``int32``
+        (:data:`~repro.core.kernels.BEST_DTYPE`) from every backend.
     op_count:
         Number of ``M[S,i]`` evaluations performed — the sequential work
         measure ``(2^k - 1) * N`` used by the speedup analysis.
@@ -206,8 +207,8 @@ def solve_layer_kernel(
     is kept as the oracle and as the baseline the kernel benchmarks
     compare against.
     """
-    layer_best = np.full(layer.size, INF, dtype=np.float64)
-    layer_arg = np.full(layer.size, -1, dtype=np.int64)
+    layer_best = np.full(layer.size, INF, dtype=COST_DTYPE)
+    layer_arg = np.full(layer.size, -1, dtype=BEST_DTYPE)
     for i in range(len(costs)):
         t = int(subsets[i])
         inter = layer & t
@@ -272,9 +273,9 @@ def solve_dp_reference(problem: TTProblem) -> DPResult:
     """
     k, n_act = problem.k, problem.n_actions
     n_sub = 1 << k
-    cost = np.full(n_sub, INF, dtype=np.float64)
+    cost = np.full(n_sub, INF, dtype=COST_DTYPE)
     cost[0] = 0.0
-    best = np.full(n_sub, -1, dtype=np.int64)
+    best = np.full(n_sub, -1, dtype=BEST_DTYPE)
     ops = 0
 
     for j in range(1, k + 1):

@@ -22,7 +22,8 @@ machinery that makes those failures survivable:
   child can be started the rest of the solve runs in the parent;
 * :class:`SharedTables` — a leak-proof owner of the shared-memory
   blocks: ``atexit`` + SIGTERM/SIGINT guards unlink the segments even
-  when the parent is torn down mid-solve;
+  when the parent is torn down mid-solve, and on Linux its arrays own
+  their mappings, so they outlive the unlinked segments;
 * :func:`problem_content_hash` — the problem identity every durable
   layer journal (:mod:`repro.store.journal`) is bound to, so resuming
   against a different instance is refused;
@@ -57,6 +58,7 @@ import numpy as np
 from ..obs.metrics import NULL_METRICS
 from ..obs.trace import NULL
 from .errors import ShardTimeout, SolverError, WorkerCrash
+from .kernels import TABLE_DTYPES
 from .problem import TTProblem
 
 __all__ = [
@@ -219,15 +221,27 @@ def _install_guard() -> None:
         _guard_installed = True
 
 
+# Where Linux shows each POSIX shared-memory segment as a file.
+_SHM_DIR = "/dev/shm"
+
+
 class SharedTables:
     """Owner of the shared-memory blocks backing one parallel solve.
 
     Creates the ``cost`` / ``best`` / ``p`` segments (the mask order is
     the layer plan's, which every solving process holds), exposes them
-    as numpy views, and guarantees they are closed **and unlinked**
+    as numpy arrays, and guarantees they are closed **and unlinked**
     exactly once — on normal exit, on any raised exception (context
     manager), at interpreter shutdown (``atexit``), and on SIGTERM/SIGINT
     (signal guard) — so no failure mode strands ``/dev/shm`` segments.
+
+    Where the segments are files under ``/dev/shm`` (Linux), each array
+    maps its own segment (``np.memmap``) and owns that mapping, so it
+    stays valid after :meth:`close` unlinks the names: ``owned`` is
+    true, and a store may hand its ``cost`` and ``best`` to the result
+    instead of copying them (the pages are freed when the last array
+    goes).  Elsewhere the arrays view the blocks' buffers, which
+    :meth:`close` releases, and ``owned`` is false.
     """
 
     def __init__(self, n_sub: int):
@@ -237,16 +251,22 @@ class SharedTables:
         # SIGTERM'd worker must never unlink the parent's segments, so
         # ownership is by PID and close() is a no-op elsewhere.
         self._owner_pid = os.getpid()
-        for key, nbytes in (
-            ("cost", n_sub * 8),
-            ("best", n_sub * 8),
-            ("p", n_sub * 8),
-        ):
-            self._blocks[key] = shared_memory.SharedMemory(create=True, size=nbytes)
-        self.cost = np.ndarray(n_sub, dtype=np.float64, buffer=self._blocks["cost"].buf)
-        self.best = np.ndarray(n_sub, dtype=np.int64, buffer=self._blocks["best"].buf)
-        self.p = np.ndarray(n_sub, dtype=np.float64, buffer=self._blocks["p"].buf)
+        for key in ("cost", "best", "p"):
+            self._blocks[key] = shared_memory.SharedMemory(
+                create=True, size=n_sub * TABLE_DTYPES[key].itemsize
+            )
         self.names = {key: blk.name for key, blk in self._blocks.items()}
+        paths = {key: os.path.join(_SHM_DIR, name) for key, name in self.names.items()}
+        self.owned = all(os.path.exists(path) for path in paths.values())
+        for key, blk in self._blocks.items():
+            dtype = TABLE_DTYPES[key]
+            if self.owned:
+                table = np.memmap(paths[key], dtype=dtype, mode="r+", shape=(n_sub,))
+                table = table.view(np.ndarray)  # still owns the mapping
+                blk.close()
+            else:
+                table = np.ndarray(n_sub, dtype=dtype, buffer=blk.buf)
+            setattr(self, key, table)
         _install_guard()
         _LIVE_TABLES.add(self)
 
@@ -257,12 +277,13 @@ class SharedTables:
         self.close()
 
     def close(self) -> None:
-        """Idempotent: drop the views, close and unlink every block.
+        """Idempotent: drop the arrays, close and unlink every block.
 
         Only the creating process unlinks — in a forked child (a
         worker running the inherited guard) this is a reference-drop
         no-op, otherwise a worker's SIGTERM would strand the parent
-        mid-solve with vanished segments.
+        mid-solve with vanished segments.  Arrays that own their
+        mappings stay valid for whoever still holds them.
         """
         if self._closed:
             return
@@ -270,7 +291,7 @@ class SharedTables:
             return
         self._closed = True
         _LIVE_TABLES.discard(self)
-        # Views must be released before close(), else BufferError.
+        # Buffer views must be released before close(), else BufferError.
         self.cost = self.best = self.p = None
         for blk in self._blocks.values():
             try:

@@ -49,6 +49,7 @@ import numpy as np
 
 from ..config import knob
 from ..core.errors import InvalidProblem, SolverError
+from ..core.kernels import BEST_DTYPE, COST_DTYPE, TABLE_DTYPES
 
 __all__ = [
     "STORE_KINDS",
@@ -61,9 +62,13 @@ __all__ = [
 STORE_KINDS = ("auto", "ram", "mmap")
 
 
+# Bytes per mask of one committed layer: its cost, then its best action.
+SLAB_BYTES_PER_MASK = COST_DTYPE.itemsize + BEST_DTYPE.itemsize
+
+
 def tables_nbytes(k: int) -> int:
-    """Bytes of the four full tables (cost, best, p, order: 8 bytes each)."""
-    return (1 << k) * 32
+    """Bytes of the four full tables (cost, best, p, order: 24 per mask)."""
+    return (1 << k) * sum(dtype.itemsize for dtype in TABLE_DTYPES.values())
 
 
 @dataclass(frozen=True)
@@ -176,7 +181,7 @@ class LayerStore:
     def commit_nbytes(self, j: int) -> int:
         """Bytes ``commit_layer(j)`` will durably write."""
         lo, hi = self.bounds(j)
-        return (hi - lo) * 16
+        return (hi - lo) * SLAB_BYTES_PER_MASK
 
     def open(self) -> OpenReport:
         raise NotImplementedError

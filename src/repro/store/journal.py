@@ -8,6 +8,11 @@ A journal directory holds the committed popcount layers of one solve::
         layer_07.slab   committed layer payloads (cost then best bytes,
         ...             in layer order), one file per popcount layer
 
+A slab of format 2 holds the layer's float64 costs (8 bytes per mask)
+and then its int32 best actions (4 bytes per mask).  Format 1 stored
+int64 actions; its directories are refused, not re-derived: that would
+silently throw away a checkpoint the user asked to resume.
+
 Both persisted stores commit through it: the mmap spill store (whose
 directory also holds its memory-mapped tables) and the in-RAM store
 under ``checkpoint=DIR`` (whose tables stay in shared memory).  The
@@ -67,14 +72,14 @@ import numpy as np
 from ..core import faults
 from ..core.durable import atomic_write_bytes, fsync_dir, sweep_tmp_files
 from ..core.errors import CheckpointMismatch, StoreCorruption, StoreWriteError
-from ..core.kernels import layer_plan
+from ..core.kernels import BEST_DTYPE, COST_DTYPE, layer_plan
 from ..core.supervisor import problem_content_hash
-from .base import OpenReport
+from .base import SLAB_BYTES_PER_MASK, OpenReport
 
 __all__ = ["SlabJournal", "MANIFEST_NAME", "JOURNAL_FORMAT", "CHUNK", "order_digest"]
 
 MANIFEST_NAME = "manifest.json"
-JOURNAL_FORMAT = 1
+JOURNAL_FORMAT = 2
 
 # Subsets per streamed chunk for every table-sized pass (slab
 # gather/scatter, order generation/hashing): 2^18 masks = 2 MiB of
@@ -162,10 +167,11 @@ class SlabJournal:
                 "state cannot be trusted; remove the directory to start over"
             ) from exc
         if not isinstance(data, dict) or data.get("format") != JOURNAL_FORMAT:
+            found = data.get("format") if isinstance(data, dict) else data
             raise StoreCorruption(
-                f"manifest {path!r} has format "
-                f"{data.get('format') if isinstance(data, dict) else data!r}, "
-                f"expected {JOURNAL_FORMAT}"
+                f"manifest {path!r} has format {found!r}, but only format "
+                f"{JOURNAL_FORMAT} can be resumed (format 1 stored int64 best "
+                "actions) — remove the directory to start over"
             )
         for key, typ in (("problem_sha", str), ("k", int), ("order_sha", str),
                          ("layers", dict)):
@@ -243,7 +249,7 @@ class SlabJournal:
         if not isinstance(entry, dict):
             return "corrupt"
         lo, hi = self._store.bounds(j)
-        expect = (hi - lo) * 16
+        expect = (hi - lo) * SLAB_BYTES_PER_MASK
         path = self.slab_path(j)
         try:
             size = os.path.getsize(path)
@@ -266,11 +272,12 @@ class SlabJournal:
         lo, hi = st.bounds(j)
         size = hi - lo
         with open(self.slab_path(j), "rb") as fh:
-            for table, dtype in ((st.cost, np.float64), (st.best, np.int64)):
+            for table, dtype in ((st.cost, COST_DTYPE), (st.best, BEST_DTYPE)):
                 for off in range(0, size, CHUNK):
                     n = min(CHUNK, size - off)
-                    block = np.frombuffer(fh.read(n * 8), dtype=dtype)
-                    table[st.order[lo + off:lo + off + n]] = block
+                    block = np.frombuffer(fh.read(n * dtype.itemsize), dtype=dtype)
+                    idx = np.asarray(st.order[lo + off:lo + off + n], dtype=np.intp)
+                    table[idx] = block
 
     # -- commit ---------------------------------------------------------
 
@@ -300,7 +307,7 @@ class SlabJournal:
 
         lo, hi = st.bounds(j)
         size = hi - lo
-        total = size * 16
+        total = size * SLAB_BYTES_PER_MASK
         # A torn write stops half-way; a bitflip corrupts the first byte.
         # Both happen *after* hashing, so the manifest records the true
         # payload's checksum and the next open must catch the mismatch.
@@ -315,8 +322,8 @@ class SlabJournal:
                 for table in (st.cost, st.best):
                     for off in range(0, size, CHUNK):
                         n = min(CHUNK, size - off)
-                        idx = st.order[lo + off:lo + off + n]
-                        data = np.ascontiguousarray(table[idx]).tobytes()
+                        idx = np.asarray(st.order[lo + off:lo + off + n], dtype=np.intp)
+                        data = table[idx].tobytes()
                         h.update(data)
                         if flip and first:
                             buf = bytearray(data)

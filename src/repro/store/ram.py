@@ -19,6 +19,11 @@ take from their own plan.  The store adds:
   the four ``2^k`` tables exceed it, opening fails loudly and points at
   the spill store — for every RAM solve, the single-process backend's
   included;
+* a finished solve hands its ``cost`` and ``best`` to the result instead
+  of copying them: shared tables whose arrays own their mappings
+  (``SharedTables.owned``, Linux) stay valid after :meth:`close` unlinks
+  the segments — the one caller that reuses a store, the warm engine,
+  copies them itself;
 * :meth:`RamStore.rearm` resets open tables for another instance of the
   same ``k``, which is how the warm
   :class:`~repro.core.engine.SolverEngine` keeps one store open across a
@@ -38,7 +43,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.kernels import layer_plan
+from ..core.kernels import BEST_DTYPE, COST_DTYPE, P_DTYPE, layer_plan
 from ..core.sequential import subset_weights
 from ..core.supervisor import SharedTables
 from .base import LayerStore, OpenReport, tables_nbytes
@@ -82,8 +87,8 @@ class RamStore(LayerStore):
             else:
                 self.p[:] = self._p_in
         else:  # borrow p: every slice only reads it
-            self.cost = np.empty(self.n_sub, dtype=np.float64)
-            self.best = np.empty(self.n_sub, dtype=np.int64)
+            self.cost = np.empty(self.n_sub, dtype=COST_DTYPE)
+            self.best = np.empty(self.n_sub, dtype=BEST_DTYPE)
             self.p = subset_weights(self._problem) if self._p_in is None else self._p_in
         self._reset()
         if self._journal is None:
@@ -121,9 +126,9 @@ class RamStore(LayerStore):
         )
         plan = layer_plan(problem.k)
         self.order, self.starts = plan.order, plan.starts
-        self.cost = np.array(cost, dtype=np.float64)
-        self.best = np.array(best, dtype=np.int64)
-        self.p = np.array(p, dtype=np.float64)
+        self.cost = np.array(cost, dtype=COST_DTYPE)
+        self.best = np.array(best, dtype=BEST_DTYPE)
+        self.p = np.array(p, dtype=P_DTYPE)
         return self
 
     def worker_spec(self) -> dict | None:
@@ -140,7 +145,7 @@ class RamStore(LayerStore):
             self._journal.remove()
 
     def result_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._tables is None:
+        if self._tables is None or self._tables.owned:
             return self.cost, self.best
         return self.cost.copy(), self.best.copy()
 

@@ -5,19 +5,21 @@ Layout of a spill directory::
     <spill-dir>/
       manifest.json     slab journal control state (see journal.py)
       cost.dat          float64[2^k]   C table        (np.memmap, r+)
-      best.dat          int64[2^k]     argmin table
+      best.dat          int32[2^k]     argmin table
       p.dat             float64[2^k]   subset weights (recomputed on open)
-      order.dat         int64[2^k]     popcount-sorted masks (checksummed)
+      order.dat         int32[2^k]     popcount-sorted masks (checksummed)
       layers/
         layer_07.slab   committed layer payloads (the slab journal)
         ...
 
-The tables are plain ``MAP_SHARED`` file mappings, so pool workers
-attach by path and parent/worker writes are coherent; the pages are
-reclaimable page cache, which is what lets a ``k=26+`` solve run under a
-RAM budget far below ``32 * 2^k`` bytes.  All streaming I/O (order
-generation, slab commit/validate/scatter, the in-parent kernel path)
-moves through fixed-size chunks, never a full table.
+Each file is sized by its own table's dtype
+(``repro.core.kernels.TABLE_DTYPES``).  The tables are plain
+``MAP_SHARED`` file mappings, so pool workers attach by path and
+parent/worker writes are coherent; the pages are reclaimable page cache,
+which is what lets a ``k=26+`` solve run under a RAM budget far below
+``24 * 2^k`` bytes.  All streaming I/O (order generation, slab
+commit/validate/scatter, the in-parent kernel path) moves through
+fixed-size chunks, never a full table.
 
 The memmapped tables are *scratch*: truth lives in the slabs and the
 manifest, written by the :class:`~repro.store.journal.SlabJournal` that
@@ -37,25 +39,26 @@ import os
 import numpy as np
 
 from ..core.errors import StoreWriteError
-from ..core.kernels import layer_starts, popcount_order_into
+from ..core.kernels import (
+    BEST_DTYPE,
+    COST_DTYPE,
+    TABLE_DTYPES,
+    check_k,
+    layer_starts,
+    popcount_order_into,
+)
 from ..core.sequential import subset_weights
 from .base import LayerStore, OpenReport
 from .journal import CHUNK, SlabJournal
 
 __all__ = ["MmapStore"]
 
-_DATA_FILES = (
-    ("cost", np.float64),
-    ("best", np.int64),
-    ("p", np.float64),
-    ("order", np.int64),
-)
-
 
 class MmapStore(LayerStore):
     kind = "mmap"
 
     def __init__(self, problem, *, spill_dir, fsync: bool = True):
+        check_k(problem.k)  # before any file exists: order.dat is int32
         self._problem = problem
         self._dir = os.fspath(spill_dir)
         self._journal = SlabJournal(self, self._dir, problem, fsync=fsync)
@@ -68,7 +71,7 @@ class MmapStore(LayerStore):
     def open(self) -> OpenReport:
         events = self._journal.load()
         self._allocate_data_files()
-        for name, dtype in _DATA_FILES:
+        for name, dtype in TABLE_DTYPES.items():
             setattr(
                 self,
                 name,
@@ -103,8 +106,8 @@ class MmapStore(LayerStore):
         here as a loud :class:`StoreWriteError` instead of as a SIGBUS
         the first time a sparse page cannot be materialized mid-kernel.
         """
-        nbytes = self.n_sub * 8
-        for name, _ in _DATA_FILES:
+        for name, dtype in TABLE_DTYPES.items():
+            nbytes = self.n_sub * dtype.itemsize
             path = self._data_path(name)
             try:
                 fd = os.open(path, os.O_RDWR | os.O_CREAT, 0o644)
@@ -153,11 +156,11 @@ class MmapStore(LayerStore):
 
     def result_tables(self) -> tuple[np.ndarray, np.ndarray]:
         # Fresh read-only mappings: valid after close(), and the result
-        # stays page-cache-backed instead of forcing a 2 * 8 * 2^k RAM
-        # copy at the end of an out-of-core solve.
-        cost = np.memmap(self._data_path("cost"), dtype=np.float64, mode="r",
+        # stays page-cache-backed instead of forcing a 12 * 2^k RAM copy
+        # at the end of an out-of-core solve.
+        cost = np.memmap(self._data_path("cost"), dtype=COST_DTYPE, mode="r",
                          shape=(self.n_sub,))
-        best = np.memmap(self._data_path("best"), dtype=np.int64, mode="r",
+        best = np.memmap(self._data_path("best"), dtype=BEST_DTYPE, mode="r",
                          shape=(self.n_sub,))
         return cost, best
 

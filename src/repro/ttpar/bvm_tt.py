@@ -43,6 +43,7 @@ from ..bvm.primitives import processor_id
 from ..bvm.program import ProgramBuilder
 from ..config import BVM_BACKENDS
 from ..core.errors import InvalidProblem
+from ..core.kernels import BEST_DTYPE
 from ..core.problem import TTProblem
 from ..util.bitops import popcount_array
 from ..util.fixedpoint import FixedPointScale, choose_scale
@@ -352,9 +353,9 @@ def _decode_tables(
     m_words = np.zeros(n, dtype=np.int64)
     for w, row in enumerate(M_rows):
         m_words |= read(row).astype(np.int64) << w
-    args = np.zeros(n, dtype=np.int64)
+    args = np.zeros(n, dtype=BEST_DTYPE)
     for w, row in enumerate(ARG_rows):
-        args |= read(row).astype(np.int64) << w
+        args |= read(row).astype(BEST_DTYPE) << w
 
     masks = np.arange(n_sub, dtype=np.int64)
     addr0 = masks << layout.p

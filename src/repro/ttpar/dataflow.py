@@ -40,6 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..core.kernels import BEST_DTYPE
 from ..core.problem import TTProblem
 from ..core.sequential import subset_weights
 from ..hypercube.ccc import CCC, CCCStats
@@ -213,7 +214,7 @@ def _collect(problem: TTProblem, layout: TTLayout, st: State) -> tuple[np.ndarra
     masks = np.arange(n_sub, dtype=np.int64)
     addr0 = (masks << layout.p)  # representative PE (S, i=0)
     cost = np.asarray(st["M"])[addr0].astype(np.float64)
-    best = np.asarray(st["ARG"])[addr0].astype(np.int64)
+    best = np.asarray(st["ARG"])[addr0].astype(BEST_DTYPE)
     best[~np.isfinite(cost)] = -1
     best[0] = -1
     return cost, best

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..core.kernels import BEST_DTYPE
 from ..core.problem import TTProblem
 from ..core.tree import TTNode, TTTree
 
@@ -39,7 +40,7 @@ def rederive_policy(problem: TTProblem, cost: np.ndarray) -> np.ndarray:
     no successful sub-procedure.
     """
     n_sub = 1 << problem.k
-    best = np.full(n_sub, -1, dtype=np.int64)
+    best = np.full(n_sub, -1, dtype=BEST_DTYPE)
     masks = np.arange(n_sub, dtype=np.int64)
     running = np.full(n_sub, np.inf)
     p = _subset_weight_vector(problem)

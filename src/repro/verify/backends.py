@@ -21,7 +21,7 @@ import os
 import numpy as np
 
 from ..core.engine import SolverEngine
-from ..core.kernels import layer_plan
+from ..core.kernels import BEST_DTYPE, COST_DTYPE, layer_plan
 from ..core.problem import TTProblem
 from ..core.sequential import (
     solve_dp,
@@ -105,8 +105,8 @@ class _LegacyKernelBackend(VerifyBackend):
         k = problem.k
         plan = layer_plan(k)
         p = subset_weights(problem)
-        cost = np.full(1 << k, np.inf, dtype=np.float64)
-        best = np.full(1 << k, -1, dtype=np.int64)
+        cost = np.full(1 << k, np.inf, dtype=COST_DTYPE)
+        best = np.full(1 << k, -1, dtype=BEST_DTYPE)
         cost[0] = 0.0
         subsets = problem.subset_array
         costs = problem.cost_array

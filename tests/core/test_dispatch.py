@@ -10,6 +10,7 @@ from repro.core import (
     BACKENDS,
     PARALLEL_MIN_K_COLD,
     PARALLEL_MIN_K_WARM,
+    WORKLOADS,
     SolverEngine,
     cached_subset_weights,
     resolve_backend,
@@ -200,3 +201,82 @@ class TestWeightsCacheBudget:
             assert cached_subset_weights(a) is va
         finally:
             _clear_weights_cache()
+
+
+class TestKnobsParsedOnEntry:
+    """``solve()`` parses every knob a DP solve can read before dispatch."""
+
+    def test_start_method_fails_when_no_worker_starts(self, monkeypatch):
+        # Every k=4 layer is below MIN_SHARD: the pool never starts a
+        # worker, so only the entry check reads the start method.
+        monkeypatch.setenv("REPRO_START_METHOD", "teleport")
+        problem = WORKLOADS["medical"](4, seed=0)
+        with pytest.raises(InvalidProblem, match="REPRO_START_METHOD"):
+            solve(problem, backend="parallel", workers=2)
+
+    def test_weights_budget_fails_on_a_cache_hit(self, monkeypatch):
+        problem = random_instance(6, 3, 2, seed=90)
+        solve(problem, backend="numpy")
+        monkeypatch.setenv("REPRO_WEIGHTS_CACHE_BYTES", "abc")
+        with pytest.raises(InvalidProblem, match="REPRO_WEIGHTS_CACHE_BYTES"):
+            solve(problem, backend="numpy")
+
+    def test_engine_short_circuit_checks_too(self, monkeypatch):
+        # A re-armed warm store never reads the RAM budget again.
+        problem = random_instance(6, 3, 2, seed=91)
+        with SolverEngine(workers=2, backend="parallel", min_shard=1) as engine:
+            solve(problem, engine=engine)
+            monkeypatch.setenv("REPRO_RAM_BUDGET_BYTES", "lots")
+            with pytest.raises(InvalidProblem, match="REPRO_RAM_BUDGET_BYTES"):
+                solve(problem, engine=engine)
+
+    def test_explicit_workers_and_the_bvm_backend_are_not_read(self, monkeypatch):
+        monkeypatch.setenv("REPRO_WORKERS", "many")
+        monkeypatch.setenv("REPRO_BVM_BACKEND", "warp")
+        problem = random_instance(5, 3, 2, seed=92)
+        got = solve(problem, backend="parallel", workers=2)
+        assert got.best_action.tobytes() == solve_dp_reference(problem).best_action.tobytes()
+
+
+class TestMaskWidthLimit:
+    """k >= 32 would wrap the int32 masks: refused before any 2^k array."""
+
+    @pytest.fixture
+    def k32(self, monkeypatch):
+        from repro.core import dispatch, sequential
+        from repro.store import MmapStore
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a k=32 solve reached a 2^k allocation")
+
+        monkeypatch.setattr(dispatch, "subset_weights", unreachable)
+        monkeypatch.setattr(sequential, "subset_weights", unreachable)
+        monkeypatch.setattr(MmapStore, "_allocate_data_files", unreachable)
+        return TTProblem.build([1.0] * 32, [Action.treatment(set(range(32)), 1.0)])
+
+    @pytest.mark.parametrize("how", ["numpy", "parallel", "engine", "mmap", "checkpoint"])
+    def test_every_host_path_refuses_k32(self, k32, how, tmp_path):
+        kwargs = {
+            "numpy": {"backend": "numpy"},
+            "parallel": {"backend": "parallel", "workers": 2},
+            "engine": {"engine": SolverEngine(workers=1)},
+            "mmap": {"store": "mmap", "spill_dir": str(tmp_path / "spill")},
+            "checkpoint": {"checkpoint": str(tmp_path / "ckpt")},
+        }[how]
+        try:
+            with pytest.raises(InvalidProblem, match="k <= 31"):
+                solve(k32, **kwargs)
+        finally:
+            if "engine" in kwargs:
+                kwargs["engine"].close()
+        assert not (tmp_path / "spill").exists()
+
+    def test_engine_and_mmap_store_refuse_k32_directly(self, k32, tmp_path):
+        from repro.store import MmapStore
+
+        with SolverEngine(workers=1) as engine:
+            with pytest.raises(InvalidProblem, match="k <= 31"):
+                engine.solve(k32)
+        with pytest.raises(InvalidProblem, match="k <= 31"):
+            MmapStore(k32, spill_dir=str(tmp_path / "spill"))
+        assert not (tmp_path / "spill").exists()

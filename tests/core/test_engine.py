@@ -76,6 +76,20 @@ class TestParallelEngine:
         for problem, warm in zip(problems, batch):
             assert_same(solve_dp(problem), warm)
 
+    def test_pool_results_do_not_alias_the_store(self):
+        # The engine re-arms one store for every solve of a k: each
+        # result must keep its own tables through the solves after it.
+        problems = [random_instance(8, 4, 3, seed=80 + i) for i in range(3)]
+        with SolverEngine(workers=2, backend="parallel", min_shard=1) as engine:
+            first = engine.solve(problems[0])
+            second = engine.solve(problems[1])
+            engine.solve(problems[2])
+            assert engine.stats["pool_reuses"] == 2
+        for problem, got in zip(problems, (first, second)):
+            ref = solve_dp(problem)
+            assert got.cost.tobytes() == ref.cost.tobytes()
+            assert got.best_action.tobytes() == ref.best_action.tobytes()
+
     def test_recovery_log_attached(self):
         problem = random_instance(8, 4, 3, seed=1)
         with SolverEngine(workers=2, backend="parallel") as engine:

@@ -13,6 +13,7 @@ from repro.core import kernels
 from repro.core.errors import InvalidProblem
 from repro.core.generators import random_instance
 from repro.core.kernels import (
+    BEST_DTYPE,
     LayerArena,
     LayerPlan,
     _clear_plan_cache,
@@ -38,7 +39,7 @@ def replay_legacy(problem, p):
     is_test = problem.test_mask_array
     cost = np.full(1 << problem.k, np.inf)
     cost[0] = 0.0
-    best = np.full(1 << problem.k, -1, dtype=np.int64)
+    best = np.full(1 << problem.k, -1, dtype=BEST_DTYPE)
     for j in range(1, problem.k + 1):
         layer = plan.layer(j)
         layer_best, layer_arg = solve_layer_kernel(

@@ -8,7 +8,9 @@ specifications.  See the determinism contract in
 `repro.core.sequential`'s module docstring.
 """
 
+import gc
 import io
+import os
 import types
 
 import numpy as np
@@ -18,6 +20,7 @@ from repro.cli import main
 from repro.core import SolverEngine, solve
 from repro.core.errors import InvalidProblem
 from repro.core.generators import random_instance
+from repro.core.kernels import BEST_DTYPE, COST_DTYPE
 from repro.core.parallel import _shard_bounds, solve_dp_parallel
 from repro.core.problem import Action, TTProblem
 from repro.core.sequential import solve_dp, solve_dp_reference
@@ -274,3 +277,41 @@ class TestStartMethod:
         problem = random_instance(4, 3, 2, seed=5)
         with pytest.raises(InvalidProblem, match="REPRO_START_METHOD"):
             solve_dp_parallel(problem, workers=2, min_shard=1)
+
+
+class TestTableHandover:
+    """A cold pool solve hands its shared tables to the result."""
+
+    def test_result_outlives_its_segments(self, shm_leak_guard):
+        problem = random_instance(8, 4, 3, seed=71)
+        ref = solve_dp_reference(problem)
+        result = solve_dp_parallel(problem, workers=2, min_shard=1)
+        assert "pool" in {row["mode"] for row in result.recovery["layers"]}
+        # cost, best and p were created, and none is left in /dev/shm.
+        assert len(shm_leak_guard.created) == 3
+        assert shm_leak_guard.stranded() == []
+        gc.collect()
+        solve_dp_parallel(random_instance(8, 3, 2, seed=72), workers=2, min_shard=1)
+        assert result.cost.tobytes() == ref.cost.tobytes()
+        assert result.best_action.tobytes() == ref.best_action.tobytes()
+
+    def test_cold_store_hands_over_instead_of_copying(self):
+        # The arrays own their mappings: they stay valid after close()
+        # unlinked every segment, so the store need not copy them.
+        from repro.store import RamStore
+
+        problem = random_instance(6, 3, 2, seed=73)
+        store = RamStore(problem)
+        store.open()
+        names = store.worker_spec()["names"].values()
+        try:
+            assert store._tables.owned  # segments are files under /dev/shm
+            cost, best = store.result_tables()
+            assert cost is store.cost and best is store.best
+            assert (cost.dtype, best.dtype) == (COST_DTYPE, BEST_DTYPE)
+            cost[0], best[0] = 2.5, 9
+        finally:
+            store.close()
+        assert not any(os.path.exists(f"/dev/shm/{n}") for n in names)
+        gc.collect()
+        assert (cost[0], best[0]) == (2.5, 9)

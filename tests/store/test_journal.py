@@ -16,7 +16,13 @@ import pytest
 
 from repro.core import kernels, solve
 from repro.core.generators import random_instance
-from repro.core.kernels import LayerPlan, popcount_order_into
+from repro.core.kernels import (
+    BEST_DTYPE,
+    COST_DTYPE,
+    ORDER_DTYPE,
+    LayerPlan,
+    popcount_order_into,
+)
 from repro.core.sequential import solve_dp_reference
 from repro.core.supervisor import ResiliencePolicy
 from repro.obs import Tracer
@@ -29,7 +35,7 @@ REF = solve_dp_reference(PROBLEM)
 
 
 def generated_order(k: int) -> np.ndarray:
-    out = np.full(1 << k, -1, dtype=np.int64)
+    out = np.full(1 << k, -1, dtype=ORDER_DTYPE)
     popcount_order_into(out, k)
     return out
 
@@ -150,7 +156,8 @@ class TestTelemetryParity:
         result = solve(PROBLEM, backend="parallel", workers=1, tracer=tracer, **where)
         m = result.metrics
         assert m["store.commits"] == PROBLEM.k
-        assert m["store.bytes_written"] == ((1 << PROBLEM.k) - 1) * 16
+        slab = COST_DTYPE.itemsize + BEST_DTYPE.itemsize
+        assert m["store.bytes_written"] == ((1 << PROBLEM.k) - 1) * slab
         assert m["store.fsync_s"]["count"] == PROBLEM.k
         names = [e["name"] for e in tracer.raw_events() if e.get("cat") == "store"]
         assert names.count("store.commit") == PROBLEM.k

@@ -20,12 +20,15 @@ import pytest
 from repro.core import solve
 from repro.core.errors import SolverError, StoreWriteError
 from repro.core.generators import random_instance
+from repro.core.kernels import BEST_DTYPE, COST_DTYPE
 from repro.core.sequential import solve_dp_reference
 from repro.obs import ProgressReporter
 from repro.store import AsyncCommitter, LayerStore, MmapStore, StoreSpec, pipeline
 
 PROBLEM = random_instance(6, n_tests=6, n_treatments=4, seed=33)
 REF = solve_dp_reference(PROBLEM)
+# Slab bytes per committed mask: its cost, then its best action.
+SLAB = COST_DTYPE.itemsize + BEST_DTYPE.itemsize
 
 
 class FakeStore(LayerStore):
@@ -249,8 +252,9 @@ class TestEndToEnd:
 
     def test_progress_bytes_cover_every_computed_layer(self, tmp_path):
         # At each barrier the layer just computed has been submitted, so
-        # committed + queued bytes are the slabs of layers 1..layer: 16
-        # bytes for every mask solved so far except the empty set.
+        # committed + queued bytes are the slabs of layers 1..layer: one
+        # cost and one best action for every mask solved so far except
+        # the empty set.
         class Recording(ProgressReporter):
             def __init__(self):
                 super().__init__(stream=io.StringIO())
@@ -265,7 +269,7 @@ class TestEndToEnd:
         self._solve(tmp_path, "p", problem, progress=progress)
         assert [layer for layer, _, _ in progress.seen] == list(range(1, 11))
         for layer, masks_done, nbytes in progress.seen:
-            assert nbytes == (masks_done - 1) * 16, layer
+            assert nbytes == (masks_done - 1) * SLAB, layer
 
     def test_checkpointed_ram_solve_async(self, tmp_path):
         # The RAM store persists through its checkpoint journal; the
@@ -285,7 +289,7 @@ class TestEndToEnd:
         store.open()
         try:
             total = sum(store.commit_nbytes(j) for j in range(1, PROBLEM.k + 1))
-            # Every mask except the empty set, cost + best halves.
-            assert total == ((1 << PROBLEM.k) - 1) * 16
+            # Every mask except the empty set, cost then best.
+            assert total == ((1 << PROBLEM.k) - 1) * SLAB
         finally:
             store.close()

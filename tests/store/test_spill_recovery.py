@@ -16,7 +16,7 @@ import pytest
 
 from repro.core.errors import CheckpointMismatch, StoreCorruption
 from repro.core.generators import random_instance
-from repro.core.kernels import layer_plan
+from repro.core.kernels import BEST_DTYPE, layer_plan
 from repro.core.parallel import MIN_SHARD, solve_dp_parallel
 from repro.core.sequential import solve_dp_reference
 from repro.store import StoreSpec
@@ -120,7 +120,7 @@ class TestTableGarbageOnResume:
         # costs and garbage actions at those layers' masks.
         plan = layer_plan(PROBLEM.k)
         cost = np.memmap(spill / "cost.dat", dtype=np.float64, mode="r+")
-        best = np.memmap(spill / "best.dat", dtype=np.int64, mode="r+")
+        best = np.memmap(spill / "best.dat", dtype=BEST_DTYPE, mode="r+")
         for j in range(3, PROBLEM.k + 1):
             os.unlink(slab(spill, j))
             cost[plan.layer(j)] = np.nan
@@ -149,6 +149,17 @@ class TestControlStateIsLoud:
         manifest["format"] = 99
         path.write_text(json.dumps(manifest))
         with pytest.raises(StoreCorruption, match="format"):
+            reopen(spill)
+
+    def test_format_one_is_refused_naming_both_formats(self, spill):
+        # Format 1 slabs hold int64 best actions; re-deriving them would
+        # silently drop a checkpoint the caller asked to resume.
+        path = spill / MANIFEST_NAME
+        manifest = json.loads(path.read_text())
+        assert manifest["format"] == 2
+        manifest["format"] = 1
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(StoreCorruption, match=r"has format 1\b.*only format 2\b"):
             reopen(spill)
 
     def test_missing_keys_raise(self, spill):

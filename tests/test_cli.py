@@ -260,6 +260,19 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert "error:" in err and "explode" in err
 
+    def test_bad_start_method_exits_2_when_no_worker_starts(self, monkeypatch, capsys):
+        # Every k=4 layer runs in the parent: the check on entry is what
+        # reads the start method.
+        monkeypatch.setenv("REPRO_START_METHOD", "teleport")
+        code, _ = run_cli(
+            "solve", "--workload", "medical", "--k", "4",
+            "--backend", "parallel", "--workers", "2",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "REPRO_START_METHOD" in err and "teleport" in err
+        assert err.count("\n") == 1  # one line, no traceback
+
     def test_bad_workers_env_exits_2(self, monkeypatch, capsys):
         monkeypatch.setenv("REPRO_WORKERS", "many")
         code, _ = run_cli(

@@ -9,12 +9,19 @@ deliberately corrupted input, because a checker that cannot fail checks
 nothing.
 """
 
+import os
+import tempfile
+
 import numpy as np
 import pytest
 
+from repro.core import solve
 from repro.core.generators import random_instance
+from repro.core.kernels import BEST_DTYPE
+from repro.core.parallel import solve_dp_parallel
 from repro.core.problem import Action, ActionKind, TTProblem
 from repro.core.sequential import solve_dp_reference
+from repro.ttpar import solve_tt_ccc, solve_tt_hypercube
 from repro.verify import (
     BACKEND_FACTORIES,
     PROPERTIES,
@@ -93,6 +100,64 @@ class TestBackends:
     def test_unknown_backend_raises(self):
         with pytest.raises(ValueError, match="unknown verify backend"):
             make_backends(["warp-drive"])
+
+
+def _cold_pool(problem):
+    r = solve_dp_parallel(problem, workers=2, min_shard=1)
+    return r.cost, r.best_action
+
+
+def _checkpointed(problem):
+    with tempfile.TemporaryDirectory() as tmp:
+        r = solve(problem, backend="parallel", workers=2,
+                  checkpoint=os.path.join(tmp, "ckpt"))
+    return r.cost, r.best_action
+
+
+def _dataflow(machine):
+    def tables(problem):
+        if not problem.is_adequate():
+            return None
+        r = machine(problem)
+        return r.cost, r.best_action
+
+    return tables
+
+
+# Paths outside the registry that also hand out a best-action table.
+EXTRA_PATHS = {
+    "cold-pool": _cold_pool,
+    "checkpoint": _checkpointed,
+    "dataflow-hypercube": _dataflow(solve_tt_hypercube),
+    "dataflow-ccc": _dataflow(solve_tt_ccc),
+}
+
+
+class TestBestActionWidth:
+    @pytest.mark.parametrize("name", sorted(BACKEND_FACTORIES) + sorted(EXTRA_PATHS))
+    def test_every_path_returns_int32_oracle_actions(self, name):
+        # Registry backends run as one batch, so the batched BVM checks
+        # each lane of a real multi-lane replay.
+        if name in EXTRA_PATHS:
+            batch, close = [EXTRA_PATHS[name](p) for p in STRESSORS], None
+        else:
+            (backend,) = make_backends([name])
+            batch, close = backend.tables_batch(STRESSORS), backend.close
+        try:
+            checked = 0
+            for problem, got in zip(STRESSORS, batch):
+                if got is None:
+                    continue
+                checked += 1
+                assert got[1].dtype == BEST_DTYPE == np.int32, (name, problem.name)
+                ref = solve_dp_reference(problem)
+                assert np.array_equal(got[1], ref.best_action), (name, problem.name)
+            # Four stressors are adequate with integer weights and costs,
+            # so even the BVM, which declines the rest, checks those.
+            assert checked >= 4, name
+        finally:
+            if close is not None:
+                close()
 
 
 class TestProperties:
