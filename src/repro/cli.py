@@ -9,7 +9,8 @@ Commands
     (``dp``, ``hypercube``, ``ccc``, ``bvm``), optionally printing the
     optimal procedure and machine counters.  For ``--solver dp`` the host
     engine is selectable with ``--backend {auto,numpy,parallel,reference}``
-    and ``--workers N`` (the multi-core shared-memory engine).
+    and ``--workers N``: every backend but the reference oracle is a
+    worker count of the one layer loop.
 
 ``solve-batch``
     Solve a stream of instances (one ``TTProblem`` JSON document per
@@ -97,30 +98,31 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         choices=BACKENDS,
         default="auto",
-        help="host DP engine for --solver dp: auto-select, single-process "
-        "numpy, multi-core shared-memory parallel, or the plain-Python "
-        "reference oracle",
+        help="host DP engine for --solver dp, as a worker count: numpy is "
+        "one worker, parallel is --workers whatever k, auto is --workers "
+        "from the measured crossover k and one worker below it; reference "
+        "is the plain-Python oracle (no --checkpoint, no --store)",
     )
     p_solve.add_argument(
         "--workers",
         type=int,
         default=None,
-        help="processes for the parallel backend, the parent included "
-        "(default: one per core, capped at 8; env REPRO_WORKERS)",
+        help="processes for --backend parallel and auto, the parent "
+        "included (default: one per core, capped at 8; env REPRO_WORKERS)",
     )
     p_solve.add_argument(
         "--timeout",
         type=float,
         default=None,
-        help="per-shard deadline in seconds for the parallel backend "
-        "(default: none; hung shards are re-dispatched after this)",
+        help="per-shard deadline in seconds for a solve on more than one "
+        "worker (default: none; hung shards are re-dispatched after this)",
     )
     p_solve.add_argument(
         "--retries",
         type=int,
         default=None,
-        help="re-dispatches allowed per failed shard before fallback "
-        "(parallel backend; default 2)",
+        help="re-dispatches allowed per failed shard before fallback, on "
+        "more than one worker (default 2)",
     )
     p_solve.add_argument(
         "--checkpoint",
@@ -144,7 +146,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--store",
         choices=("auto", "ram", "mmap"),
         default="auto",
-        help="where the DP tables live: in-RAM shared memory (ram), a "
+        help="where the DP tables live: in RAM (ram; shared memory when "
+        "more than one worker maps them), a "
         "durable memory-mapped spill directory (mmap; requires "
         "--spill-dir), or auto (mmap iff --spill-dir is given)",
     )
@@ -192,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--progress",
         action="store_true",
         help="live per-layer progress line on stderr (layers done, ETA, "
-        "MB spilled) for long parallel solves",
+        "MB spilled) for long solves, at any worker count",
     )
 
     p_batch = sub.add_parser(
@@ -228,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="processes for the engine's parallel path, the parent included",
+        help="processes for the engine's pool solves, the parent included",
     )
     p_batch.add_argument(
         "--solver",
@@ -452,11 +455,10 @@ def _solve(args, out) -> int:
                 progress=progress,
             )
             counters["sequential_ops"] = result.op_count
-            # What solve() ran, after every rule that forces a backend.
+            # What solve() ran: the worker count, and its backend name.
             counters["backend"] = result.backend
-            if result.backend == "parallel":
-                counters["workers"] = result.workers
-            # Uniform across backends: single-process solves carry the
+            counters["workers"] = result.workers
+            # Uniform across backends: the reference oracle carries the
             # same recovery keys, zeroed (see DPResult).
             counters["recovery"] = {
                 key: result.recovery[key]

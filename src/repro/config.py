@@ -71,7 +71,7 @@ def _crash_spec(text: str):
 
 
 KNOBS: dict[str, Knob] = {
-    # Processes for the parallel backend, the parent included.
+    # Processes for a DP solve on several workers, the parent included.
     "REPRO_WORKERS": Knob(
         "an integer >= 1", _at_least(1), max(1, min(os.cpu_count() or 1, 8))
     ),

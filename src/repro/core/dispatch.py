@@ -1,42 +1,46 @@
 """Unified ``solve()`` entry point over the host-side DP backends.
 
 ``repro.core.solve(problem)`` is the one call sites should use: it picks
-the right engine for the instance size, reuses the per-problem
+a worker count for the instance size, reuses the per-problem
 ``subset_weights`` vector across repeated solves, and always returns the
 same :class:`~repro.core.sequential.DPResult` regardless of backend.
 
 Backends
 --------
 
+Every backend but ``"reference"`` spells a worker count for one call of
+:func:`~repro.core.parallel.solve_dp_parallel`, the one layer loop:
+
 ``"numpy"``
-    :func:`~repro.core.sequential.solve_dp` — single-process: each
-    popcount layer is one :func:`~repro.core.kernels.solve_slice` call,
-    the slice body every pool shard runs too.  The right choice for
-    small/medium ``k``.
+    One worker: each popcount layer is one
+    :func:`~repro.core.kernels.solve_slice` call in this process, over
+    plain RAM tables.  The right choice for small/medium ``k``.
 ``"parallel"``
-    :func:`~repro.core.parallel.solve_dp_parallel` — multi-core
-    shared-memory layer-parallel engine.  Worth the fork/IPC overhead
-    once the middle layers hold tens of thousands of subsets.
+    ``workers`` (else ``REPRO_WORKERS``) whatever ``k``: above one, the
+    tables go to shared memory and ``workers - 1`` children split each
+    large layer.  Worth the fork/IPC overhead once the middle layers
+    hold tens of thousands of subsets.
 ``"reference"``
     :func:`~repro.core.sequential.solve_dp_reference` — the plain-Python
     oracle; exposed here so differential tests and debugging sessions go
-    through the same front door.
+    through the same front door.  It has no layer store.
 ``"auto"``
-    ``"parallel"`` iff more than one worker is available *and* ``k`` is
-    at least the crossover of the path that will run it —
+    The ``"parallel"`` count when ``k`` is at least the crossover of the
+    path that will run it —
     ``PARALLEL_MIN_K_COLD`` for a cold :func:`solve`, which starts its
     workers and tables per call, ``PARALLEL_MIN_K_WARM`` for a
     :class:`~repro.core.engine.SolverEngine`, which keeps them —
-    otherwise ``"numpy"``.  Both constants live in
+    otherwise one worker.  Both constants live in
     :mod:`repro.core.parallel` and come from the committed k-ladder
     (``benchmarks/bench_ladder.py`` → ``BENCH_LADDER.json``): each is the
-    smallest ``k`` from which that path beat single-process numpy at
+    smallest ``k`` from which that path beat one worker at
     every larger ``k`` measured, so ``auto`` never picks a path the
     ladder measured slower.  The ladder ran at the host's core count; a
     host of another shape may cross over elsewhere — re-run the ladder
     there.
 
-All backends honour the same determinism contract (see
+A checkpoint, either store and progress work at any worker count.  All
+backends honour the same determinism contract (see
 :mod:`repro.core.sequential`), so switching backends never changes
 ``cost`` or ``best_action`` — not even in the last bit.
 """
@@ -56,7 +60,7 @@ from .errors import InvalidProblem
 from .kernels import check_k, plan_cache_stats
 from .parallel import PARALLEL_MIN_K_COLD, solve_dp_parallel
 from .problem import TTProblem
-from .sequential import DPResult, solve_dp, solve_dp_reference, subset_weights
+from .sequential import DPResult, solve_dp_reference, subset_weights
 from .supervisor import ResiliencePolicy
 
 __all__ = [
@@ -140,32 +144,31 @@ def cached_subset_weights(problem: TTProblem) -> np.ndarray:
 
 
 def resolve_backend(
-    problem: TTProblem, backend: str = "auto", workers: int | None = None
+    problem: TTProblem,
+    backend: str = "auto",
+    workers: int | None = None,
+    min_k: int = PARALLEL_MIN_K_COLD,
 ) -> tuple[str, int]:
-    """Resolve ``(backend, workers)`` the way :func:`solve` will run them.
+    """Resolve ``(backend, workers)`` the way a solve will run them.
 
-    Exposed so callers (CLI, benchmarks) can report what actually
-    executed when they asked for ``"auto"``.  An explicit ``workers``
-    below 1 raises :class:`InvalidProblem` whatever the backend.
+    The backend is the name :attr:`DPResult.backend` will carry:
+    ``"numpy"`` for one worker, ``"parallel"`` for more, or
+    ``"reference"``.  ``min_k`` is ``"auto"``'s crossover, the cold one
+    unless a warm engine passes its own.  Exposed so callers (CLI,
+    benchmarks) can report what actually executed when they asked for
+    ``"auto"``.  An explicit ``workers`` below 1 raises
+    :class:`InvalidProblem` whatever the backend.
     """
-    return _resolve(problem, backend, workers, PARALLEL_MIN_K_COLD)
-
-
-def _resolve(
-    problem: TTProblem, backend: str, workers: int | None, min_k: int
-) -> tuple[str, int]:
-    """:func:`resolve_backend` with ``auto``'s crossover ``min_k`` given."""
     if backend not in BACKENDS:
         raise InvalidProblem(f"unknown backend {backend!r}; expected one of {BACKENDS}")
     if workers is not None and workers < 1:
         raise InvalidProblem("workers must be >= 1")
-    eff_workers = knob("REPRO_WORKERS", workers)
-    if backend == "auto":
-        big = problem.k >= min_k
-        backend = "parallel" if (big and eff_workers > 1) else "numpy"
-    if backend != "parallel":
-        eff_workers = 1
-    return backend, eff_workers
+    count = knob("REPRO_WORKERS", workers)
+    if backend == "reference":
+        return backend, 1
+    if backend == "numpy" or (backend == "auto" and problem.k < min_k):
+        count = 1
+    return ("numpy" if count == 1 else "parallel"), count
 
 
 def solve(
@@ -183,31 +186,28 @@ def solve(
 ) -> DPResult:
     """Solve a TT instance with the selected (or auto-selected) backend.
 
+    ``backend`` and ``workers`` resolve to a worker count (see the module
+    docstring), and every solve but the oracle's is one call of
+    :func:`~repro.core.parallel.solve_dp_parallel` at that count.
+
     ``policy`` (a :class:`~repro.core.supervisor.ResiliencePolicy`)
-    configures the parallel backend's fault handling — per-shard timeout,
-    bounded retries, in-process fallback — and ``checkpoint`` is a
-    shorthand for ``policy.checkpoint``: a directory the in-RAM tables
-    commit every layer into (the spill store's slab journal), resumed
-    from (after a content-hash check) when it already holds verified
-    layers.  Checkpointing is a parallel-supervisor feature: requesting
-    it under ``"auto"`` forces the parallel backend (even below the auto
-    size threshold, so the checkpoint is actually written and resumed),
-    and requesting it with an explicit single-process backend raises
-    :class:`InvalidProblem` rather than silently running without
-    checkpoint support — a resume that silently never happens is
-    indistinguishable from divergence.
+    configures the pool's fault handling — per-shard timeout, bounded
+    retries, in-process fallback — and ``checkpoint`` is a shorthand for
+    ``policy.checkpoint``: a directory the in-RAM tables commit every
+    layer into (the spill store's slab journal), resumed from (after a
+    content-hash check) when it already holds verified layers.
 
     ``store`` / ``spill_dir`` select where the DP tables live (see
     :mod:`repro.store`): ``store`` is one of ``"auto"`` / ``"ram"`` /
     ``"mmap"`` (or a prebuilt :class:`repro.store.StoreSpec`), and
     ``spill_dir`` names the durable spill directory the mmap store
-    commits its layers into.  The mmap store rides the parallel solve
-    loop, so — like checkpointing — it forces the parallel backend under
-    ``"auto"`` and refuses an explicit single-process backend.  It also
-    *replaces* checkpointing (the manifest already persists every layer
-    durably), so combining the two is rejected.  Resume is implicit:
-    reopening the same ``spill_dir`` skips every layer whose checksum
-    verifies.
+    commits its layers into.  The mmap store *replaces* checkpointing
+    (the manifest already persists every layer durably), so combining
+    the two is rejected.  Resume is implicit: reopening the same
+    ``spill_dir`` skips every layer whose checksum verifies.  A
+    checkpoint and either store work at any worker count; the reference
+    oracle, which has no layer store, refuses a checkpoint and any store
+    with :class:`InvalidProblem`.
 
     ``engine`` — a warm :class:`~repro.core.engine.SolverEngine` — routes
     the solve through the engine's amortized pool and tables (its own
@@ -218,11 +218,11 @@ def solve(
     or spilled solves carry per-solve failure-domain state the warm
     engine cannot share, so they fall through to the cold path.
 
-    ``tracer`` / ``progress`` attach observability (see :mod:`repro.obs`):
-    a :class:`~repro.obs.trace.Tracer` is made ambient around whichever
-    backend runs (so even single-process solves record layer spans), and
-    a :class:`~repro.obs.progress.ProgressReporter` gets live per-layer
-    callbacks on the parallel path.  Both are observational only —
+    ``tracer`` / ``progress`` attach observability (see :mod:`repro.obs`)
+    at any worker count, the engine's solves included: a
+    :class:`~repro.obs.trace.Tracer` records the layer spans, and a
+    :class:`~repro.obs.progress.ProgressReporter` gets a callback at
+    each layer barrier.  Both are observational only —
     ``cost``/``best_action`` are bit-identical with them on or off.
 
     On entry, before any dispatch (the engine's included), ``k`` above
@@ -284,49 +284,31 @@ def solve(
         if backend == "reference":
             raise InvalidProblem("backend 'reference' has no warm engine path")
         with ambient:
-            return _finish(engine.solve(problem))
+            return _finish(engine.solve(problem, progress=progress))
     if checkpoint is not None:
         policy = dataclasses.replace(
             policy or ResiliencePolicy(), checkpoint=checkpoint
         )
-    if store_kind == "mmap":
-        if policy is not None and policy.checkpoint is not None:
-            raise InvalidProblem(
-                "checkpoint= cannot be combined with the mmap store: the "
-                "spill directory's manifest already persists every layer "
-                "durably (resume simply reopens the same spill_dir)"
-            )
-        if backend in ("numpy", "reference"):
-            raise InvalidProblem(
-                f"the mmap store requires the parallel backend, got {backend!r}; "
-                "single-process backends have no layer store to spill from"
-            )
-        backend = "parallel"
-    if policy is not None and policy.checkpoint is not None:
-        if backend in ("numpy", "reference"):
-            raise InvalidProblem(
-                f"checkpointing requires the parallel backend, got {backend!r}; "
-                "single-process backends would silently skip the checkpoint"
-            )
-        backend = "parallel"
     backend, eff_workers = resolve_backend(problem, backend, workers)
     if backend == "reference":
+        if spec is not None or (policy is not None and policy.checkpoint is not None):
+            raise InvalidProblem(
+                "the reference oracle has no layer store: it takes no store, "
+                "spill directory or checkpoint; use another backend"
+            )
         with ambient:
             return _finish(solve_dp_reference(problem))
     # The mmap store derives the weights into its own p.dat (out-of-core,
     # chunked); precomputing a 2^k RAM vector here would defeat the budget.
     p = None if store_kind == "mmap" else cached_subset_weights(problem)
-    if backend == "parallel":
-        return _finish(
-            solve_dp_parallel(
-                problem,
-                workers=eff_workers,
-                p=p,
-                policy=policy,
-                store=spec,
-                tracer=tracer,
-                progress=progress,
-            )
+    return _finish(
+        solve_dp_parallel(
+            problem,
+            workers=eff_workers,
+            p=p,
+            policy=policy,
+            store=spec,
+            tracer=tracer,
+            progress=progress,
         )
-    with ambient:
-        return _finish(solve_dp(problem, p=p))
+    )

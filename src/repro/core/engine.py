@@ -1,6 +1,6 @@
 """Reusable solver engine: warm tables and workers for streams of solves.
 
-A cold :func:`repro.core.solve` of the parallel backend opens a fresh
+A cold :func:`repro.core.solve` on several workers opens a fresh
 layer store (new ``/dev/shm`` segments), starts fresh worker processes
 and tears both down again — fine for a single solve, ruinous for a
 stream of instances arriving faster than that start-up cost.
@@ -24,11 +24,11 @@ stream of instances arriving faster than that start-up cost.
   background thread (the butterfly accumulation is numpy work that
   releases the GIL).
 
-Small instances (below the warm crossover ``PARALLEL_MIN_K_WARM``, or a
-one-worker engine) skip the workers entirely and run
-:func:`~repro.core.sequential.solve_dp` — the same loop over unshared
-tables — with the engine's persistent scratch arena, still bit-for-bit
-identical to a cold :func:`repro.core.solve`.
+A solve that resolves to one worker (below the warm crossover
+``PARALLEL_MIN_K_WARM``, or a one-worker engine) is the cold one-worker
+:func:`~repro.core.parallel.solve_dp_parallel` call with the engine's
+persistent scratch arena: no store or worker is kept for it, and it is
+still bit-for-bit identical to a cold :func:`repro.core.solve`.
 
 The engine is a context manager; use it as one (or call :meth:`close`)
 so the shared segments and the workers are released deterministically.
@@ -50,12 +50,12 @@ from ..config import knob
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from . import parallel as _par
-from .dispatch import BACKENDS, _resolve, cached_subset_weights
+from .dispatch import BACKENDS, cached_subset_weights, resolve_backend
 from .errors import InvalidProblem, SolverError
 from .kernels import LayerArena, check_k
-from .parallel import MIN_SHARD, PARALLEL_MIN_K_WARM, run_layers
+from .parallel import MIN_SHARD, PARALLEL_MIN_K_WARM, run_layers, solve_dp_parallel
 from .problem import TTProblem
-from .sequential import DPResult, solve_dp
+from .sequential import DPResult
 from .supervisor import RecoveryLog, ResiliencePolicy
 
 __all__ = ["SolverEngine"]
@@ -153,28 +153,36 @@ class SolverEngine:
 
     # -- solving -------------------------------------------------------
 
-    def solve(self, problem: TTProblem, *, p: np.ndarray | None = None) -> DPResult:
+    def solve(
+        self, problem: TTProblem, *, p: np.ndarray | None = None, progress=None
+    ) -> DPResult:
         """Solve one instance on the warm engine.
 
         ``p`` may carry precomputed :func:`~repro.core.sequential.subset_weights`
-        (this is how :meth:`solve_many` hands over the pipelined vector).
+        (this is how :meth:`solve_many` hands over the pipelined vector);
+        ``progress`` an optional :class:`repro.obs.ProgressReporter`
+        pinged at each layer barrier.
         """
         if self._closed:
             raise SolverError("SolverEngine is closed")
         check_k(problem.k)
-        backend, eff_workers = _resolve(
+        _, workers = resolve_backend(
             problem, self.backend, self.workers, PARALLEL_MIN_K_WARM
         )
         if p is None:
             p = cached_subset_weights(problem)
-        if backend == "numpy":
-            result = solve_dp(problem, p=p, arena=self._arena)
+        if workers == 1:
+            result = solve_dp_parallel(
+                problem, workers=1, p=p, progress=progress, arena=self._arena
+            )
         else:
-            result = self._solve_parallel(problem, p, eff_workers)
+            result = self._solve_parallel(problem, p, workers, progress)
         self.solves += 1
         return result
 
-    def _solve_parallel(self, problem: TTProblem, p: np.ndarray, workers: int) -> DPResult:
+    def _solve_parallel(
+        self, problem: TTProblem, p: np.ndarray, workers: int, progress
+    ) -> DPResult:
         from ..store import RamStore  # runtime import: store builds on core
 
         # Validate any fault spec in the parent, like the cold path.
@@ -214,15 +222,15 @@ class SolverEngine:
             log.event("revive")
         if supervisor is None:
             supervisor = self._supervisor = _par._pool_supervisor(
-                store, workers, self.policy, task, log, tracer=tr, metrics=reg
+                store, self.policy, task, log, tracer=tr, metrics=reg
             )
         else:
             supervisor.rebind(task, log, tracer=tr, metrics=reg)
 
         result = run_layers(
             problem, store, supervisor,
-            backend="parallel", workers=workers, min_shard=self.min_shard,
-            log=log, tracer=tr, metrics=reg, arena=self._arena,
+            workers=workers, min_shard=self.min_shard, log=log, tracer=tr,
+            metrics=reg, arena=self._arena, progress=progress,
         )
         # The store's tables are re-armed by the next solve: the result
         # gets copies (a cold solve's store hands its own tables over).

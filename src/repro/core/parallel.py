@@ -33,17 +33,16 @@ loop, :func:`run_layers`:
   past the retry budget the shard is finished in the parent instead of
   hanging or raising.
 
-Three callers drive that loop, and each returns the
-:class:`~repro.core.sequential.DPResult` it builds.
-:func:`~repro.core.sequential.solve_dp` runs it over unshared RAM
-tables with no supervisor, every layer in the parent.
-:func:`solve_dp_parallel` is the cold pool path: open a store, build a
-supervisor, run the layers, tear both down.
-:class:`~repro.core.engine.SolverEngine` keeps one opened RAM store and
-its supervisor per ``k`` and re-arms the store for every instance.
-Either way the per-problem statics (action subsets, costs, test mask)
-ride every shard task, so a child only maps the store's tables when it
-starts and one set of warm children serves any problem of its ``k``.
+Two callers drive that loop, which builds the
+:class:`~repro.core.sequential.DPResult` each returns.
+:func:`solve_dp_parallel` is the cold path at any worker count: open a
+store, build a supervisor above one worker, run the layers, tear both
+down.  :class:`~repro.core.engine.SolverEngine` makes that call for a
+one-worker solve, and above one keeps a shared store and its supervisor
+per ``k``, re-armed for every instance.  The per-problem statics (action
+subsets, costs, test mask) ride every shard task, so a child only maps
+the store's tables when it starts and one set of warm children serves
+any problem of its ``k``.
 
 Determinism: each subset's argmin is computed *entirely inside one
 worker* by scanning actions in index order through
@@ -72,7 +71,7 @@ every other layer in ascending order and commits each to a persisting
 store, and that single *skip-valid, compute-the-rest* mechanism covers
 cold solves, resume after SIGKILL, and re-derivation of corrupted
 layers alike.  A
-journaled store (the spill store always; shared memory under
+journaled store (the spill store always; the RAM store under
 ``policy.checkpoint``) whose commit fails mid-solve (``ENOSPC``)
 degrades to an unpersisted in-RAM store when the tables fit under
 ``REPRO_RAM_BUDGET_BYTES``, else the solve fails loudly.
@@ -283,16 +282,16 @@ def _shard_bounds(lo: int, hi: int, workers: int, min_shard: int) -> list[tuple[
     return [(int(cuts[t]), int(cuts[t + 1])) for t in range(n) if cuts[t] < cuts[t + 1]]
 
 
-def _pool_supervisor(store, workers: int, policy, task, log, *, tracer, metrics):
-    """A :class:`Supervisor` whose ``workers - 1`` children map ``store``'s tables.
+def _pool_supervisor(store, policy, task, log, *, tracer, metrics):
+    """A :class:`Supervisor` whose children map ``store``'s tables.
 
-    ``None`` when there is nothing to share: one worker, or a store that
-    cannot hand its tables to other processes (``worker_spec()`` is
-    ``None``) — :func:`run_layers` then solves every layer in the parent.
-    Children start lazily, on the first layer that needs them.
+    ``None`` when the store cannot hand its tables to other processes
+    (``worker_spec()`` is ``None``) — :func:`run_layers` then solves
+    every layer in the parent.  Children start lazily, on the first
+    layer that needs them.
     """
     access = store.worker_spec()
-    if access is None or workers < 2:
+    if access is None:
         return None
     start = functools.partial(_start_worker, access)
     return Supervisor(policy, start, task, log, tracer=tracer, metrics=metrics)
@@ -303,7 +302,6 @@ def run_layers(
     store,
     supervisor: Supervisor | None,
     *,
-    backend: str,
     workers: int,
     min_shard: int,
     log: RecoveryLog,
@@ -332,7 +330,7 @@ def run_layers(
     from ``result_tables()`` after ``finish(True)`` — arrays that stay
     valid once the caller closes the store — and its ``recovery`` and
     ``metrics`` are snapshots of ``log`` and ``metrics``; its
-    ``backend`` and ``workers`` are the caller's.
+    ``workers`` is the caller's, and its ``backend`` follows from it.
     """
     from .. import store as store_mod  # runtime import: store builds on core
 
@@ -477,7 +475,7 @@ def run_layers(
         op_count=((1 << k) - 1) * problem.n_actions,
         recovery=log.as_dict(),
         metrics=metrics.as_dict(),
-        backend=backend,
+        backend="numpy" if workers == 1 else "parallel",
         workers=workers,
     )
 
@@ -493,16 +491,17 @@ def solve_dp_parallel(
     tracer=None,
     metrics=None,
     progress=None,
+    arena: LayerArena | None = None,
 ) -> DPResult:
-    """Supervised layer-parallel backward induction across ``workers`` processes.
+    """Backward induction over the popcount layers on ``workers`` processes.
 
-    Produces bit-for-bit the same ``cost`` / ``best_action`` tables as
-    :func:`solve_dp` and :func:`solve_dp_reference` (see the module
-    docstring for why), with wall-clock scaling over the large middle
-    layers of the subset lattice.  ``p`` may carry precomputed
-    :func:`subset_weights`.  This is the cold path around
-    :func:`run_layers`: open the store, build the supervisor, run the
-    layers, tear both down.
+    The cold path around :func:`run_layers` at any worker count: open
+    the store, build a supervisor only above one worker, run the layers,
+    tear both down — so a one-worker solve maps no ``/dev/shm`` segment
+    and starts no child.  The tables are bit-for-bit
+    :func:`solve_dp_reference`'s at every worker count (see the module
+    docstring).  ``p`` may carry precomputed :func:`subset_weights`, and
+    ``arena`` a warm :class:`LayerArena` for the parent's slices.
 
     ``policy`` configures fault handling (per-shard timeout, bounded
     retries, in-process fallback) and the checkpoint journal; the
@@ -528,25 +527,23 @@ def solve_dp_parallel(
     workers = knob("REPRO_WORKERS", workers)
     if workers < 1:
         raise InvalidProblem("workers must be >= 1")
-    if policy is None:
-        policy = ResiliencePolicy()
+    pool = workers > 1
 
-    # Validate any fault spec in the *parent*, before work is dispatched:
-    # a typo'd REPRO_FAULT_SPEC must fail the solve, not silently never
-    # fire inside a worker.
-    knob("REPRO_FAULT_SPEC")
-    knob("REPRO_STORE_CRASH")
+    if store is None or isinstance(store, store_mod.StoreSpec):
+        store = store_mod.open_store(store, problem, policy=policy, p=p, shared=pool)
+    if pool or store.persists:
+        # Validate the fault knobs in the *parent*, before any dispatch: a
+        # typo'd spec must fail the solve, not silently never fire in a
+        # worker or a commit (a one-worker RAM solve has neither).
+        knob("REPRO_FAULT_SPEC")
+        knob("REPRO_STORE_CRASH")
 
     tr = tracer if tracer is not None else obs_trace.current()
     reg = metrics if metrics is not None else obs_metrics.MetricsRegistry()
     log = RecoveryLog()
     log.tracer = tr  # recovery events double as trace instants
-    log.checkpoint = os.fspath(policy.checkpoint) if policy.checkpoint else None
-
-    if store is None:
-        store = store_mod.StoreSpec()
-    if isinstance(store, store_mod.StoreSpec):
-        store = store_mod.open_store(store, problem, policy=policy, p=p)
+    if policy is not None and policy.checkpoint:
+        log.checkpoint = os.fspath(policy.checkpoint)
     store.bind_telemetry(tr, reg)
 
     # Open the store.  A journaled store that cannot even write its
@@ -559,7 +556,7 @@ def solve_dp_parallel(
     except store_mod.StoreWriteError as exc:
         if not store.persists:
             raise
-        fallback = store_mod.RamStore(problem, p=p)
+        fallback = store_mod.RamStore(problem, p=p, use_shm=pool)
         fallback.bind_telemetry(tr, reg)
         try:
             with tr.span("store.open", cat="store", kind=fallback.kind):
@@ -583,16 +580,21 @@ def solve_dp_parallel(
         log.event("rederive", layers=list(report.rederive_layers))
     log.events.extend(report.events)
 
-    task = functools.partial(
-        _solve_shard, problem.subset_array, problem.cost_array, problem.test_mask_array
-    )
-    supervisor = _pool_supervisor(store, workers, policy, task, log, tracer=tr, metrics=reg)
+    supervisor = None
     try:
+        if pool:
+            task = functools.partial(
+                _solve_shard, problem.subset_array, problem.cost_array,
+                problem.test_mask_array,
+            )
+            supervisor = _pool_supervisor(
+                store, policy or ResiliencePolicy(), task, log, tracer=tr, metrics=reg
+            )
         return run_layers(
             problem, store, supervisor,
-            backend="parallel", workers=workers, min_shard=min_shard, log=log,
-            tracer=tr, metrics=reg, arena=LayerArena(), valid=report.valid_layers,
-            progress=progress,
+            workers=workers, min_shard=min_shard, log=log, tracer=tr, metrics=reg,
+            arena=arena if arena is not None else LayerArena(),
+            valid=report.valid_layers, progress=progress,
         )
     finally:
         # Stop the workers *before* the store tears down its tables,

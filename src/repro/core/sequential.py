@@ -13,7 +13,7 @@ treatments are excluded via ``INF`` sentinels exactly as in the paper.
 
 Two entry points are provided:
 
-* :func:`solve_dp` — the single-process production solver: the one layer
+* :func:`solve_dp` — the production solver at one worker: the one layer
   loop, :func:`repro.core.parallel.run_layers`, over unshared in-RAM
   tables with no worker pool; this is the throughput baseline used by the
   speedup benchmarks.
@@ -45,12 +45,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..obs import trace as _trace
-from ..obs.metrics import MetricsRegistry, zeroed_metrics, zeroed_recovery
+from ..obs.metrics import zeroed_metrics, zeroed_recovery
 from ..util.bitops import subsets_of_size
 from .kernels import BEST_DTYPE, COST_DTYPE, LayerArena
 from .problem import TTProblem
-from .supervisor import RecoveryLog
 from .tree import TTNode, TTTree
 
 __all__ = [
@@ -124,12 +122,11 @@ class DPResult:
         store commit latency, cache hit rates).  Same uniformity rule:
         the reference oracle carries the full key set, zeroed.
     backend:
-        The host backend that ran: ``"numpy"``, ``"parallel"`` or
-        ``"reference"``, after every rule of :func:`repro.core.solve`
-        that forces one (a checkpoint or the mmap store runs
-        ``"parallel"``).
+        What ran, derived from ``workers``: ``"numpy"`` for one worker,
+        ``"parallel"`` for more, or ``"reference"`` for the plain-Python
+        oracle.
     workers:
-        Processes the backend ran on, the parent included.
+        Processes the solve ran on, the parent included.
     """
 
     problem: TTProblem
@@ -235,29 +232,15 @@ def solve_dp(
 ) -> DPResult:
     """Vectorized backward-induction solve of the TT recurrence.
 
-    The single-process backend: :func:`~repro.core.parallel.run_layers`
-    over an unshared :class:`~repro.store.RamStore` with no supervisor,
-    so every popcount layer is one parent slice — the same loop, layer
-    spans, recovery log and metrics as the pool and store paths, with a
-    measured ``recovery``/``metrics`` block.  The store borrows a
-    precomputed ``p`` (from :func:`subset_weights`) instead of copying
-    it, and the ``REPRO_RAM_BUDGET_BYTES`` budget applies as for any RAM
-    store.  Pass a warm :class:`~repro.core.kernels.LayerArena` (e.g. from
-    a :class:`~repro.core.engine.SolverEngine`) to reuse kernel scratch
-    across solves.
+    :func:`~repro.core.parallel.solve_dp_parallel` at one worker: every
+    popcount layer is one parent slice over unshared RAM tables, which
+    borrow a precomputed ``p`` (from :func:`subset_weights`) instead of
+    copying it.  Pass a warm :class:`~repro.core.kernels.LayerArena` to
+    reuse kernel scratch across solves.
     """
-    # Runtime imports: the loop and the store build on this module.
-    from ..store import RamStore
-    from .parallel import MIN_SHARD, run_layers
+    from .parallel import solve_dp_parallel  # runtime import: parallel builds on this
 
-    store = RamStore(problem, p=p, use_shm=False)
-    store.open()
-    return run_layers(
-        problem, store, None,
-        backend="numpy", workers=1, min_shard=MIN_SHARD, log=RecoveryLog(),
-        tracer=_trace.current(), metrics=MetricsRegistry(),
-        arena=arena if arena is not None else LayerArena(),
-    )
+    return solve_dp_parallel(problem, workers=1, p=p, arena=arena)
 
 
 def solve_dp_reference(problem: TTProblem) -> DPResult:

@@ -173,7 +173,7 @@ def zeroed_metrics() -> dict:
 def zeroed_recovery() -> dict:
     """Zeroed recovery counters shaped like ``RecoveryLog.as_dict()``.
 
-    Single-process backends attach this stub so ``DPResult.recovery``
+    The reference oracle attaches this stub so ``DPResult.recovery``
     has uniform keys across backends (the shape is pinned against the
     real :class:`~repro.core.supervisor.RecoveryLog` by a test; it lives
     here because :mod:`repro.obs` must not import :mod:`repro.core`).

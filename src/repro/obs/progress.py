@@ -29,7 +29,7 @@ __all__ = ["ProgressReporter"]
 
 
 class ProgressReporter:
-    """One-line live progress for the parallel solve loop."""
+    """One-line live progress for the layer loop, at any worker count."""
 
     def __init__(self, stream=None, min_interval: float = 0.0):
         self._stream = stream if stream is not None else sys.stderr

@@ -2,8 +2,9 @@
 
 Two backends behind one contract (:class:`~repro.store.base.LayerStore`):
 
-* :class:`~repro.store.ram.RamStore` — shared-memory tables (the
-  classic path), journaled to a checkpoint directory on request;
+* :class:`~repro.store.ram.RamStore` — in-RAM tables, in shared memory
+  when pool workers map them, journaled to a checkpoint directory on
+  request;
 * :class:`~repro.store.spill.MmapStore` — memory-mapped tables spilled
   to a directory, so large ``k`` runs out-of-core.
 
@@ -43,15 +44,21 @@ __all__ = [
 ]
 
 
-def open_store(spec: StoreSpec, problem, *, policy=None, p=None) -> LayerStore:
-    """Construct (not yet open) the store a :class:`StoreSpec` selects."""
-    kind = spec.resolve()
-    if kind == "mmap":
+def open_store(spec: StoreSpec | None, problem, *, policy=None, p=None,
+               shared=False) -> LayerStore:
+    """Construct (not yet open) the store a :class:`StoreSpec` selects.
+
+    ``None`` selects the in-RAM store, as ``"ram"`` does; ``shared`` puts
+    its tables in shared memory, for a solve whose workers map them.  A
+    checkpoint cannot ride the mmap store, whose spill directory already
+    persists every layer.
+    """
+    if spec is not None and spec.resolve() == "mmap":
         if policy is not None and policy.checkpoint is not None:
             raise InvalidProblem(
                 "checkpoint= cannot be combined with the mmap store: the "
                 "spill directory's manifest already persists every layer "
-                "durably (resume simply reopens the same --spill-dir)"
+                "durably (resume simply reopens the same spill directory)"
             )
         return MmapStore(problem, spill_dir=spec.spill_dir, fsync=spec.fsync)
-    return RamStore(problem, policy=policy, p=p)
+    return RamStore(problem, policy=policy, p=p, use_shm=shared)

@@ -1,13 +1,13 @@
-"""In-RAM layer store: shared-memory tables, optionally journaled.
+"""In-RAM layer store: shared-memory or plain tables, optionally journaled.
 
-This wraps what the parallel engine always did — ``cost``, ``best`` and
+This wraps what a pool solve always did — ``cost``, ``best`` and
 ``p`` in ``multiprocessing.shared_memory`` owned by a leak-proof
 :class:`~repro.core.supervisor.SharedTables` — behind the
 :class:`LayerStore` contract.  The mask ``order`` is never copied: it is
 the cached :func:`~repro.core.kernels.layer_plan`'s, which pool workers
 take from their own plan.  The store adds:
 
-* ``checkpoint=DIR`` persistence: the tables stay in shared memory, but
+* ``checkpoint=DIR`` persistence: the tables stay in RAM, but
   every computed layer is committed to ``DIR`` through the
   :class:`~repro.store.journal.SlabJournal` — the spill store's own slab
   and manifest protocol — so a checkpoint resumes, and recovers from
@@ -17,7 +17,7 @@ take from their own plan.  The store adds:
   accumulate;
 * the RAM budget (``REPRO_RAM_BUDGET_BYTES``) is enforced up front: when
   the four ``2^k`` tables exceed it, opening fails loudly and points at
-  the spill store — for every RAM solve, the single-process backend's
+  the spill store — for every RAM solve, a one-worker solve's
   included;
 * a finished solve hands its ``cost`` and ``best`` to the result instead
   of copying them: shared tables whose arrays own their mappings
@@ -31,12 +31,12 @@ take from their own plan.  The store adds:
 
 A second, unshared mode (``use_shm=False``) keeps ``cost`` and ``best``
 in plain RAM and borrows ``p`` as given — every slice only reads it, and
-the weights cache hands out read-only vectors.  It backs
-:func:`~repro.core.sequential.solve_dp`, which runs the layer loop over
-it with no workers, and the ``ENOSPC`` degradation path:
+the weights cache hands out read-only vectors.  It backs every
+one-worker solve (:func:`~repro.store.open_store` selects it), a
+checkpointed one included, and the ``ENOSPC`` degradation path:
 :meth:`RamStore.adopt` builds one around plain-RAM copies of another
 store's tables so a solve whose journal could not be written mid-run can
-finish single-process (when the budget allows).
+finish in the parent (when the budget allows).
 """
 
 from __future__ import annotations
@@ -150,7 +150,10 @@ class RamStore(LayerStore):
         return self.cost.copy(), self.best.copy()
 
     def close(self) -> None:
+        # Drop the tables in either mode: a journaled store sits in a
+        # reference cycle with its journal, so plain arrays would
+        # otherwise stay resident until the cyclic collector runs.
+        self.cost = self.best = self.p = None
         if self._tables is not None:
-            self.cost = self.best = self.p = None
             self._tables.close()
             self._tables = None

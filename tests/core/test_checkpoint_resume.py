@@ -5,12 +5,12 @@ configuration and resumed by *any* other must either produce tables
 bit-for-bit identical to a cold solve or fail loudly with a
 :class:`SolverError` — never silently diverge, and never silently skip
 the checkpoint.  Shards are pure functions of the (problem,
-completed-prefix) state, so worker count must not matter; single-process
-backends cannot honour a checkpoint at all, so requesting one there must
-raise instead of quietly doing nothing.  Both durable stores — in-RAM
-tables under ``checkpoint=DIR`` and the mmap spill store — commit
-through the same slab journal, so they are held to the same resume
-behaviour.
+completed-prefix) state, so worker count must not matter, one worker
+included; the reference oracle has no layer store to checkpoint, so
+requesting one there must raise instead of quietly doing nothing.  Both
+durable stores — in-RAM tables under ``checkpoint=DIR`` and the mmap
+spill store — commit through the same slab journal, so they are held to
+the same resume behaviour.
 """
 
 import dataclasses
@@ -156,9 +156,8 @@ class TestEveryPrefixResume:
 
 class TestDispatchCheckpointRouting:
     def test_auto_backend_honours_checkpoint(self, tmp_path):
-        # Below the auto parallel threshold: without the routing fix the
-        # numpy backend would run and the checkpoint silently never
-        # appear on disk.
+        # Below the auto crossover the solve runs on one worker, which
+        # writes and resumes the checkpoint like any other count.
         small = random_instance(4, n_tests=3, n_treatments=3, seed=7)
         path = tmp_path / "auto-ckpt"
         keep = ResiliencePolicy(keep_checkpoint=True)
@@ -177,22 +176,39 @@ class TestDispatchCheckpointRouting:
         assert np.array_equal(resumed.cost, cold.cost)
         assert np.array_equal(resumed.best_action, cold.best_action)
 
-    @pytest.mark.parametrize("backend", ["numpy", "reference"])
+    def test_single_process_backend_with_checkpoint_resumes(self, tmp_path):
+        # One worker writes the checkpoint, and a second solve resumes it
+        # whether the directory arrives as checkpoint= or policy.checkpoint.
+        path = tmp_path / "ckpt"
+        keep = ResiliencePolicy(keep_checkpoint=True)
+        first = solve(PROBLEM, backend="numpy", checkpoint=str(path), policy=keep)
+        assert (path / "manifest.json").exists()
+        assert first.recovery["resumed_from_layer"] is None
+        policy = dataclasses.replace(keep, checkpoint=str(path))
+        again = solve(PROBLEM, backend="numpy", policy=policy)
+        for result in (first, again):
+            assert (result.backend, result.workers) == ("numpy", 1)
+            assert result.cost.tobytes() == REF.cost.tobytes()
+            assert result.best_action.tobytes() == REF.best_action.tobytes()
+        assert again.recovery["resumed_from_layer"] == PROBLEM.k
+
+    # The reference oracle is the one backend without a layer store.
+    @pytest.mark.parametrize("backend", ["reference"])
     def test_single_process_backend_with_checkpoint_raises(self, tmp_path, backend):
         path = tmp_path / "nope-ckpt"
-        with pytest.raises(InvalidProblem, match="parallel backend"):
+        with pytest.raises(InvalidProblem, match="no layer store"):
             solve(PROBLEM, backend=backend, checkpoint=str(path))
         assert not path.exists()
 
-    @pytest.mark.parametrize("backend", ["numpy", "reference"])
+    @pytest.mark.parametrize("backend", ["reference"])
     def test_policy_checkpoint_also_raises(self, tmp_path, backend):
         policy = dataclasses.replace(QUICK, checkpoint=str(tmp_path / "p-ckpt"))
-        with pytest.raises(InvalidProblem, match="parallel backend"):
+        with pytest.raises(InvalidProblem, match="no layer store"):
             solve(PROBLEM, backend=backend, policy=policy)
 
     def test_policy_without_checkpoint_still_allowed(self):
-        # A bare resilience policy on a single-process backend is inert
-        # but harmless; only the checkpoint field forces parallel.
+        # A bare resilience policy at one worker is inert but harmless:
+        # with no children there is no shard to time out or retry.
         result = solve(PROBLEM, backend="numpy", policy=QUICK)
         assert np.array_equal(result.cost, REF.cost)
 

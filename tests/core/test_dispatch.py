@@ -1,5 +1,6 @@
 """The unified `solve()` dispatch: backend selection, memoization, parity."""
 
+import errno
 import json
 import pathlib
 
@@ -19,10 +20,11 @@ from repro.core import (
     solve_dp_reference,
     subset_weights,
 )
-from repro.core.dispatch import _resolve
 from repro.core.errors import InvalidProblem
 from repro.core.generators import random_instance
 from repro.core.problem import Action, TTProblem
+from repro.core.supervisor import Supervisor
+from repro.store import journal
 
 LADDER = pathlib.Path(__file__).resolve().parents[2] / "BENCH_LADDER.json"
 
@@ -60,10 +62,12 @@ class TestResolveBackend:
         ran = []
         engine = SolverEngine(workers=2)
         monkeypatch.setattr(
-            engine, "_solve_parallel", lambda problem, p, w: ran.append(("parallel", w))
+            engine, "_solve_parallel",
+            lambda problem, p, w, progress: ran.append(("parallel", w)),
         )
         monkeypatch.setattr(
-            "repro.core.engine.solve_dp", lambda problem, **kw: ran.append(("numpy", 1))
+            "repro.core.engine.solve_dp_parallel",
+            lambda problem, **kw: ran.append(("numpy", kw["workers"])),
         )
         with engine:
             engine.solve(_big_problem(k), p=np.zeros(1))
@@ -97,7 +101,7 @@ class TestLadderCrossovers:
         for row in rows:
             problem = _big_problem(row["k"])
             cold = resolve_backend(problem, "auto", workers=nproc)[0]
-            warm = _resolve(problem, "auto", nproc, PARALLEL_MIN_K_WARM)[0]
+            warm = resolve_backend(problem, "auto", nproc, PARALLEL_MIN_K_WARM)[0]
             faster = {
                 path: "parallel" if row[f"{path}_s"] < row["numpy_s"] else "numpy"
                 for path in ("cold", "warm")
@@ -201,6 +205,88 @@ class TestWeightsCacheBudget:
             assert cached_subset_weights(a) is va
         finally:
             _clear_weights_cache()
+
+
+class _Counting:
+    """A progress reporter that records the layer barriers it hears of."""
+
+    def __init__(self):
+        self.layers = []
+
+    def begin(self, total_layers, total_masks):
+        pass
+
+    def layer_done(self, layer, masks_done, spilled_bytes=0, queued_bytes=0):
+        self.layers.append(layer)
+
+    def finish(self):
+        pass
+
+
+class TestProgressOnEveryRoute:
+    """A reporter hears every layer barrier, whatever runs the solve."""
+
+    PROBLEM = random_instance(6, 4, 3, seed=5)
+
+    @pytest.mark.parametrize("backend", ["numpy", "auto", "parallel"])
+    def test_cold_solve(self, backend):
+        progress = _Counting()
+        solve(self.PROBLEM, backend=backend, workers=2, progress=progress)
+        assert progress.layers == list(range(1, self.PROBLEM.k + 1))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_engine_solve(self, workers):
+        progress = _Counting()
+        with SolverEngine(workers=workers, backend="parallel", min_shard=1) as engine:
+            result = solve(self.PROBLEM, engine=engine, progress=progress)
+        assert result.workers == workers
+        assert progress.layers == list(range(1, self.PROBLEM.k + 1))
+
+
+def _warm_engine_solve(problem, tmp):
+    with SolverEngine(workers=1, backend="parallel") as engine:
+        return engine.solve(problem)
+
+
+class TestOneWorkerRoutes:
+    """A one-worker solve maps no shared memory and builds no supervisor."""
+
+    PROBLEM = random_instance(6, 4, 3, seed=6)
+
+    ROUTES = {
+        "numpy": lambda p, tmp: solve(p, backend="numpy"),
+        "parallel": lambda p, tmp: solve(p, backend="parallel", workers=1),
+        "auto-checkpoint": lambda p, tmp: solve(p, workers=2, checkpoint=str(tmp / "c")),
+        "auto-mmap": lambda p, tmp: solve(
+            p, workers=2, store="mmap", spill_dir=str(tmp / "s")
+        ),
+        "engine": _warm_engine_solve,
+        # The journal cannot write its manifest: the store degrades at open.
+        "open-enospc": lambda p, tmp: solve(
+            p, backend="parallel", workers=1, checkpoint=str(tmp / "c")
+        ),
+    }
+
+    @pytest.mark.parametrize("route", list(ROUTES))
+    def test_reaches_reference_bytes_in_plain_ram(
+        self, route, tmp_path, monkeypatch, shm_leak_guard
+    ):
+        def no_supervisor(*args, **kwargs):
+            raise AssertionError("a one-worker solve built a Supervisor")
+
+        def full_disk(path, payload, *, fsync=True):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(Supervisor, "__init__", no_supervisor)
+        if route == "open-enospc":
+            monkeypatch.setattr(journal, "atomic_write_bytes", full_disk)
+        result = self.ROUTES[route](self.PROBLEM, tmp_path)
+        ref = solve_dp_reference(self.PROBLEM)
+        assert (result.backend, result.workers) == ("numpy", 1)
+        assert result.cost.tobytes() == ref.cost.tobytes()
+        assert result.best_action.tobytes() == ref.best_action.tobytes()
+        assert result.recovery["degraded"] is (route == "open-enospc")
+        assert shm_leak_guard.created == []
 
 
 class TestKnobsParsedOnEntry:

@@ -558,7 +558,7 @@ class TestOwnedShutdown:
         )
         log = RecoveryLog()
         sup = parallel._pool_supervisor(
-            store, 3, QUICK, task, log, tracer=None, metrics=None
+            store, QUICK, task, log, tracer=None, metrics=None
         )
         return sup, log
 

@@ -8,6 +8,8 @@ fails loudly before any work is dispatched.
 """
 
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -112,6 +114,20 @@ class TestRamStoreTables:
         assert store.p is p
         assert store.worker_spec() is None
 
+    def test_close_frees_the_plain_tables_of_a_journaled_store(self, tmp_path):
+        # A store and its journal reference each other, so tables a closed
+        # store kept would stay resident until the cyclic collector ran.
+        policy = ResiliencePolicy(checkpoint=str(tmp_path / "ckpt"))
+        store = RamStore(PROBLEM, policy=policy, use_shm=False)
+        store.open()
+        cost = weakref.ref(store.cost)
+        gc.disable()
+        try:
+            store.close()
+            assert cost() is None
+        finally:
+            gc.enable()
+
 
 class TestColdSolveIdentity:
     @pytest.mark.parametrize("workers", [1, 2])
@@ -143,25 +159,28 @@ class TestDispatchRouting:
         assert_ref_tables(result)
         assert result.recovery["store"] == "mmap"
 
-    def test_mmap_forces_parallel_under_auto(self, tmp_path):
-        # PROBLEM.k is far below the auto parallel threshold; without
-        # the routing rule the numpy backend would run and the spill
-        # directory silently never materialize.
-        small = random_instance(4, n_tests=3, n_treatments=3, seed=5)
+    @pytest.mark.parametrize("backend", ["auto", "numpy"])
+    def test_mmap_spills_at_one_worker(self, tmp_path, backend):
+        # PROBLEM.k is far below the auto crossover: the solve runs on
+        # one worker, and the spill directory materializes all the same.
         result = solve(
-            small, backend="auto", store="mmap", spill_dir=str(tmp_path / "s")
+            PROBLEM, backend=backend, workers=2,
+            store="mmap", spill_dir=str(tmp_path / "s"),
         )
-        cold = solve_dp_reference(small)
-        assert np.array_equal(result.cost, cold.cost)
+        assert (result.backend, result.workers) == ("numpy", 1)
+        assert_ref_tables(result)
+        assert result.recovery["store"] == "mmap"
         assert (tmp_path / "s" / "manifest.json").exists()
 
-    @pytest.mark.parametrize("backend", ["numpy", "reference"])
+    # The reference oracle is the one backend without a layer store.
+    @pytest.mark.parametrize("backend", ["reference"])
     def test_single_process_backend_with_mmap_raises(self, tmp_path, backend):
-        with pytest.raises(InvalidProblem, match="parallel backend"):
+        with pytest.raises(InvalidProblem, match="no layer store"):
             solve(
                 PROBLEM, backend=backend,
                 store="mmap", spill_dir=str(tmp_path / "s"),
             )
+        assert not (tmp_path / "s").exists()
 
     def test_checkpoint_with_mmap_raises(self, tmp_path):
         with pytest.raises(InvalidProblem, match="manifest already persists"):

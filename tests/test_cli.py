@@ -151,7 +151,7 @@ class TestResilienceFlags:
         )
         assert code == 0
         payload = json.loads(text)
-        assert payload["backend"] == "parallel"
+        assert (payload["backend"], payload["workers"]) == ("numpy", 1)
         assert payload["recovery"]["store"] == "mmap"
         assert (spill / "manifest.json").exists()
         # A completed spill directory re-opens as an instant no-op solve.
@@ -165,27 +165,56 @@ class TestResilienceFlags:
         assert again["recovery"]["rederived"] == 0
         assert again["optimal_cost"] == payload["optimal_cost"]
 
-    # The CLI reports what solve() ran, after the rules that force the
-    # parallel backend, with the worker count it resolved.
-    def test_checkpoint_reports_the_forced_parallel_backend(self, tmp_path, monkeypatch):
+    # The CLI reports the workers that ran: below the crossover auto runs
+    # one, whatever the store; --backend parallel runs the count given.
+    RUNS = [
+        ((), ("numpy", 1)),
+        (("--backend", "parallel", "--workers", "2"), ("parallel", 2)),
+    ]
+
+    def test_checkpoint_reports_the_workers_it_ran(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "2")
-        code, text = run_cli(
-            "solve", "--workload", "medical", "--k", "6",
-            "--checkpoint", str(tmp_path / "ckpt"), "--json",
-        )
-        assert code == 0
-        payload = json.loads(text)
-        assert (payload["backend"], payload["workers"]) == ("parallel", 2)
+        for flags, ran in self.RUNS:
+            code, text = run_cli(
+                "solve", "--workload", "medical", "--k", "6", *flags,
+                "--checkpoint", str(tmp_path / "ckpt"), "--json",
+            )
+            assert code == 0
+            payload = json.loads(text)
+            assert (payload["backend"], payload["workers"]) == ran
 
     def test_mmap_store_reports_the_workers_it_ran(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "2")
-        code, text = run_cli(
-            "solve", "--workload", "medical", "--k", "5",
-            "--store", "mmap", "--spill-dir", str(tmp_path / "spill"), "--json",
+        for n, (flags, ran) in enumerate(self.RUNS):
+            code, text = run_cli(
+                "solve", "--workload", "medical", "--k", "5", *flags,
+                "--store", "mmap", "--spill-dir", str(tmp_path / f"spill{n}"),
+                "--json",
+            )
+            assert code == 0
+            payload = json.loads(text)
+            assert (payload["backend"], payload["workers"]) == ran
+
+    def test_checkpoint_and_progress_at_one_worker(self, tmp_path, capsys):
+        # --progress and --checkpoint work at one worker too: a line per
+        # layer on stderr, and a second run resumes the kept checkpoint.
+        args = (
+            "solve", "--workload", "medical", "--k", "10", "--backend", "numpy",
+            "--checkpoint", str(tmp_path / "ckpt"), "--keep-checkpoint",
+            "--progress", "--json",
         )
+        code, text = run_cli(*args)
         assert code == 0
-        payload = json.loads(text)
-        assert (payload["backend"], payload["workers"]) == ("parallel", 2)
+        assert "layer 10/10" in capsys.readouterr().err
+        assert json.loads(text)["recovery"]["resumed_from_layer"] is None
+        code, text = run_cli(*args)
+        assert code == 0
+        assert json.loads(text)["recovery"]["resumed_from_layer"] == 10
+
+    def test_progress_under_auto_below_the_crossover(self, capsys):
+        code, _ = run_cli("solve", "--workload", "medical", "--k", "10", "--progress")
+        assert code == 0
+        assert "layer 10/10" in capsys.readouterr().err
 
     def test_crash_drill_subcommand_json(self, tmp_path):
         code, text = run_cli(
