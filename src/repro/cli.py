@@ -15,8 +15,8 @@ Commands
 ``solve-batch``
     Solve a stream of instances (one ``TTProblem`` JSON document per
     line) on a single warm :class:`~repro.core.engine.SolverEngine` —
-    shared tables and worker pool amortized across the stream — writing
-    one JSON result per line in input order.  ``--solver bvm`` routes
+    its worker pool amortized across the stream — writing one JSON
+    result per line in input order.  ``--solver bvm`` routes
     the stream through the instance-batched packed BVM instead: shapes
     are grouped and each compiled program replays all its instances in
     lockstep.
@@ -202,9 +202,9 @@ def build_parser() -> argparse.ArgumentParser:
         "solve-batch",
         help="solve a JSONL stream of instances on one warm engine",
         description="Read one TTProblem JSON document per line, solve the "
-        "stream on a single warm SolverEngine (shared tables, persistent "
-        "worker pool, pipelined weight precompute), and write one JSON "
-        "result per line in input order.",
+        "stream on a single warm SolverEngine (persistent worker pool, "
+        "pipelined weight precompute), and write one JSON result per line "
+        "in input order.",
     )
     p_batch.add_argument(
         "--in",

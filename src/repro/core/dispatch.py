@@ -28,7 +28,7 @@ Every backend but ``"reference"`` spells a worker count for one call of
     The ``"parallel"`` count when ``k`` is at least the crossover of the
     path that will run it —
     ``PARALLEL_MIN_K_COLD`` for a cold :func:`solve`, which starts its
-    workers and tables per call, ``PARALLEL_MIN_K_WARM`` for a
+    workers per call, ``PARALLEL_MIN_K_WARM`` for a
     :class:`~repro.core.engine.SolverEngine`, which keeps them —
     otherwise one worker.  Both constants live in
     :mod:`repro.core.parallel` and come from the committed k-ladder

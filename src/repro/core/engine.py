@@ -1,46 +1,45 @@
-"""Reusable solver engine: warm tables and workers for streams of solves.
+"""Reusable solver engine: warm workers for streams of solves.
 
-A cold :func:`repro.core.solve` on several workers opens a fresh
-layer store (new ``/dev/shm`` segments), starts fresh worker processes
-and tears both down again — fine for a single solve, ruinous for a
+A cold :func:`repro.core.solve` on several workers starts fresh worker
+processes and stops them again — fine for a single solve, ruinous for a
 stream of instances arriving faster than that start-up cost.
-:class:`SolverEngine` keeps that per-``k`` state across solves:
+:class:`SolverEngine` keeps what outlives an instance across solves:
 
-* an opened :class:`~repro.store.RamStore` — the shared-memory tables —
-  and a :class:`~repro.core.supervisor.Supervisor` whose ``workers - 1``
-  children map them (each with its own
-  :class:`~repro.core.kernels.LayerArena`), both built once and reused
-  for every solve of the same ``k``;
-* each solve re-arms the store (``RamStore.rearm``: reset ``cost`` and
-  ``best``, write the instance's ``p``), rebinds the supervisor to its
-  own recovery log and telemetry (:meth:`Supervisor.rebind`), and runs
-  the same :func:`~repro.core.parallel.run_layers` barrier loop as the
-  cold path — the per-problem statics ride every shard task, so the
-  workers never need restarting between problems.  Because the next
-  solve re-arms the tables, each result gets copies of them, where a
-  cold solve's store hands its own over;
-* :meth:`SolverEngine.solve_many` pipelines the ``subset_weights``
-  precompute of the *next* instance against the in-flight solve on a
-  background thread (the butterfly accumulation is numpy work that
-  releases the GIL).
+* a :class:`~repro.core.supervisor.Supervisor` whose ``workers - 1``
+  children (each with its own :class:`~repro.core.kernels.LayerArena`)
+  start on the first pool layer that needs them and then serve every
+  pool solve, whatever its ``k``: each shard task names the tables its
+  child maps, so a child remaps when a solve's store is new and
+  otherwise keeps its mapping;
+* the parent's own scratch arena.
 
-A solve that resolves to one worker (below the warm crossover
-``PARALLEL_MIN_K_WARM``, or a one-worker engine) is the cold one-worker
-:func:`~repro.core.parallel.solve_dp_parallel` call with the engine's
-persistent scratch arena: no store or worker is kept for it, and it is
-still bit-for-bit identical to a cold :func:`repro.core.solve`.
+Every solve is one :func:`~repro.core.parallel.solve_dp_parallel` call,
+as a cold solve is: it opens, hands over and closes its own store —
+fresh ``/dev/shm`` segments above one worker — and binds the engine's
+supervisor to its own recovery log and telemetry
+(:meth:`~repro.core.supervisor.Supervisor.bind`).  A handed-over table
+keeps its pages in ``/dev/shm``'s tmpfs until it is dropped, so the
+engine copies its pool results out: a stream that keeps its results
+must not fill ``/dev/shm``.  A solve that resolves to one worker (below
+the warm crossover ``PARALLEL_MIN_K_WARM``, or a one-worker engine)
+uses no supervisor and maps no segment.  Either way the result is
+bit-for-bit identical to a cold :func:`repro.core.solve`.
+
+:meth:`SolverEngine.solve_many` pipelines the ``subset_weights``
+precompute of the *next* instance against the in-flight solve on a
+background thread (the butterfly accumulation is numpy work that
+releases the GIL).
 
 The engine is a context manager; use it as one (or call :meth:`close`)
-so the shared segments and the workers are released deterministically.
-Checkpointed or custom-policy solves have per-solve failure-domain
-state that a warm engine cannot share — route those through the cold
+so the workers are released deterministically.  Checkpointed or
+custom-policy solves have per-solve failure-domain state that a warm
+engine cannot share — route those through the cold
 :func:`repro.core.solve` path (``solve(engine=...)`` does this
 automatically).
 """
 
 from __future__ import annotations
 
-import functools
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -53,10 +52,10 @@ from . import parallel as _par
 from .dispatch import BACKENDS, cached_subset_weights, resolve_backend
 from .errors import InvalidProblem, SolverError
 from .kernels import LayerArena, check_k
-from .parallel import MIN_SHARD, PARALLEL_MIN_K_WARM, run_layers, solve_dp_parallel
+from .parallel import MIN_SHARD, PARALLEL_MIN_K_WARM, solve_dp_parallel
 from .problem import TTProblem
 from .sequential import DPResult
-from .supervisor import RecoveryLog, ResiliencePolicy
+from .supervisor import ResiliencePolicy, Supervisor
 
 __all__ = ["SolverEngine"]
 
@@ -90,10 +89,9 @@ class SolverEngine:
         Minimum masks per worker shard (see :mod:`repro.core.parallel`);
         must be at least 1.
 
-    Results are bit-for-bit identical to the cold paths: the engine runs
-    the same barrier loop over the same kind of store with the same
-    supervisor machinery — only the *lifetime* of the store and the
-    workers differs.
+    Results are bit-for-bit identical to the cold paths: the engine makes
+    the same :func:`~repro.core.parallel.solve_dp_parallel` call — only
+    the *lifetime* of the workers differs.
     """
 
     def __init__(
@@ -121,13 +119,16 @@ class SolverEngine:
         self.policy = policy if policy is not None else ResiliencePolicy()
         self.min_shard = min_shard
         self.solves = 0
-        # Warm-state effectiveness counters, exposed on result.metrics:
-        # a healthy stream shows pool_reuses == solves - table_rebuilds.
+        # Pool-solve counters, exposed on result.metrics: pool_reuses
+        # counts the pool solves that found the workers already started,
+        # table_rebuilds those that had to start them.
         self.stats = {"pool_reuses": 0, "table_rebuilds": 0}
         self._closed = False
         self._arena = LayerArena()
-        self._store = None  # the opened RamStore of the current k
-        self._supervisor = None
+        # Children start lazily, on the first pool layer that needs one.
+        self._supervisor = (
+            Supervisor(self.policy, _par._start_worker) if self.workers > 1 else None
+        )
 
     # -- lifecycle -----------------------------------------------------
 
@@ -138,18 +139,10 @@ class SolverEngine:
         self.close()
 
     def close(self) -> None:
-        """Release the workers and the shared segments (idempotent)."""
+        """Stop the workers (idempotent)."""
         self._closed = True
-        self._teardown()
-
-    def _teardown(self) -> None:
-        # The workers go first: they map the store's segments.
-        supervisor, self._supervisor = self._supervisor, None
-        if supervisor is not None:
-            supervisor.shutdown()
-        store, self._store = self._store, None
-        if store is not None:
-            store.close()
+        if self._supervisor is not None:
+            self._supervisor.shutdown()
 
     # -- solving -------------------------------------------------------
 
@@ -171,71 +164,24 @@ class SolverEngine:
         )
         if p is None:
             p = cached_subset_weights(problem)
-        if workers == 1:
-            result = solve_dp_parallel(
-                problem, workers=1, p=p, progress=progress, arena=self._arena
-            )
-        else:
-            result = self._solve_parallel(problem, p, workers, progress)
-        self.solves += 1
-        return result
-
-    def _solve_parallel(
-        self, problem: TTProblem, p: np.ndarray, workers: int, progress
-    ) -> DPResult:
-        from ..store import RamStore  # runtime import: store builds on core
-
-        # Validate any fault spec in the parent, like the cold path.
-        knob("REPRO_FAULT_SPEC")
-        # Telemetry rides the ambient tracer (the CLI / caller activates
-        # one around the solve); each solve gets its own registry so the
-        # result's metrics block describes this instance only.
-        tr = obs_trace.current()
         reg = obs_metrics.MetricsRegistry()
-        log = RecoveryLog()
-        log.tracer = tr
-
-        store = self._store
-        reused = store is not None and store.k == problem.k
-        if reused:
-            store.rearm(p)
-        else:
-            self._teardown()
-            store = RamStore(problem, p=p)
-            store.open()
-            self._store = store
-        which = "pool_reuses" if reused else "table_rebuilds"
-        self.stats[which] += 1
-        reg.inc(f"engine.{which}")
-        store.bind_telemetry(tr, reg)
-
-        task = functools.partial(
-            _par._solve_shard,
-            problem.subset_array, problem.cost_array, problem.test_mask_array,
+        pool = workers > 1
+        if pool:
+            which = "pool_reuses" if self._supervisor.started else "table_rebuilds"
+            self.stats[which] += 1
+            reg.inc(f"engine.{which}")
+        result = solve_dp_parallel(
+            problem, workers=workers, p=p, min_shard=self.min_shard,
+            policy=self.policy, metrics=reg, progress=progress,
+            arena=self._arena, supervisor=self._supervisor,
         )
-        supervisor = self._supervisor
-        if supervisor is not None and supervisor.degraded:
-            # A previous solve lost its workers; give the next one a fresh
-            # chance instead of pinning the whole engine in-process.
-            supervisor.shutdown()
-            supervisor = None
-            log.event("revive")
-        if supervisor is None:
-            supervisor = self._supervisor = _par._pool_supervisor(
-                store, self.policy, task, log, tracer=tr, metrics=reg
-            )
-        else:
-            supervisor.rebind(task, log, tracer=tr, metrics=reg)
-
-        result = run_layers(
-            problem, store, supervisor,
-            workers=workers, min_shard=self.min_shard, log=log, tracer=tr,
-            metrics=reg, arena=self._arena, progress=progress,
-        )
-        # The store's tables are re-armed by the next solve: the result
-        # gets copies (a cold solve's store hands its own tables over).
-        result.cost = result.cost.copy()
-        result.best_action = result.best_action.copy()
+        if pool:
+            # The store handed over tables that live in /dev/shm: copy
+            # them out, so a stream that keeps its results keeps them in
+            # anonymous memory, not in tmpfs.
+            result.cost = result.cost.copy()
+            result.best_action = result.best_action.copy()
+        self.solves += 1
         return result
 
     def solve_many(
@@ -265,6 +211,8 @@ class SolverEngine:
         cost lattice and the simulation backend for that path and are
         ignored for ``solver="dp"``.
         """
+        if self._closed:
+            raise SolverError("SolverEngine is closed")
         if solver == "bvm":
             from ..ttpar.bvm_tt import solve_tt_bvm_batch
 

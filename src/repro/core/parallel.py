@@ -33,16 +33,17 @@ loop, :func:`run_layers`:
   past the retry budget the shard is finished in the parent instead of
   hanging or raising.
 
-Two callers drive that loop, which builds the
-:class:`~repro.core.sequential.DPResult` each returns.
-:func:`solve_dp_parallel` is the cold path at any worker count: open a
-store, build a supervisor above one worker, run the layers, tear both
-down.  :class:`~repro.core.engine.SolverEngine` makes that call for a
-one-worker solve, and above one keeps a shared store and its supervisor
-per ``k``, re-armed for every instance.  The per-problem statics (action
-subsets, costs, test mask) ride every shard task, so a child only maps
-the store's tables when it starts and one set of warm children serves
-any problem of its ``k``.
+One function drives that loop, which builds the
+:class:`~repro.core.sequential.DPResult` it returns:
+:func:`solve_dp_parallel`, at any worker count, opens a store, binds a
+supervisor above one worker, runs the layers and closes the store.  A
+cold solve builds its supervisor and shuts it down; the warm
+:class:`~repro.core.engine.SolverEngine` lends one it keeps across
+solves.  The store's worker spec and the per-problem statics (action
+subsets, costs, test mask) ride every shard task, so a child maps the
+tables a task names on the first such task and keeps them until a task
+names others: one set of warm children serves every problem, whatever
+its ``k``.
 
 Determinism: each subset's argmin is computed *entirely inside one
 worker* by scanning actions in index order through
@@ -130,7 +131,12 @@ MIN_SHARD = 2048
 # Worker side
 # ----------------------------------------------------------------------
 
-_WORKER: dict | None = None
+# This worker's state: the tables its last task named ("spec" and the
+# mapped arrays), kept until a task names others.
+_WORKER: dict = {}
+# This worker's kernel scratch, which outlives the tables (unused in the
+# parent, whose slices run on the solve's own arena).
+_ARENA = LayerArena()
 
 
 def _attach(name: str) -> shared_memory.SharedMemory:
@@ -144,60 +150,68 @@ def _attach(name: str) -> shared_memory.SharedMemory:
     return shared_memory.SharedMemory(name=name)
 
 
-def _init_worker(access):
-    """Map the store's tables into this worker (once, when it starts).
+def _tables(spec) -> dict:
+    """The tables ``spec`` names, mapped into this worker.
 
-    ``access`` is the picklable dict from ``LayerStore.worker_spec()``:
+    ``spec`` is the picklable dict from ``LayerStore.worker_spec()``:
     ``mode="shm"`` names shared-memory blocks to map, ``mode="mmap"``
     names a spill directory whose ``.dat`` files the worker memmaps
     (``MAP_SHARED``, so parent and worker writes are coherent).  The
-    per-problem statics are not here — they ride every task (see
-    :func:`_solve_shard`), so one worker serves every problem of its
-    ``k``.
+    tables are mapped on the first task that names them and kept until a
+    task names others, which unmaps them first — so one worker serves
+    every solve of its supervisor, whatever the store or ``k``.
 
     A shared-memory worker takes the mask order from its own
     :func:`~repro.core.kernels.layer_plan`: a forked child inherits the
-    plan the parent built in ``RamStore.open`` (children start lazily,
-    after it), and a spawned child builds it once.
+    plans the parent had built when it started, and builds any other
+    ``k``'s once, as a spawned child does.
     """
     global _WORKER
-    n_sub = access["n_sub"]
-    if access["mode"] == "shm":
-        blocks = {key: _attach(name) for key, name in access["names"].items()}
-        _WORKER = {
+    if _WORKER.get("spec") == spec:
+        return _WORKER
+    blocks = _WORKER.get("blocks", {})
+    _WORKER = {}  # drop the old arrays before their blocks close
+    for blk in blocks.values():
+        blk.close()
+    n_sub = spec["n_sub"]
+    if spec["mode"] == "shm":
+        blocks = {key: _attach(name) for key, name in spec["names"].items()}
+        tables = {
             key: np.ndarray(n_sub, dtype=TABLE_DTYPES[key], buffer=blk.buf)
             for key, blk in blocks.items()
         }
-        _WORKER["blocks"] = blocks
+        tables["blocks"] = blocks
         # Safe to call after a fork: no parent thread but the solve
         # thread calls layer_plan, so its lock is free at every fork.
-        _WORKER["order"] = layer_plan(n_sub.bit_length() - 1).order
+        tables["order"] = layer_plan(n_sub.bit_length() - 1).order
     else:
-        spill = access["dir"]
-        _WORKER = {
+        spill = spec["dir"]
+        tables = {
             key: np.memmap(os.path.join(spill, key + ".dat"), dtype=dtype,
                            mode="r+" if key in ("cost", "best") else "r",
                            shape=(n_sub,))
             for key, dtype in TABLE_DTYPES.items()
         }
-        _WORKER["blocks"] = {}
-    _WORKER["arena"] = LayerArena()
+    tables["spec"] = spec
+    _WORKER = tables
+    return tables
 
 
-def _solve_shard(subsets, costs, is_test, task: tuple) -> tuple:
+def _solve_shard(spec, subsets, costs, is_test, task: tuple) -> tuple:
     """Solve masks ``order[lo:hi]`` (a contiguous slice of one layer).
 
-    The parent binds the problem's statics with
-    ``functools.partial(_solve_shard, subsets, costs, is_test)``, so they
-    travel with each task.  ``task`` is ``(lo, hi, layer_index,
-    shard_index, attempt)`` plus an optional sixth ``trace`` flag; the
-    extra coordinates drive deterministic fault injection and let the
-    supervisor attribute completions.  Returns ``(shard_index, count)`` —
-    or, when tracing, ``(shard_index, count, raw_events)``: the worker
-    records its shard span (and any fault instants) into a small private
-    ring buffer and flushes it back through the result channel, which is
-    what makes the cross-process trace one mergeable timeline with no
-    extra IPC.
+    The parent binds the store's worker spec and the problem's statics
+    with ``functools.partial(_solve_shard, spec, subsets, costs,
+    is_test)``, so they travel with each task and the worker maps the
+    tables they name (:func:`_tables`).  ``task`` is ``(lo, hi,
+    layer_index, shard_index, attempt)`` plus an optional sixth
+    ``trace`` flag; the extra coordinates drive deterministic fault
+    injection and let the supervisor attribute completions.  Returns
+    ``(shard_index, count)`` — or, when tracing, ``(shard_index, count,
+    raw_events)``: the worker records its shard span (and any fault
+    instants) into a small private ring buffer and flushes it back
+    through the result channel, which is what makes the cross-process
+    trace one mergeable timeline with no extra IPC.
 
     :func:`~repro.core.kernels.solve_slice` resets the shard's own masks
     to ``INF``, runs the kernel straight over the shared table and
@@ -208,15 +222,15 @@ def _solve_shard(subsets, costs, is_test, task: tuple) -> tuple:
     """
     lo, hi, layer_idx, shard_idx, attempt = task[:5]
     traced = len(task) > 5 and bool(task[5])
+    w = _tables(spec)
     tracer = obs_trace.Tracer(max_events=obs_trace.WORKER_EVENT_CAP) if traced else None
     t_start = time.monotonic()
     # The worker tracer is made ambient around the whole shard body so
     # deep sites (fault injection, kernels) land in it without plumbing.
     with obs_trace.tracing(tracer):
         faults.inject(layer_idx, shard_idx, attempt)
-        w = _WORKER
         solve_slice(w["cost"], w["best"], w["p"], w["order"], lo, hi,
-                    subsets, costs, is_test, w["arena"])
+                    subsets, costs, is_test, _ARENA)
     if tracer is None:
         return shard_idx, hi - lo
     tracer.complete(
@@ -226,15 +240,14 @@ def _solve_shard(subsets, costs, is_test, task: tuple) -> tuple:
     return shard_idx, hi - lo, tracer.raw_events()
 
 
-def _worker_main(conn, access) -> None:
-    """Body of one owned worker: map the tables, then serve shards.
+def _worker_main(conn) -> None:
+    """Body of one owned worker: serve shards until told to stop.
 
     The worker first sends ``True`` (started).  Each message is then
     ``(task, args)``; the reply is ``(True, task(args))`` or
     ``(False, error)`` when the task raised.  ``None`` — or the parent
     end of the pipe closing — stops the worker.
     """
-    _init_worker(access)
     conn.send(True)
     while True:
         try:
@@ -254,14 +267,17 @@ def _worker_main(conn, access) -> None:
             return
 
 
-def _start_worker(access) -> tuple:
-    """Start one owned worker over ``access``: ``(process, parent pipe end)``."""
+def _start_worker() -> tuple:
+    """Start one owned worker: ``(process, parent pipe end)``.
+
+    It maps no tables yet: each task names the ones it needs.
+    """
     ctx = mp.get_context(knob("REPRO_START_METHOD"))
     parent_end, child_end = ctx.Pipe()
     # Forked children close every inherited parent end (their own and
     # their siblings'), so a dead parent leaves each child's recv at EOF.
     util.register_after_fork(parent_end, type(parent_end).close)
-    proc = ctx.Process(target=_worker_main, args=(child_end, access), daemon=True)
+    proc = ctx.Process(target=_worker_main, args=(child_end,), daemon=True)
     proc.start()
     child_end.close()
     return proc, parent_end
@@ -282,21 +298,6 @@ def _shard_bounds(lo: int, hi: int, workers: int, min_shard: int) -> list[tuple[
     return [(int(cuts[t]), int(cuts[t + 1])) for t in range(n) if cuts[t] < cuts[t + 1]]
 
 
-def _pool_supervisor(store, policy, task, log, *, tracer, metrics):
-    """A :class:`Supervisor` whose children map ``store``'s tables.
-
-    ``None`` when the store cannot hand its tables to other processes
-    (``worker_spec()`` is ``None``) — :func:`run_layers` then solves
-    every layer in the parent.  Children start lazily, on the first
-    layer that needs them.
-    """
-    access = store.worker_spec()
-    if access is None:
-        return None
-    start = functools.partial(_start_worker, access)
-    return Supervisor(policy, start, task, log, tracer=tracer, metrics=metrics)
-
-
 def run_layers(
     problem: TTProblem,
     store,
@@ -314,15 +315,16 @@ def run_layers(
     """Run every popcount layer of ``problem`` not in ``valid`` over ``store``.
 
     ``store`` is an opened :class:`~repro.store.LayerStore`.
-    ``supervisor`` (see :func:`_pool_supervisor`) runs each layer that
+    ``supervisor``, bound to this solve's shard task, runs each layer that
     splits into several shards; single-shard layers, and every layer when
     there is no supervisor or it has degraded, run in the parent through
     :func:`~repro.core.kernels.solve_slice` over the store's tables.
     When the store persists, each computed layer is committed on an
     :class:`~repro.store.pipeline.AsyncCommitter`.  A commit that fails with
     :class:`~repro.store.StoreWriteError` carries the tables into RAM
-    (:meth:`RamStore.adopt`), shuts the supervisor down and finishes in
-    the parent.  Skipped layers must already hold trusted values.
+    (:meth:`RamStore.adopt`) and finishes in the parent, dispatching
+    nothing more to the supervisor.  Skipped layers must already hold
+    trusted values.
 
     Layer spans, ``log`` entries and ``metrics`` are recorded here, the
     same for every caller, and this is where every host backend's
@@ -375,9 +377,7 @@ def run_layers(
         if committer is not None:
             committer.close()
             committer = None
-        if supervisor is not None:
-            supervisor.shutdown()
-            supervisor = None
+        supervisor = None  # its workers map the failed store's tables
         try:
             adopted = store_mod.RamStore.adopt(problem, store.cost, store.best, store.p)
         except SolverError as budget_exc:
@@ -492,12 +492,13 @@ def solve_dp_parallel(
     metrics=None,
     progress=None,
     arena: LayerArena | None = None,
+    supervisor: Supervisor | None = None,
 ) -> DPResult:
     """Backward induction over the popcount layers on ``workers`` processes.
 
-    The cold path around :func:`run_layers` at any worker count: open
-    the store, build a supervisor only above one worker, run the layers,
-    tear both down — so a one-worker solve maps no ``/dev/shm`` segment
+    The one path around :func:`run_layers` at any worker count: open
+    the store, bind a supervisor only above one worker, run the layers,
+    close the store — so a one-worker solve maps no ``/dev/shm`` segment
     and starts no child.  The tables are bit-for-bit
     :func:`solve_dp_reference`'s at every worker count (see the module
     docstring).  ``p`` may carry precomputed :func:`subset_weights`, and
@@ -508,6 +509,13 @@ def solve_dp_parallel(
     default :class:`ResiliencePolicy` retries crashed shards and falls
     back to the in-process kernel rather than failing the solve.  The
     recovery log lands on ``DPResult.recovery``.
+
+    ``supervisor`` lends this solve workers that outlive it (the warm
+    :class:`~repro.core.engine.SolverEngine` keeps one): used only
+    above one worker, it is bound to this solve's task, log and
+    telemetry (:meth:`Supervisor.bind`) and left running, and its own
+    policy handles faults.  Without one, a solve above one worker builds
+    a supervisor under ``policy`` and shuts it down before returning.
 
     ``store`` selects where the tables live: ``None`` for the in-RAM
     default, a :class:`repro.store.StoreSpec` (e.g. ``kind="mmap"`` +
@@ -580,16 +588,19 @@ def solve_dp_parallel(
         log.event("rederive", layers=list(report.rederive_layers))
     log.events.extend(report.events)
 
-    supervisor = None
+    own = None  # a supervisor built here, and so shut down here
     try:
-        if pool:
+        spec = store.worker_spec() if pool else None
+        if spec is None:
+            supervisor = None  # every layer runs in the parent
+        else:
+            if supervisor is None:
+                supervisor = own = Supervisor(policy or ResiliencePolicy(), _start_worker)
             task = functools.partial(
-                _solve_shard, problem.subset_array, problem.cost_array,
+                _solve_shard, spec, problem.subset_array, problem.cost_array,
                 problem.test_mask_array,
             )
-            supervisor = _pool_supervisor(
-                store, policy or ResiliencePolicy(), task, log, tracer=tr, metrics=reg
-            )
+            supervisor.bind(task, log, tracer=tr, metrics=reg)
         return run_layers(
             problem, store, supervisor,
             workers=workers, min_shard=min_shard, log=log, tracer=tr, metrics=reg,
@@ -597,8 +608,9 @@ def solve_dp_parallel(
             valid=report.valid_layers, progress=progress,
         )
     finally:
-        # Stop the workers *before* the store tears down its tables,
-        # so a worker being started can never attach vanished blocks.
-        if supervisor is not None:
-            supervisor.shutdown()
+        # Stop the workers built here *before* the store tears down its
+        # tables, so none still computes over them.  A lent supervisor's
+        # workers keep their mapping until a task names other tables.
+        if own is not None:
+            own.shutdown()
         store.close()

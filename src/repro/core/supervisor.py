@@ -19,7 +19,9 @@ machinery that makes those failures survivable:
   retried.  Retries back off exponentially, lost children are respawned,
   and past ``max_retries`` a shard finishes on the in-process numpy
   kernel instead of raising (unless the policy says otherwise); when no
-  child can be started the rest of the solve runs in the parent;
+  child can be started the rest of the solve runs in the parent.  The
+  children can outlive a solve: each solve binds the supervisor to its
+  own task and log, and a degraded supervisor is revived at the next;
 * :class:`SharedTables` — a leak-proof owner of the shared-memory
   blocks: ``atexit`` + SIGTERM/SIGINT guards unlink the segments even
   when the parent is torn down mid-solve, and on Linux its arrays own
@@ -46,6 +48,7 @@ from __future__ import annotations
 import atexit
 import hashlib
 import json
+import mmap
 import os
 import signal
 import threading
@@ -262,6 +265,9 @@ class SharedTables:
             dtype = TABLE_DTYPES[key]
             if self.owned:
                 table = np.memmap(paths[key], dtype=dtype, mode="r+", shape=(n_sub,))
+                # A forked worker maps the segments its tasks name; an
+                # inherited mapping would pin these for the worker's life.
+                table._mmap.madvise(mmap.MADV_DONTFORK)
                 table = table.view(np.ndarray)  # still owns the mapping
                 blk.close()
             else:
@@ -371,45 +377,44 @@ class _Child:
 class Supervisor:
     """Supervised per-layer shard dispatch over owned worker processes.
 
-    ``start_worker()`` starts one child mapped onto the solve's tables and
-    returns ``(process, pipe)`` (used lazily, and again to replace a dead
-    or timed-out child); ``task`` is the picklable worker function
-    receiving ``(lo, hi, layer_index, shard_index, attempt, trace)`` and
-    returning ``(shard_index, n_masks_solved)`` — or, when the ``trace``
-    flag was set, ``(shard_index, n_masks_solved, raw_events)`` with the
-    worker's telemetry flushed back through the same pipe.
+    ``start_worker()`` starts one child and returns ``(process, pipe)``
+    (used lazily, and again to replace a dead or timed-out child).  The
+    children outlive any one solve: :meth:`bind` points the supervisor at
+    a solve's ``task`` — the picklable worker function receiving ``(lo,
+    hi, layer_index, shard_index, attempt, trace)`` and returning
+    ``(shard_index, n_masks_solved)``, or, when the ``trace`` flag was
+    set, ``(shard_index, n_masks_solved, raw_events)`` with the worker's
+    telemetry flushed back through the same pipe — and each task names
+    the tables its child maps.
     """
 
-    def __init__(
-        self,
-        policy: ResiliencePolicy,
-        start_worker,
-        task,
-        log: RecoveryLog,
-        tracer=None,
-        metrics=None,
-    ):
+    def __init__(self, policy: ResiliencePolicy, start_worker):
         self.policy = policy
         self._start_worker = start_worker
-        self._task = task
-        self.log = log
-        self._tracer = tracer if tracer is not None else NULL
-        self._metrics = metrics if metrics is not None else NULL_METRICS
+        self._task = None
+        self.log = RecoveryLog()
+        self._tracer = NULL
+        self._metrics = NULL_METRICS
         self._max_shard_s = 0.0
         self._children: list[_Child | None] = []  # slot i owns shard i
         self.degraded = False  # workers unusable: rest of the solve runs in-process
 
-    def rebind(self, task, log: RecoveryLog, tracer=None, metrics=None) -> None:
-        """Point a warm supervisor at the next solve's task and log.
+    @property
+    def started(self) -> bool:
+        """Whether a bound solve finds children it can use."""
+        return not self.degraded and any(c is not None for c in self._children)
 
-        The :class:`~repro.core.engine.SolverEngine` keeps one supervisor
-        (and its children) alive across many solves; each solve carries
-        its own per-problem task closure, recovery log, and telemetry
-        sinks (reset to disabled when omitted, so a traced solve never
-        leaks its tracer into the next), while the children and degraded
-        state persist.  A child still holding a shard of a solve that
-        raised is reaped here: its reply must never be taken for a shard
-        of the next solve.
+    def bind(self, task, log: RecoveryLog, tracer=None, metrics=None) -> None:
+        """Point the supervisor at the next solve's task and log.
+
+        Each solve carries its own task closure, recovery log and
+        telemetry sinks (reset to disabled when omitted, so a traced
+        solve never leaks its tracer into the next), while the children
+        persist.  A child still holding a shard of a solve that raised is
+        reaped here: its reply must never be taken for a shard of this
+        one.  A supervisor that degraded in an earlier solve is revived —
+        its children are stopped and started afresh when needed — rather
+        than pinning every later solve in-process.
         """
         for sid, child in enumerate(self._children):
             if child is not None and child.bounds is not None:
@@ -419,6 +424,10 @@ class Supervisor:
         self.log = log
         self._tracer = tracer if tracer is not None else NULL
         self._metrics = metrics if metrics is not None else NULL_METRICS
+        if self.degraded:
+            self.shutdown()
+            self.degraded = False
+            log.event("revive")
 
     def _count(self, kind: str, n: int = 1, **detail) -> None:
         """Count a recovery action in the log *and* the metrics."""

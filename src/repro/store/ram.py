@@ -22,12 +22,9 @@ take from their own plan.  The store adds:
 * a finished solve hands its ``cost`` and ``best`` to the result instead
   of copying them: shared tables whose arrays own their mappings
   (``SharedTables.owned``, Linux) stay valid after :meth:`close` unlinks
-  the segments — the one caller that reuses a store, the warm engine,
-  copies them itself;
-* :meth:`RamStore.rearm` resets open tables for another instance of the
-  same ``k``, which is how the warm
-  :class:`~repro.core.engine.SolverEngine` keeps one store open across a
-  stream of solves.
+  the segments.  Every solve opens its own store, the warm
+  :class:`~repro.core.engine.SolverEngine`'s included; the engine copies
+  its results out of ``/dev/shm`` itself.
 
 A second, unshared mode (``use_shm=False``) keeps ``cost`` and ``best``
 in plain RAM and borrows ``p`` as given — every slice only reads it, and
@@ -99,15 +96,6 @@ class RamStore(LayerStore):
         except BaseException:
             self.close()
             raise
-
-    def rearm(self, p) -> None:
-        """Reset the open shared tables to a fresh solve with weights ``p``.
-
-        The warm :class:`~repro.core.engine.SolverEngine` calls it for
-        each further instance of the same ``k`` over the same tables.
-        """
-        self.p[:] = p
-        self._reset()
 
     @classmethod
     def adopt(cls, problem, cost, best, p) -> "RamStore":

@@ -164,10 +164,10 @@ class _ParallelBackend(VerifyBackend):
     below ``MIN_SHARD``, so without it the "parallel" engine would
     quietly run the in-process kernel and verify nothing.
 
-    Solves run on one warm engine, so every instance drives
-    :func:`~repro.core.parallel.run_layers` — the barrier loop the cold
-    parallel path shares — through a store and pool reused across the
-    sweep.
+    Solves run on one warm engine: every instance is one
+    :func:`~repro.core.parallel.solve_dp_parallel` call, as a cold
+    parallel solve is, over its own fresh shared store, while the
+    engine's worker outlives the instances and remaps each one's tables.
     """
 
     name = "parallel"

@@ -3,6 +3,7 @@
 import errno
 import json
 import pathlib
+import types
 
 import numpy as np
 import pytest
@@ -57,21 +58,18 @@ class TestResolveBackend:
         [(PARALLEL_MIN_K_WARM - 1, "numpy"), (PARALLEL_MIN_K_WARM, "parallel")],
     )
     def test_warm_crossover(self, monkeypatch, k, want):
-        # The engine resolves with the warm crossover; record what it
-        # would run instead of running it.
+        # The engine resolves with the warm crossover; record the worker
+        # count it would solve with instead of solving.
         ran = []
-        engine = SolverEngine(workers=2)
-        monkeypatch.setattr(
-            engine, "_solve_parallel",
-            lambda problem, p, w, progress: ran.append(("parallel", w)),
-        )
-        monkeypatch.setattr(
-            "repro.core.engine.solve_dp_parallel",
-            lambda problem, **kw: ran.append(("numpy", kw["workers"])),
-        )
-        with engine:
+
+        def record(problem, **kw):
+            ran.append(kw["workers"])
+            return types.SimpleNamespace(cost=np.zeros(1), best_action=np.zeros(1))
+
+        monkeypatch.setattr("repro.core.engine.solve_dp_parallel", record)
+        with SolverEngine(workers=2) as engine:
             engine.solve(_big_problem(k), p=np.zeros(1))
-        assert ran == [(want, 2 if want == "parallel" else 1)]
+        assert ran == [2 if want == "parallel" else 1]
 
     def test_explicit_backends_pass_through(self):
         problem = random_instance(4, 3, 2, seed=2)
@@ -308,12 +306,13 @@ class TestKnobsParsedOnEntry:
             solve(problem, backend="numpy")
 
     def test_engine_short_circuit_checks_too(self, monkeypatch):
-        # A re-armed warm store never reads the RAM budget again.
+        # The warm engine's worker is already started, so nothing but
+        # the entry check reads the start method again.
         problem = random_instance(6, 3, 2, seed=91)
         with SolverEngine(workers=2, backend="parallel", min_shard=1) as engine:
             solve(problem, engine=engine)
-            monkeypatch.setenv("REPRO_RAM_BUDGET_BYTES", "lots")
-            with pytest.raises(InvalidProblem, match="REPRO_RAM_BUDGET_BYTES"):
+            monkeypatch.setenv("REPRO_START_METHOD", "teleport")
+            with pytest.raises(InvalidProblem, match="REPRO_START_METHOD"):
                 solve(problem, engine=engine)
 
     def test_explicit_workers_and_the_bvm_backend_are_not_read(self, monkeypatch):

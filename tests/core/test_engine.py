@@ -9,11 +9,11 @@ pool — the case a leaked table or a stale arena would break.
 import numpy as np
 import pytest
 
-from repro.core import SolverEngine, solve
+from repro.core import SolverEngine, parallel, solve
 from repro.core.errors import InvalidProblem, SolverError
 from repro.core.generators import random_instance
 from repro.core.parallel import solve_dp_parallel
-from repro.core.sequential import solve_dp
+from repro.core.sequential import solve_dp, solve_dp_reference
 from repro.core.supervisor import ResiliencePolicy
 from repro.obs import Tracer, tracing
 from repro.obs.export import normalized_events
@@ -23,6 +23,16 @@ def assert_same(cold, warm):
     np.testing.assert_array_equal(cold.cost, warm.cost)
     np.testing.assert_array_equal(cold.best_action, warm.best_action)
     assert cold.op_count == warm.op_count
+
+
+def assert_reference_bytes(result):
+    ref = solve_dp_reference(result.problem)
+    assert result.cost.tobytes() == ref.cost.tobytes()
+    assert result.best_action.tobytes() == ref.best_action.tobytes()
+
+
+def child_pids(engine) -> list:
+    return [c.proc.pid for c in engine._supervisor._children if c is not None]
 
 
 class TestSequentialEngine:
@@ -63,11 +73,51 @@ class TestParallelEngine:
             # repeat on the warm pool: tables must be fully reset
             assert_same(solve_dp(problems[0]), engine.solve(problems[0]))
 
-    def test_k_switch_rebuilds_tables(self):
-        with SolverEngine(workers=2, backend="parallel") as engine:
+    def test_workers_outlive_k_changes(self):
+        # Each solve opens its own store; the one child maps the tables
+        # each task names, whatever the k, and is never restarted.
+        pids = []
+        with SolverEngine(workers=2, backend="parallel", min_shard=1) as engine:
             for k in (7, 8, 7):
-                problem = random_instance(k, 3, 2, seed=k)
-                assert_same(solve_dp(problem), engine.solve(problem))
+                assert_reference_bytes(engine.solve(random_instance(k, 3, 2, seed=k)))
+                pids.append(child_pids(engine))
+            assert engine.stats == {"pool_reuses": 2, "table_rebuilds": 1}
+        assert len(pids[0]) == 1 and pids == [pids[0]] * 3
+
+    def test_children_map_only_the_last_solves_tables(self):
+        # A child maps the segments its tasks name, and only those: not
+        # the ones it inherited when it was forked, nor an earlier solve's.
+        with SolverEngine(workers=2, backend="parallel", min_shard=1) as engine:
+            for k in (7, 8, 8):
+                engine.solve(random_instance(k, 3, 2, seed=k))
+                (pid,) = child_pids(engine)
+                with open(f"/proc/{pid}/maps") as maps:
+                    segments = [line for line in maps if "/psm_" in line]
+                assert len(segments) == 3  # cost, best and p
+
+    def test_degraded_pool_is_revived_by_the_next_solve(self, monkeypatch):
+        # The first worker start is refused, so the first solve degrades
+        # and finishes in the parent; the next one starts its worker.
+        real, starts = parallel._start_worker, []
+
+        def refuse_first():
+            starts.append(1)
+            if len(starts) == 1:
+                raise OSError("fork refused")
+            return real()
+
+        monkeypatch.setattr(parallel, "_start_worker", refuse_first)
+        problems = [random_instance(6, 4, 3, seed=60 + i) for i in range(2)]
+        with SolverEngine(workers=2, backend="parallel", min_shard=1) as engine:
+            first, second = (engine.solve(problem) for problem in problems)
+        assert first.recovery["degraded"] is True
+        assert not any(e["kind"] == "revive" for e in first.recovery["events"])
+        assert any(e["kind"] == "revive" for e in second.recovery["events"])
+        modes = [row["mode"] for row in second.recovery["layers"]]
+        assert modes == ["pool"] * (problems[1].k - 1) + ["parent"]
+        assert len(starts) == 2
+        for result in (first, second):
+            assert_reference_bytes(result)
 
     def test_solve_many_pipelines(self):
         problems = [random_instance(8, 4, 3, seed=10 + i) for i in range(3)]
@@ -77,18 +127,18 @@ class TestParallelEngine:
             assert_same(solve_dp(problem), warm)
 
     def test_pool_results_do_not_alias_the_store(self):
-        # The engine re-arms one store for every solve of a k: each
-        # result must keep its own tables through the solves after it.
+        # Each result keeps its own tables through the solves after it,
+        # in memory it owns rather than a /dev/shm mapping: a stream that
+        # keeps its results must not fill tmpfs.
         problems = [random_instance(8, 4, 3, seed=80 + i) for i in range(3)]
         with SolverEngine(workers=2, backend="parallel", min_shard=1) as engine:
             first = engine.solve(problems[0])
             second = engine.solve(problems[1])
             engine.solve(problems[2])
             assert engine.stats["pool_reuses"] == 2
-        for problem, got in zip(problems, (first, second)):
-            ref = solve_dp(problem)
-            assert got.cost.tobytes() == ref.cost.tobytes()
-            assert got.best_action.tobytes() == ref.best_action.tobytes()
+        for got in (first, second):
+            assert got.cost.flags.owndata and got.best_action.flags.owndata
+            assert_reference_bytes(got)
 
     def test_recovery_log_attached(self):
         problem = random_instance(8, 4, 3, seed=1)
@@ -133,11 +183,20 @@ class TestEngineColdParity:
 
 
 class TestEngineLifecycle:
-    def test_closed_engine_rejects_solves(self):
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda engine, problem: engine.solve(problem),
+            lambda engine, problem: engine.solve_many([]),
+            lambda engine, problem: engine.solve_many([problem], solver="bvm"),
+        ],
+        ids=["solve", "solve_many-empty", "solve_many-bvm"],
+    )
+    def test_closed_engine_rejects_solves(self, call):
         engine = SolverEngine(workers=1)
         engine.close()
-        with pytest.raises(SolverError):
-            engine.solve(random_instance(4, 3, 2, seed=0))
+        with pytest.raises(SolverError, match="closed"):
+            call(engine, random_instance(4, 3, 2, seed=0))
 
     def test_close_is_idempotent(self):
         engine = SolverEngine(workers=1)

@@ -14,6 +14,7 @@ import dataclasses
 import functools
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -22,7 +23,7 @@ import textwrap
 import numpy as np
 import pytest
 
-from repro.core import solve
+from repro.core import parallel, solve
 from repro.core.errors import (
     CheckpointMismatch,
     InvalidProblem,
@@ -37,11 +38,13 @@ from repro.core.kernels import LayerArena, solve_slice
 from repro.core.parallel import solve_dp_parallel
 from repro.core.sequential import solve_dp_reference
 from repro.core.supervisor import (
+    RecoveryLog,
     ResiliencePolicy,
     SharedTables,
+    Supervisor,
     problem_content_hash,
 )
-from repro.store import RamStore
+from repro.store import RamStore, StoreSpec
 
 PROBLEM = random_instance(6, n_tests=6, n_treatments=4, seed=3)
 REF = solve_dp_reference(PROBLEM)
@@ -227,16 +230,14 @@ class TestFaultRecovery:
 
     def test_failed_respawn_degrades_and_counts_agree(self, monkeypatch):
         """A child that cannot be replaced degrades the solve in-process."""
-        from repro.core import parallel
-
         real = parallel._start_worker
         starts = []
 
-        def start_once(access):
+        def start_once():
             if starts:
                 raise OSError("fork refused")
             starts.append(1)
-            return real(access)
+            return real()
 
         monkeypatch.setattr(parallel, "_start_worker", start_once)
         policy = dataclasses.replace(QUICK, timeout=0.3)
@@ -548,18 +549,16 @@ class TestOwnedShutdown:
         yield store
         store.close()
 
-    def _supervisor(self, store):
-        from repro.core import parallel
-        from repro.core.supervisor import RecoveryLog
-
-        task = functools.partial(
-            parallel._solve_shard,
+    def _task(self, store):
+        return functools.partial(
+            parallel._solve_shard, store.worker_spec(),
             PROBLEM.subset_array, PROBLEM.cost_array, PROBLEM.test_mask_array,
         )
+
+    def _supervisor(self, store):
         log = RecoveryLog()
-        sup = parallel._pool_supervisor(
-            store, QUICK, task, log, tracer=None, metrics=None
-        )
+        sup = Supervisor(QUICK, parallel._start_worker)
+        sup.bind(self._task(store), log)
         return sup, log
 
     def _run_layer_3(self, sup, store):
@@ -585,7 +584,7 @@ class TestOwnedShutdown:
         import time
 
         sup, log = self._supervisor(store)
-        sup.rebind(_stubborn_hang, log)
+        sup.bind(_stubborn_hang, log)
         assert sup._send(2, 0, store.bounds(2), attempt=0)
         child = sup._children[0]
         time.sleep(0.5)  # the task is now parked in its sleep
@@ -595,16 +594,15 @@ class TestOwnedShutdown:
         assert child.proc.exitcode == -signal.SIGKILL
         assert sup._children == []
 
-    def test_rebind_discards_a_child_of_an_aborted_solve(self, store):
+    def test_bind_discards_a_child_of_an_aborted_solve(self, store):
         # A solve that raised mid-layer leaves its children busy; the next
         # solve on the same (warm) supervisor must not take their stale
         # replies for its own shards.
         sup, log = self._supervisor(store)
-        task = sup._task
-        sup.rebind(_stale_shard, log)
+        sup.bind(_stale_shard, log)
         assert sup._send(3, 0, store.bounds(3), attempt=0)
         stale = sup._children[0].proc
-        sup.rebind(task, log)
+        sup.bind(self._task(store), log)
         assert stale.exitcode == -signal.SIGKILL
         self._run_layer_3(sup, store)
         sup.shutdown()
@@ -617,6 +615,46 @@ class TestOwnedShutdown:
         sup.shutdown()
         assert [p.exitcode for p in procs] == [0, 0]
         assert log.events == []
+
+
+class TestLentSupervisor:
+    """One supervisor's child serves every solve lent it, whatever the store."""
+
+    def test_one_child_remaps_across_stores_and_k(self, tmp_path):
+        other = random_instance(7, n_tests=5, n_treatments=3, seed=8)
+        spill = StoreSpec(kind="mmap", spill_dir=str(tmp_path / "spill"), fsync=False)
+        solves = [(PROBLEM, None), (PROBLEM, spill), (other, None)]
+        sup = Supervisor(QUICK, parallel._start_worker)
+        kinds, pids = [], []
+        try:
+            for problem, store in solves:
+                result = solve_dp_parallel(
+                    problem, workers=2, min_shard=1, store=store, supervisor=sup
+                )
+                assert_bit_for_bit(result, solve_dp_reference(problem))
+                assert "pool" in {row["mode"] for row in result.recovery["layers"]}
+                kinds.append(result.recovery["store"])
+                pids.append([c.proc.pid for c in sup._children if c.proc.is_alive()])
+        finally:
+            sup.shutdown()
+        assert kinds == ["ram", "mmap", "ram"]
+        assert len(pids[0]) == 1 and pids == [pids[0]] * 3
+
+    def test_a_recreated_spill_dir_is_remapped(self, tmp_path):
+        # Same path, new files: a child still mapping the deleted ones
+        # would write its shards where the parent never reads them.
+        spill = StoreSpec(kind="mmap", spill_dir=str(tmp_path / "spill"), fsync=False)
+        sup = Supervisor(QUICK, parallel._start_worker)
+        try:
+            for _ in range(2):
+                result = solve_dp_parallel(
+                    PROBLEM, workers=2, min_shard=1, store=spill, supervisor=sup
+                )
+                assert_bit_for_bit(result)
+                assert result.recovery["resumed_from_layer"] is None
+                shutil.rmtree(spill.spill_dir)
+        finally:
+            sup.shutdown()
 
 
 class TestPolicyValidation:
