@@ -7,8 +7,8 @@ bench measures that choice on the host it runs on: for every
 
 * ``numpy``: ``solve(problem, backend="numpy")``;
 * ``warm``: a :class:`~repro.core.engine.SolverEngine` with
-  ``backend="parallel"`` whose workers already exist (one untimed solve
-  of the same ``k`` starts them; each solve opens its own tables);
+  ``backend="parallel"`` whose workers and tables already exist (one
+  untimed solve of the same ``k`` starts them);
 * ``cold``: ``solve(problem, backend="parallel")``, which starts its
   workers and tables on every call —
 

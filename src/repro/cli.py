@@ -115,7 +115,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         help="per-shard deadline in seconds for a solve on more than one "
-        "worker (default: none; hung shards are re-dispatched after this)",
+        "worker (default: none; hung shards are re-dispatched after this). "
+        "A child's first shard of the solve also maps the solve's tables "
+        "and, for a k new to that child, builds its mask order",
     )
     p_solve.add_argument(
         "--retries",

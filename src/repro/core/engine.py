@@ -9,21 +9,19 @@ stream of instances arriving faster than that start-up cost.
   children (each with its own :class:`~repro.core.kernels.LayerArena`)
   start on the first pool layer that needs them and then serve every
   pool solve, whatever its ``k``: each shard task names the tables its
-  child maps, so a child remaps when a solve's store is new and
-  otherwise keeps its mapping;
+  child maps, and a child unmaps them when the solve ends;
 * the parent's own scratch arena.
 
 Every solve is one :func:`~repro.core.parallel.solve_dp_parallel` call,
-as a cold solve is: it opens, hands over and closes its own store —
-fresh ``/dev/shm`` segments above one worker — and binds the engine's
-supervisor to its own recovery log and telemetry
-(:meth:`~repro.core.supervisor.Supervisor.bind`).  A handed-over table
-keeps its pages in ``/dev/shm``'s tmpfs until it is dropped, so the
-engine copies its pool results out: a stream that keeps its results
-must not fill ``/dev/shm``.  A solve that resolves to one worker (below
-the warm crossover ``PARALLEL_MIN_K_WARM``, or a one-worker engine)
-uses no supervisor and maps no segment.  Either way the result is
-bit-for-bit identical to a cold :func:`repro.core.solve`.
+as a cold solve is, with the engine's supervisor lent to it.  A pool
+solve copies its results out of ``/dev/shm`` (a stream that keeps its
+results must not fill tmpfs) and recycles its shared tables
+(:meth:`~repro.store.RamStore.recycle`): a same-``k`` stream re-arms
+one set, and a change of ``k`` replaces it, no child still mapping the
+old.  A solve that resolves to one worker (below the warm crossover
+``PARALLEL_MIN_K_WARM``, or a one-worker engine) uses no supervisor and
+maps no segment.  Either way the result is bit-for-bit identical to a
+cold :func:`repro.core.solve`.
 
 :meth:`SolverEngine.solve_many` pipelines the ``subset_weights``
 precompute of the *next* instance against the in-flight solve on a
@@ -139,10 +137,13 @@ class SolverEngine:
         self.close()
 
     def close(self) -> None:
-        """Stop the workers (idempotent)."""
+        """Stop the workers and unlink the kept tables (idempotent)."""
+        from ..store import RamStore  # runtime import: store builds on core
+
         self._closed = True
         if self._supervisor is not None:
             self._supervisor.shutdown()
+            RamStore.drop_spare()
 
     # -- solving -------------------------------------------------------
 
@@ -165,8 +166,7 @@ class SolverEngine:
         if p is None:
             p = cached_subset_weights(problem)
         reg = obs_metrics.MetricsRegistry()
-        pool = workers > 1
-        if pool:
+        if workers > 1:
             which = "pool_reuses" if self._supervisor.started else "table_rebuilds"
             self.stats[which] += 1
             reg.inc(f"engine.{which}")
@@ -175,12 +175,6 @@ class SolverEngine:
             policy=self.policy, metrics=reg, progress=progress,
             arena=self._arena, supervisor=self._supervisor,
         )
-        if pool:
-            # The store handed over tables that live in /dev/shm: copy
-            # them out, so a stream that keeps its results keeps them in
-            # anonymous memory, not in tmpfs.
-            result.cost = result.cost.copy()
-            result.best_action = result.best_action.copy()
         self.solves += 1
         return result
 

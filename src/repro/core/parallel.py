@@ -33,17 +33,14 @@ loop, :func:`run_layers`:
   past the retry budget the shard is finished in the parent instead of
   hanging or raising.
 
-One function drives that loop, which builds the
-:class:`~repro.core.sequential.DPResult` it returns:
-:func:`solve_dp_parallel`, at any worker count, opens a store, binds a
-supervisor above one worker, runs the layers and closes the store.  A
-cold solve builds its supervisor and shuts it down; the warm
-:class:`~repro.core.engine.SolverEngine` lends one it keeps across
-solves.  The store's worker spec and the per-problem statics (action
-subsets, costs, test mask) ride every shard task, so a child maps the
-tables a task names on the first such task and keeps them until a task
-names others: one set of warm children serves every problem, whatever
-its ``k``.
+One function drives that loop and returns its
+:class:`~repro.core.sequential.DPResult`: :func:`solve_dp_parallel`
+opens a store, binds a supervisor above one worker — its own, or one the
+warm :class:`~repro.core.engine.SolverEngine` lends it — runs the layers
+and closes the store.  The store's worker spec and the problem's statics
+ride every shard task, so a child maps a solve's tables on its first
+task and unmaps them when the solve ends: one set of warm children
+serves every problem, whatever its ``k``.
 
 Determinism: each subset's argmin is computed *entirely inside one
 worker* by scanning actions in index order through
@@ -131,8 +128,8 @@ MIN_SHARD = 2048
 # Worker side
 # ----------------------------------------------------------------------
 
-# This worker's state: the tables its last task named ("spec" and the
-# mapped arrays), kept until a task names others.
+# This worker's state: the tables of the solve it serves ("spec" and the
+# mapped arrays), dropped when the solve ends.
 _WORKER: dict = {}
 # This worker's kernel scratch, which outlives the tables (unused in the
 # parent, whose slices run on the solve's own arena).
@@ -150,16 +147,25 @@ def _attach(name: str) -> shared_memory.SharedMemory:
     return shared_memory.SharedMemory(name=name)
 
 
+def _drop_tables(_=None) -> None:
+    """Unmap this worker's tables (the release task a solve ends with)."""
+    global _WORKER
+    blocks = _WORKER.get("blocks", {})
+    _WORKER = {}  # drop the arrays before their blocks close
+    for blk in blocks.values():
+        blk.close()
+
+
 def _tables(spec) -> dict:
     """The tables ``spec`` names, mapped into this worker.
 
     ``spec`` is the picklable dict from ``LayerStore.worker_spec()``:
     ``mode="shm"`` names shared-memory blocks to map, ``mode="mmap"``
     names a spill directory whose ``.dat`` files the worker memmaps
-    (``MAP_SHARED``, so parent and worker writes are coherent).  The
-    tables are mapped on the first task that names them and kept until a
-    task names others, which unmaps them first — so one worker serves
-    every solve of its supervisor, whatever the store or ``k``.
+    (``MAP_SHARED``, so parent and worker writes are coherent).  They
+    are mapped on a solve's first task and dropped when it ends
+    (:func:`_drop_tables`), so one worker serves every solve of its
+    supervisor, whatever the store or ``k``.
 
     A shared-memory worker takes the mask order from its own
     :func:`~repro.core.kernels.layer_plan`: a forked child inherits the
@@ -169,10 +175,7 @@ def _tables(spec) -> dict:
     global _WORKER
     if _WORKER.get("spec") == spec:
         return _WORKER
-    blocks = _WORKER.get("blocks", {})
-    _WORKER = {}  # drop the old arrays before their blocks close
-    for blk in blocks.values():
-        blk.close()
+    _drop_tables()
     n_sub = spec["n_sub"]
     if spec["mode"] == "shm":
         blocks = {key: _attach(name) for key, name in spec["names"].items()}
@@ -240,14 +243,38 @@ def _solve_shard(spec, subsets, costs, is_test, task: tuple) -> tuple:
     return shard_idx, hi - lo, tracer.raw_events()
 
 
+def _drop_inherited_segments() -> None:
+    """Point each inherited ``/dev/shm`` segment descriptor at /dev/null.
+
+    A forked child inherits the parent's descriptors — each table array
+    holds one, as Python's mmap keeps a duplicate of its file — and one
+    left open pins its segment's pages for the child's life.  The
+    numbers stay taken, so an inherited object that owns one can only
+    ever close /dev/null.
+    """
+    try:
+        fds = os.listdir("/proc/self/fd")
+    except OSError:
+        return  # no /proc: segments are not files, nothing to drop
+    null = os.open(os.devnull, os.O_RDONLY)
+    for fd in fds:
+        try:
+            if os.readlink(f"/proc/self/fd/{fd}").startswith("/dev/shm/psm_"):
+                os.dup2(null, int(fd))
+        except OSError:
+            pass  # the listing's own descriptor, gone already
+    os.close(null)
+
+
 def _worker_main(conn) -> None:
     """Body of one owned worker: serve shards until told to stop.
 
-    The worker first sends ``True`` (started).  Each message is then
-    ``(task, args)``; the reply is ``(True, task(args))`` or
-    ``(False, error)`` when the task raised.  ``None`` — or the parent
-    end of the pipe closing — stops the worker.
+    The worker drops its inherited segments and sends ``True``
+    (started).  Each message is then ``(task, args)``; the reply is
+    ``(True, task(args))`` or ``(False, error)`` when the task raised.
+    ``None`` — or the parent end of the pipe closing — stops the worker.
     """
+    _drop_inherited_segments()
     conn.send(True)
     while True:
         try:
@@ -268,10 +295,7 @@ def _worker_main(conn) -> None:
 
 
 def _start_worker() -> tuple:
-    """Start one owned worker: ``(process, parent pipe end)``.
-
-    It maps no tables yet: each task names the ones it needs.
-    """
+    """Start one owned worker, with no tables: ``(process, parent pipe end)``."""
     ctx = mp.get_context(knob("REPRO_START_METHOD"))
     parent_end, child_end = ctx.Pipe()
     # Forked children close every inherited parent end (their own and
@@ -512,10 +536,12 @@ def solve_dp_parallel(
 
     ``supervisor`` lends this solve workers that outlive it (the warm
     :class:`~repro.core.engine.SolverEngine` keeps one): used only
-    above one worker, it is bound to this solve's task, log and
-    telemetry (:meth:`Supervisor.bind`) and left running, and its own
-    policy handles faults.  Without one, a solve above one worker builds
-    a supervisor under ``policy`` and shuts it down before returning.
+    above one worker, it is bound to this solve (:meth:`Supervisor.bind`)
+    and unbound at the end, its own policy handles faults, and over
+    shared tables the solve returns copies of its results and recycles
+    the tables (:meth:`~repro.store.RamStore.recycle`).  Without one, a
+    solve above one worker builds a supervisor under ``policy`` and
+    shuts it down before returning.
 
     ``store`` selects where the tables live: ``None`` for the in-RAM
     default, a :class:`repro.store.StoreSpec` (e.g. ``kind="mmap"`` +
@@ -601,16 +627,25 @@ def solve_dp_parallel(
                 problem.test_mask_array,
             )
             supervisor.bind(task, log, tracer=tr, metrics=reg)
-        return run_layers(
+        result = run_layers(
             problem, store, supervisor,
             workers=workers, min_shard=min_shard, log=log, tracer=tr, metrics=reg,
             arena=arena if arena is not None else LayerArena(),
             valid=report.valid_layers, progress=progress,
         )
+        if supervisor is not own and spec["mode"] == "shm":
+            # A stream's results leave /dev/shm (a stream that keeps them
+            # must not fill tmpfs) and its next solve of this k re-arms
+            # the tables.
+            result.cost = result.cost.copy()
+            result.best_action = result.best_action.copy()
+            store.recycle()
+        return result
     finally:
-        # Stop the workers built here *before* the store tears down its
-        # tables, so none still computes over them.  A lent supervisor's
-        # workers keep their mapping until a task names other tables.
+        # Stop the workers built here, or have lent ones unmap the
+        # tables, *before* the store tears them down.
         if own is not None:
             own.shutdown()
+        elif supervisor is not None:
+            supervisor.unbind(_drop_tables)
         store.close()

@@ -21,7 +21,8 @@ machinery that makes those failures survivable:
   kernel instead of raising (unless the policy says otherwise); when no
   child can be started the rest of the solve runs in the parent.  The
   children can outlive a solve: each solve binds the supervisor to its
-  own task and log, and a degraded supervisor is revived at the next;
+  own task and log and unbinds it at the end, when the children unmap
+  its tables, and a degraded supervisor is revived at the next;
 * :class:`SharedTables` — a leak-proof owner of the shared-memory
   blocks: ``atexit`` + SIGTERM/SIGINT guards unlink the segments even
   when the parent is torn down mid-solve, and on Linux its arrays own
@@ -384,8 +385,9 @@ class Supervisor:
     hi, layer_index, shard_index, attempt, trace)`` and returning
     ``(shard_index, n_masks_solved)``, or, when the ``trace`` flag was
     set, ``(shard_index, n_masks_solved, raw_events)`` with the worker's
-    telemetry flushed back through the same pipe — and each task names
-    the tables its child maps.
+    telemetry flushed back through the same pipe — each task names the
+    tables its child maps, and :meth:`unbind` has the children unmap
+    them when the solve ends.
     """
 
     def __init__(self, policy: ResiliencePolicy, start_worker):
@@ -410,16 +412,10 @@ class Supervisor:
         Each solve carries its own task closure, recovery log and
         telemetry sinks (reset to disabled when omitted, so a traced
         solve never leaks its tracer into the next), while the children
-        persist.  A child still holding a shard of a solve that raised is
-        reaped here: its reply must never be taken for a shard of this
-        one.  A supervisor that degraded in an earlier solve is revived —
-        its children are stopped and started afresh when needed — rather
-        than pinning every later solve in-process.
+        persist.  A supervisor that degraded in an earlier solve is
+        revived — its children are stopped and started afresh when
+        needed — rather than pinning every later solve in-process.
         """
-        for sid, child in enumerate(self._children):
-            if child is not None and child.bounds is not None:
-                child.reap()
-                self._children[sid] = None
         self._task = task
         self.log = log
         self._tracer = tracer if tracer is not None else NULL
@@ -428,6 +424,34 @@ class Supervisor:
             self.shutdown()
             self.degraded = False
             log.event("revive")
+
+    def unbind(self, release) -> None:
+        """End the bound solve: no child keeps its shard or its tables.
+
+        A child still holding a shard (the solve raised) is reaped, so
+        its reply is never taken for the next solve's.  Each idle child
+        runs ``release``, the task that unmaps its tables, and answers
+        before this returns; one that answers anything else, dies or
+        stays silent past the stop grace is reaped too, and its slot
+        starts a fresh child when next needed.
+        """
+        idle = [c for c in self._children if c is not None and c.bounds is None]
+        for child in idle:
+            try:
+                child.conn.send((release, None))
+            except OSError:
+                pass  # dead: its sentinel reports it below
+        until = time.monotonic() + _STOP_GRACE
+        for sid, child in enumerate(self._children):
+            if child is None:
+                continue
+            answered = child in idle and connection.wait(
+                [child.conn, child.proc.sentinel], max(0.0, until - time.monotonic())
+            )
+            reply = child.reply() if answered else None
+            if not isinstance(reply, tuple) or not reply[0]:
+                child.reap()
+                self._children[sid] = None
 
     def _count(self, kind: str, n: int = 1, **detail) -> None:
         """Count a recovery action in the log *and* the metrics."""

@@ -22,9 +22,11 @@ take from their own plan.  The store adds:
 * a finished solve hands its ``cost`` and ``best`` to the result instead
   of copying them: shared tables whose arrays own their mappings
   (``SharedTables.owned``, Linux) stay valid after :meth:`close` unlinks
-  the segments.  Every solve opens its own store, the warm
-  :class:`~repro.core.engine.SolverEngine`'s included; the engine copies
-  its results out of ``/dev/shm`` itself.
+  the segments;
+* :meth:`recycle` instead keeps the shared tables (at most one set) for
+  the next store of the same ``k`` to re-arm, sparing it fresh
+  ``/dev/shm`` pages; a warm engine's pool solve, which copies its
+  results out, ends so.  A store of another size unlinks them first.
 
 A second, unshared mode (``use_shm=False``) keeps ``cost`` and ``best``
 in plain RAM and borrows ``p`` as given — every slice only reads it, and
@@ -38,6 +40,8 @@ finish in the parent (when the budget allows).
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 from ..core.kernels import BEST_DTYPE, COST_DTYPE, P_DTYPE, layer_plan
@@ -47,6 +51,18 @@ from .base import LayerStore, OpenReport, tables_nbytes
 from .journal import SlabJournal, order_digest
 
 __all__ = ["RamStore"]
+
+# The SharedTables RamStore.recycle kept for the next store of its size.
+_spare = None
+_spare_lock = threading.Lock()
+
+
+def _swap_spare(tables=None):
+    """Keep ``tables`` as the spare; returns the one it replaces."""
+    global _spare
+    with _spare_lock:
+        old, _spare = _spare, tables
+    return old
 
 
 class RamStore(LayerStore):
@@ -75,7 +91,13 @@ class RamStore(LayerStore):
         events = [] if self._journal is None else self._journal.load()
 
         if self._use_shm:
-            self._tables = SharedTables(self.n_sub)
+            tables = _swap_spare()
+            if tables is not None and getattr(tables.cost, "size", 0) != self.n_sub:
+                # Another size (or closed by the signal guard): unlinked
+                # before new pages exist.
+                tables.close()
+                tables = None
+            self._tables = tables or SharedTables(self.n_sub)
             self.cost = self._tables.cost
             self.best = self._tables.best
             self.p = self._tables.p
@@ -145,3 +167,19 @@ class RamStore(LayerStore):
         if self._tables is not None:
             self._tables.close()
             self._tables = None
+
+    def recycle(self) -> None:
+        """Close, keeping shared tables for the next store of their size
+        (the caller holds none of this store's arrays)."""
+        tables, self._tables = self._tables, None
+        self.close()
+        old = _swap_spare(tables) if tables is not None else None
+        if old is not None:
+            old.close()
+
+    @staticmethod
+    def drop_spare() -> None:
+        """Unlink the tables :meth:`recycle` kept, if any."""
+        old = _swap_spare()
+        if old is not None:
+            old.close()

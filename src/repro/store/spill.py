@@ -71,10 +71,6 @@ class MmapStore(LayerStore):
     def open(self) -> OpenReport:
         events = self._journal.load()
         self._allocate_data_files()
-        # Names this open's files in the worker spec: a worker that
-        # outlives a solve must remap even where a later solve recreated
-        # the same paths (its old mappings would hold the deleted files).
-        self._opened = os.urandom(8).hex()
         for name, dtype in TABLE_DTYPES.items():
             setattr(
                 self,
@@ -152,8 +148,7 @@ class MmapStore(LayerStore):
     # -- solve-loop hooks -----------------------------------------------
 
     def worker_spec(self) -> dict | None:
-        return {"mode": "mmap", "dir": self._dir, "n_sub": self.n_sub,
-                "opened": self._opened}
+        return {"mode": "mmap", "dir": self._dir, "n_sub": self.n_sub}
 
     def finish(self, success: bool) -> None:
         if success:

@@ -166,8 +166,9 @@ class _ParallelBackend(VerifyBackend):
 
     Solves run on one warm engine: every instance is one
     :func:`~repro.core.parallel.solve_dp_parallel` call, as a cold
-    parallel solve is, over its own fresh shared store, while the
-    engine's worker outlives the instances and remaps each one's tables.
+    parallel solve is, whose store re-arms the shared tables the last
+    instance of its ``k`` left; the engine's worker outlives the
+    instances and maps each one's tables while it is solved.
     """
 
     name = "parallel"

@@ -6,6 +6,8 @@ one-shot ``solve``), including the second and later solves on a warm
 pool — the case a leaked table or a stale arena would break.
 """
 
+import os
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,20 @@ def assert_reference_bytes(result):
 
 def child_pids(engine) -> list:
     return [c.proc.pid for c in engine._supervisor._children if c is not None]
+
+
+def segments_held(pid) -> list:
+    """The shared-memory segments process ``pid`` maps or holds open."""
+    with open(f"/proc/{pid}/maps") as maps:
+        held = [line.split()[-1] for line in maps if "/psm_" in line]
+    for fd in os.listdir(f"/proc/{pid}/fd"):
+        try:
+            target = os.readlink(f"/proc/{pid}/fd/{fd}")
+        except OSError:
+            continue
+        if "/psm_" in target:
+            held.append(target)
+    return held
 
 
 class TestSequentialEngine:
@@ -84,16 +100,27 @@ class TestParallelEngine:
             assert engine.stats == {"pool_reuses": 2, "table_rebuilds": 1}
         assert len(pids[0]) == 1 and pids == [pids[0]] * 3
 
-    def test_children_map_only_the_last_solves_tables(self):
-        # A child maps the segments its tasks name, and only those: not
-        # the ones it inherited when it was forked, nor an earlier solve's.
+    def test_children_hold_no_tables_between_solves(self):
+        # A pool solve's child unmaps its segments before the solve
+        # returns, and holds none of the descriptors it inherited when it
+        # was forked mid-solve: no set stays pinned in /dev/shm by a
+        # child alone.
         with SolverEngine(workers=2, backend="parallel", min_shard=1) as engine:
             for k in (7, 8, 8):
                 engine.solve(random_instance(k, 3, 2, seed=k))
                 (pid,) = child_pids(engine)
-                with open(f"/proc/{pid}/maps") as maps:
-                    segments = [line for line in maps if "/psm_" in line]
-                assert len(segments) == 3  # cost, best and p
+                assert segments_held(pid) == []
+
+    def test_pool_solves_of_one_k_reuse_one_table_set(self, shm_leak_guard):
+        # A pool solve leaves its tables for the next one of its k; a
+        # change of k unlinks them before creating its own size, and
+        # close() unlinks the last set.
+        with SolverEngine(workers=2, backend="parallel", min_shard=1) as engine:
+            for i, k in enumerate((7, 7, 8, 8, 7)):
+                assert_reference_bytes(engine.solve(random_instance(k, 3, 2, seed=i)))
+                assert len(shm_leak_guard.stranded()) == 3  # cost, best and p
+            assert len(shm_leak_guard.created) == 3 * 3  # k = 7, 8 and 7 again
+        assert shm_leak_guard.stranded() == []
 
     def test_degraded_pool_is_revived_by_the_next_solve(self, monkeypatch):
         # The first worker start is refused, so the first solve degrades

@@ -594,18 +594,36 @@ class TestOwnedShutdown:
         assert child.proc.exitcode == -signal.SIGKILL
         assert sup._children == []
 
-    def test_bind_discards_a_child_of_an_aborted_solve(self, store):
-        # A solve that raised mid-layer leaves its children busy; the next
-        # solve on the same (warm) supervisor must not take their stale
-        # replies for its own shards.
+    def test_unbind_discards_a_child_of_an_aborted_solve(self, store):
+        # A solve that raised mid-layer leaves its children busy; ending
+        # it reaps them, so the next solve on the same (warm) supervisor
+        # never takes their stale replies for its own shards.
         sup, log = self._supervisor(store)
         sup.bind(_stale_shard, log)
         assert sup._send(3, 0, store.bounds(3), attempt=0)
         stale = sup._children[0].proc
-        sup.bind(self._task(store), log)
+        sup.unbind(parallel._drop_tables)
         assert stale.exitcode == -signal.SIGKILL
+        sup.bind(self._task(store), log)
         self._run_layer_3(sup, store)
         sup.shutdown()
+
+    def test_unbind_keeps_idle_children_without_tables(self, store):
+        sup, log = self._supervisor(store)
+        self._run_layer_3(sup, store)
+        procs = [c.proc for c in sup._children]
+        sup.unbind(parallel._drop_tables)
+        try:
+            assert [c.proc for c in sup._children] == procs
+            for proc in procs:
+                with open(f"/proc/{proc.pid}/maps") as maps:
+                    assert [line for line in maps if "/psm_" in line] == []
+                fds = os.listdir(f"/proc/{proc.pid}/fd")
+                assert not any(
+                    "/psm_" in os.readlink(f"/proc/{proc.pid}/fd/{fd}") for fd in fds
+                )
+        finally:
+            sup.shutdown()
 
     def test_idle_children_exit_on_stop_message(self, store):
         sup, log = self._supervisor(store)
@@ -637,6 +655,7 @@ class TestLentSupervisor:
                 pids.append([c.proc.pid for c in sup._children if c.proc.is_alive()])
         finally:
             sup.shutdown()
+            RamStore.drop_spare()  # the last RAM solve's recycled tables
         assert kinds == ["ram", "mmap", "ram"]
         assert len(pids[0]) == 1 and pids == [pids[0]] * 3
 

@@ -20,7 +20,7 @@ from repro.core.generators import random_instance
 from repro.core.kernels import layer_plan
 from repro.core.parallel import solve_dp_parallel
 from repro.core.sequential import solve_dp_reference, subset_weights
-from repro.core.supervisor import ResiliencePolicy
+from repro.core.supervisor import ResiliencePolicy, _close_live_tables
 from repro.store import MmapStore, RamStore, StoreSpec, open_store, tables_nbytes
 
 PROBLEM = random_instance(6, n_tests=6, n_treatments=4, seed=21)
@@ -84,6 +84,41 @@ class TestRamBudget:
         spec = StoreSpec(kind="mmap", spill_dir=str(tmp_path / "spill"))
         result = solve_dp_parallel(PROBLEM, workers=1, store=spec)
         assert_ref_tables(result)
+
+
+class TestRamStoreRecycle:
+    """A recycled store's shared tables serve the next store of their k."""
+
+    def test_the_next_store_of_the_k_re_arms_them(self):
+        store = RamStore(PROBLEM)
+        store.open()
+        names = store.worker_spec()["names"]
+        store.cost[:], store.best[:] = 7.0, 3  # a finished solve's tables
+        store.recycle()
+        other = random_instance(PROBLEM.k, n_tests=4, n_treatments=2, seed=11)
+        again = RamStore(other)
+        again.open()
+        try:
+            assert again.worker_spec()["names"] == names
+            assert again.cost[0] == 0.0 and np.isinf(again.cost[1:]).all()
+            assert (again.best == -1).all()
+            assert np.array_equal(again.p, subset_weights(other))
+        finally:
+            again.close()
+
+    def test_a_spare_the_signal_guard_closed_is_replaced(self):
+        store = RamStore(PROBLEM)
+        store.open()
+        names = store.worker_spec()["names"]
+        store.recycle()
+        _close_live_tables()  # what a SIGINT the program survives leaves
+        again = RamStore(PROBLEM)
+        again.open()
+        try:
+            assert again.worker_spec()["names"] != names
+            assert again.cost[0] == 0.0
+        finally:
+            again.close()
 
 
 class TestRamStoreTables:
