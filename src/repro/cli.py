@@ -115,9 +115,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         help="per-shard deadline in seconds for a solve on more than one "
-        "worker (default: none; hung shards are re-dispatched after this). "
-        "A child's first shard of the solve also maps the solve's tables "
-        "and, for a k new to that child, builds its mask order",
+        "worker (default: none; hung shards are re-dispatched after this; a "
+        "child's first shard of a solve also maps its tables and any new k's plan)",
     )
     p_solve.add_argument(
         "--retries",

@@ -3,25 +3,21 @@
 A cold :func:`repro.core.solve` on several workers starts fresh worker
 processes and stops them again — fine for a single solve, ruinous for a
 stream of instances arriving faster than that start-up cost.
-:class:`SolverEngine` keeps what outlives an instance across solves:
-
-* a :class:`~repro.core.supervisor.Supervisor` whose ``workers - 1``
-  children (each with its own :class:`~repro.core.kernels.LayerArena`)
-  start on the first pool layer that needs them and then serve every
-  pool solve, whatever its ``k``: each shard task names the tables its
-  child maps, and a child unmaps them when the solve ends;
-* the parent's own scratch arena.
+:class:`SolverEngine` keeps its parent scratch arena and a
+:class:`~repro.core.supervisor.Supervisor` whose ``workers - 1``
+children (each with its own :class:`~repro.core.kernels.LayerArena`)
+start on the first pool layer that needs them and then serve every pool
+solve, whatever its ``k``: each shard task names the tables its child
+maps until the solve ends.
 
 Every solve is one :func:`~repro.core.parallel.solve_dp_parallel` call,
 as a cold solve is, with the engine's supervisor lent to it.  A pool
-solve copies its results out of ``/dev/shm`` (a stream that keeps its
-results must not fill tmpfs) and recycles its shared tables
-(:meth:`~repro.store.RamStore.recycle`): a same-``k`` stream re-arms
-one set, and a change of ``k`` replaces it, no child still mapping the
-old.  A solve that resolves to one worker (below the warm crossover
-``PARALLEL_MIN_K_WARM``, or a one-worker engine) uses no supervisor and
-maps no segment.  Either way the result is bit-for-bit identical to a
-cold :func:`repro.core.solve`.
+solve copies its results out of ``/dev/shm`` (a stream that keeps them
+must not fill tmpfs) and leaves its tables to the next solve of its
+``k`` (:meth:`~repro.store.RamStore.recycle`).  A solve that resolves
+to one worker (below the warm crossover ``PARALLEL_MIN_K_WARM``, or a
+one-worker engine) uses no supervisor and maps no segment.  Either way
+the result is bit-for-bit identical to a cold :func:`repro.core.solve`.
 
 :meth:`SolverEngine.solve_many` pipelines the ``subset_weights``
 precompute of the *next* instance against the in-flight solve on a
@@ -117,16 +113,13 @@ class SolverEngine:
         self.policy = policy if policy is not None else ResiliencePolicy()
         self.min_shard = min_shard
         self.solves = 0
-        # Pool-solve counters, exposed on result.metrics: pool_reuses
-        # counts the pool solves that found the workers already started,
-        # table_rebuilds those that had to start them.
+        # Pool solves that found the workers started, and that had to
+        # start them, exposed on result.metrics.
         self.stats = {"pool_reuses": 0, "table_rebuilds": 0}
         self._closed = False
         self._arena = LayerArena()
-        # Children start lazily, on the first pool layer that needs one.
-        self._supervisor = (
-            Supervisor(self.policy, _par._start_worker) if self.workers > 1 else None
-        )
+        # Its children start on the first pool layer that needs them.
+        self._supervisor = Supervisor(self.policy, _par._start_worker) if self.workers > 1 else None
 
     # -- lifecycle -----------------------------------------------------
 

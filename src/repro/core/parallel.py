@@ -128,23 +128,8 @@ MIN_SHARD = 2048
 # Worker side
 # ----------------------------------------------------------------------
 
-# This worker's state: the tables of the solve it serves ("spec" and the
-# mapped arrays), dropped when the solve ends.
-_WORKER: dict = {}
-# This worker's kernel scratch, which outlives the tables (unused in the
-# parent, whose slices run on the solve's own arena).
-_ARENA = LayerArena()
-
-
-def _attach(name: str) -> shared_memory.SharedMemory:
-    """Attach to an existing block (the parent owns creation and unlink).
-
-    Workers share the parent's resource-tracker process (both fork and
-    spawn inherit it), so the attach-side ``register`` call that
-    CPython issues is a set-level no-op and the parent's single ``unlink``
-    leaves the tracker clean — no extra bookkeeping needed here.
-    """
-    return shared_memory.SharedMemory(name=name)
+_WORKER: dict = {}  # this worker's tables while a solve runs: "spec" and its arrays
+_ARENA = LayerArena()  # this worker's kernel scratch, which outlives them
 
 
 def _drop_tables(_=None) -> None:
@@ -157,20 +142,17 @@ def _drop_tables(_=None) -> None:
 
 
 def _tables(spec) -> dict:
-    """The tables ``spec`` names, mapped into this worker.
+    """Map here the tables ``spec`` (a ``LayerStore.worker_spec()``) names.
 
-    ``spec`` is the picklable dict from ``LayerStore.worker_spec()``:
-    ``mode="shm"`` names shared-memory blocks to map, ``mode="mmap"``
-    names a spill directory whose ``.dat`` files the worker memmaps
-    (``MAP_SHARED``, so parent and worker writes are coherent).  They
-    are mapped on a solve's first task and dropped when it ends
-    (:func:`_drop_tables`), so one worker serves every solve of its
-    supervisor, whatever the store or ``k``.
-
-    A shared-memory worker takes the mask order from its own
-    :func:`~repro.core.kernels.layer_plan`: a forked child inherits the
-    plans the parent had built when it started, and builds any other
-    ``k``'s once, as a spawned child does.
+    ``mode="shm"`` names shared-memory blocks (the parent creates and
+    unlinks them; a worker shares its resource tracker, so attaching
+    registers nothing new), ``mode="mmap"`` a spill directory whose
+    ``.dat`` files are memmapped (``MAP_SHARED``, so parent and worker
+    writes are coherent).  Mapped on a solve's first task and dropped
+    when it ends (:func:`_drop_tables`), so one worker serves every
+    solve, whatever the store or ``k``.  A shared-memory worker takes
+    the mask order from its own :func:`~repro.core.kernels.layer_plan`,
+    built once per ``k`` (a forked child inherits the parent's).
     """
     global _WORKER
     if _WORKER.get("spec") == spec:
@@ -178,7 +160,8 @@ def _tables(spec) -> dict:
     _drop_tables()
     n_sub = spec["n_sub"]
     if spec["mode"] == "shm":
-        blocks = {key: _attach(name) for key, name in spec["names"].items()}
+        blocks = {key: shared_memory.SharedMemory(name=name)
+                  for key, name in spec["names"].items()}
         tables = {
             key: np.ndarray(n_sub, dtype=TABLE_DTYPES[key], buffer=blk.buf)
             for key, blk in blocks.items()
@@ -203,18 +186,17 @@ def _tables(spec) -> dict:
 def _solve_shard(spec, subsets, costs, is_test, task: tuple) -> tuple:
     """Solve masks ``order[lo:hi]`` (a contiguous slice of one layer).
 
-    The parent binds the store's worker spec and the problem's statics
-    with ``functools.partial(_solve_shard, spec, subsets, costs,
-    is_test)``, so they travel with each task and the worker maps the
-    tables they name (:func:`_tables`).  ``task`` is ``(lo, hi,
-    layer_index, shard_index, attempt)`` plus an optional sixth
-    ``trace`` flag; the extra coordinates drive deterministic fault
-    injection and let the supervisor attribute completions.  Returns
-    ``(shard_index, count)`` — or, when tracing, ``(shard_index, count,
-    raw_events)``: the worker records its shard span (and any fault
-    instants) into a small private ring buffer and flushes it back
-    through the result channel, which is what makes the cross-process
-    trace one mergeable timeline with no extra IPC.
+    The parent binds the store's worker spec (the tables to map, see
+    :func:`_tables`) and the problem's statics with ``functools.partial``,
+    so they travel with each task.  ``task`` is ``(lo, hi, layer_index,
+    shard_index, attempt)`` plus an optional sixth ``trace`` flag; the
+    extra coordinates drive deterministic fault injection and let the
+    supervisor attribute completions.  Returns ``(shard_index, count)`` —
+    or, when tracing, ``(shard_index, count, raw_events)``: the worker
+    records its shard span (and any fault instants) into a small private
+    ring buffer and flushes it back through the result channel, which is
+    what makes the cross-process trace one mergeable timeline with no
+    extra IPC.
 
     :func:`~repro.core.kernels.solve_slice` resets the shard's own masks
     to ``INF``, runs the kernel straight over the shared table and
@@ -244,25 +226,18 @@ def _solve_shard(spec, subsets, costs, is_test, task: tuple) -> tuple:
 
 
 def _drop_inherited_segments() -> None:
-    """Point each inherited ``/dev/shm`` segment descriptor at /dev/null.
-
-    A forked child inherits the parent's descriptors — each table array
-    holds one, as Python's mmap keeps a duplicate of its file — and one
-    left open pins its segment's pages for the child's life.  The
-    numbers stay taken, so an inherited object that owns one can only
-    ever close /dev/null.
-    """
-    try:
-        fds = os.listdir("/proc/self/fd")
-    except OSError:
-        return  # no /proc: segments are not files, nothing to drop
+    """Point each inherited ``/dev/shm`` segment descriptor at /dev/null:
+    a forked child inherits one per parent table array (Python's mmap
+    keeps a duplicate of its file), which would pin the segment for the
+    child's life.  The inherited object that owns one closes /dev/null."""
+    fd_dir = "/proc/self/fd"  # absent where segments are not files
     null = os.open(os.devnull, os.O_RDONLY)
-    for fd in fds:
+    for fd in os.listdir(fd_dir) if os.path.isdir(fd_dir) else ():
         try:
-            if os.readlink(f"/proc/self/fd/{fd}").startswith("/dev/shm/psm_"):
+            if os.readlink(f"{fd_dir}/{fd}").startswith("/dev/shm/psm_"):
                 os.dup2(null, int(fd))
         except OSError:
-            pass  # the listing's own descriptor, gone already
+            pass  # the listing's own descriptor, closed already
     os.close(null)
 
 
@@ -346,9 +321,8 @@ def run_layers(
     When the store persists, each computed layer is committed on an
     :class:`~repro.store.pipeline.AsyncCommitter`.  A commit that fails with
     :class:`~repro.store.StoreWriteError` carries the tables into RAM
-    (:meth:`RamStore.adopt`) and finishes in the parent, dispatching
-    nothing more to the supervisor.  Skipped layers must already hold
-    trusted values.
+    (:meth:`RamStore.adopt`) and finishes in the parent, without the
+    supervisor.  Skipped layers must already hold trusted values.
 
     Layer spans, ``log`` entries and ``metrics`` are recorded here, the
     same for every caller, and this is where every host backend's
@@ -534,14 +508,11 @@ def solve_dp_parallel(
     back to the in-process kernel rather than failing the solve.  The
     recovery log lands on ``DPResult.recovery``.
 
-    ``supervisor`` lends this solve workers that outlive it (the warm
-    :class:`~repro.core.engine.SolverEngine` keeps one): used only
-    above one worker, it is bound to this solve (:meth:`Supervisor.bind`)
-    and unbound at the end, its own policy handles faults, and over
-    shared tables the solve returns copies of its results and recycles
-    the tables (:meth:`~repro.store.RamStore.recycle`).  Without one, a
-    solve above one worker builds a supervisor under ``policy`` and
-    shuts it down before returning.
+    ``supervisor`` lends the solve workers that outlive it, under their
+    own policy (the warm :class:`~repro.core.engine.SolverEngine` keeps
+    one); over shared tables such a solve returns copies of its results
+    and recycles the tables (:meth:`~repro.store.RamStore.recycle`).
+    Otherwise a solve above one worker builds its own and stops it.
 
     ``store`` selects where the tables live: ``None`` for the in-RAM
     default, a :class:`repro.store.StoreSpec` (e.g. ``kind="mmap"`` +
@@ -634,9 +605,8 @@ def solve_dp_parallel(
             valid=report.valid_layers, progress=progress,
         )
         if supervisor is not own and spec["mode"] == "shm":
-            # A stream's results leave /dev/shm (a stream that keeps them
-            # must not fill tmpfs) and its next solve of this k re-arms
-            # the tables.
+            # Results leave /dev/shm, which a stream must not fill, and
+            # the tables serve the stream's next solve of this k.
             result.cost = result.cost.copy()
             result.best_action = result.best_action.copy()
             store.recycle()

@@ -19,10 +19,8 @@ machinery that makes those failures survivable:
   retried.  Retries back off exponentially, lost children are respawned,
   and past ``max_retries`` a shard finishes on the in-process numpy
   kernel instead of raising (unless the policy says otherwise); when no
-  child can be started the rest of the solve runs in the parent.  The
-  children can outlive a solve: each solve binds the supervisor to its
-  own task and log and unbinds it at the end, when the children unmap
-  its tables, and a degraded supervisor is revived at the next;
+  child can be started the rest of the solve runs in the parent.  Lent
+  to a stream of solves, it keeps its children and revives a degraded pool;
 * :class:`SharedTables` — a leak-proof owner of the shared-memory
   blocks: ``atexit`` + SIGTERM/SIGINT guards unlink the segments even
   when the parent is torn down mid-solve, and on Linux its arrays own
@@ -266,9 +264,7 @@ class SharedTables:
             dtype = TABLE_DTYPES[key]
             if self.owned:
                 table = np.memmap(paths[key], dtype=dtype, mode="r+", shape=(n_sub,))
-                # A forked worker maps the segments its tasks name; an
-                # inherited mapping would pin these for the worker's life.
-                table._mmap.madvise(mmap.MADV_DONTFORK)
+                table._mmap.madvise(mmap.MADV_DONTFORK)  # no forked worker pins it
                 table = table.view(np.ndarray)  # still owns the mapping
                 blk.close()
             else:
@@ -380,14 +376,13 @@ class Supervisor:
 
     ``start_worker()`` starts one child and returns ``(process, pipe)``
     (used lazily, and again to replace a dead or timed-out child).  The
-    children outlive any one solve: :meth:`bind` points the supervisor at
-    a solve's ``task`` — the picklable worker function receiving ``(lo,
-    hi, layer_index, shard_index, attempt, trace)`` and returning
-    ``(shard_index, n_masks_solved)``, or, when the ``trace`` flag was
+    children outlive a solve, which :meth:`bind` points them at: its
+    ``task``, the picklable worker function receiving ``(lo, hi,
+    layer_index, shard_index, attempt, trace)`` and returning
+    ``(shard_index, n_masks_solved)`` — or, when the ``trace`` flag was
     set, ``(shard_index, n_masks_solved, raw_events)`` with the worker's
-    telemetry flushed back through the same pipe — each task names the
-    tables its child maps, and :meth:`unbind` has the children unmap
-    them when the solve ends.
+    telemetry flushed back through the same pipe — names the tables
+    they map until :meth:`unbind`.
     """
 
     def __init__(self, policy: ResiliencePolicy, start_worker):
@@ -409,12 +404,12 @@ class Supervisor:
     def bind(self, task, log: RecoveryLog, tracer=None, metrics=None) -> None:
         """Point the supervisor at the next solve's task and log.
 
-        Each solve carries its own task closure, recovery log and
-        telemetry sinks (reset to disabled when omitted, so a traced
-        solve never leaks its tracer into the next), while the children
-        persist.  A supervisor that degraded in an earlier solve is
-        revived — its children are stopped and started afresh when
-        needed — rather than pinning every later solve in-process.
+        Each solve carries its own task, recovery log and telemetry sinks
+        (disabled when omitted, so a traced solve never leaks its tracer
+        into the next); the children persist.  A pool that degraded in
+        an earlier solve is revived — its children are stopped and
+        started afresh when needed — rather than pinning every later
+        solve in-process.
         """
         self._task = task
         self.log = log
@@ -426,30 +421,26 @@ class Supervisor:
             log.event("revive")
 
     def unbind(self, release) -> None:
-        """End the bound solve: no child keeps its shard or its tables.
-
-        A child still holding a shard (the solve raised) is reaped, so
-        its reply is never taken for the next solve's.  Each idle child
-        runs ``release``, the task that unmaps its tables, and answers
-        before this returns; one that answers anything else, dies or
-        stays silent past the stop grace is reaped too, and its slot
-        starts a fresh child when next needed.
-        """
-        idle = [c for c in self._children if c is not None and c.bounds is None]
-        for child in idle:
-            try:
-                child.conn.send((release, None))
-            except OSError:
-                pass  # dead: its sentinel reports it below
+        """End the bound solve: each idle child runs ``release``, the task
+        that unmaps its tables, and answers before this returns.  A child
+        that does not answer ``(True, None)`` within the stop grace is
+        reaped, as is one still holding a shard of a solve that raised
+        (its reply must never be taken for the next solve's); the slot
+        starts a fresh child when next needed."""
+        for child in self._children:
+            if child is not None and child.bounds is None:
+                try:
+                    child.conn.send((release, None))
+                except OSError:
+                    pass  # dead: it does not answer below
         until = time.monotonic() + _STOP_GRACE
         for sid, child in enumerate(self._children):
             if child is None:
                 continue
-            answered = child in idle and connection.wait(
+            answered = child.bounds is None and connection.wait(
                 [child.conn, child.proc.sentinel], max(0.0, until - time.monotonic())
             )
-            reply = child.reply() if answered else None
-            if not isinstance(reply, tuple) or not reply[0]:
+            if not answered or child.reply() != (True, None):
                 child.reap()
                 self._children[sid] = None
 

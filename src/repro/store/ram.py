@@ -22,11 +22,9 @@ take from their own plan.  The store adds:
 * a finished solve hands its ``cost`` and ``best`` to the result instead
   of copying them: shared tables whose arrays own their mappings
   (``SharedTables.owned``, Linux) stay valid after :meth:`close` unlinks
-  the segments;
-* :meth:`recycle` instead keeps the shared tables (at most one set) for
-  the next store of the same ``k`` to re-arm, sparing it fresh
-  ``/dev/shm`` pages; a warm engine's pool solve, which copies its
-  results out, ends so.  A store of another size unlinks them first.
+  the segments.  A caller that copies them out may :meth:`recycle` the
+  store instead, keeping its tables (one set at most) for the next store
+  of their ``k`` to re-arm; a store of another size unlinks them first.
 
 A second, unshared mode (``use_shm=False``) keeps ``cost`` and ``best``
 in plain RAM and borrows ``p`` as given — every slice only reads it, and
@@ -53,15 +51,14 @@ from .journal import SlabJournal, order_digest
 __all__ = ["RamStore"]
 
 # The SharedTables RamStore.recycle kept for the next store of its size.
-_spare = None
+_spare = [None]
 _spare_lock = threading.Lock()
 
 
 def _swap_spare(tables=None):
     """Keep ``tables`` as the spare; returns the one it replaces."""
-    global _spare
     with _spare_lock:
-        old, _spare = _spare, tables
+        old, _spare[0] = _spare[0], tables
     return old
 
 
@@ -93,9 +90,7 @@ class RamStore(LayerStore):
         if self._use_shm:
             tables = _swap_spare()
             if tables is not None and getattr(tables.cost, "size", 0) != self.n_sub:
-                # Another size (or closed by the signal guard): unlinked
-                # before new pages exist.
-                tables.close()
+                tables.close()  # another size, or guard-closed: unlinked first
                 tables = None
             self._tables = tables or SharedTables(self.n_sub)
             self.cost = self._tables.cost
@@ -173,13 +168,11 @@ class RamStore(LayerStore):
         (the caller holds none of this store's arrays)."""
         tables, self._tables = self._tables, None
         self.close()
-        old = _swap_spare(tables) if tables is not None else None
-        if old is not None:
-            old.close()
+        self.drop_spare(keep=tables)
 
     @staticmethod
-    def drop_spare() -> None:
-        """Unlink the tables :meth:`recycle` kept, if any."""
-        old = _swap_spare()
+    def drop_spare(keep=None) -> None:
+        """Unlink the tables :meth:`recycle` kept, if any, keeping ``keep``."""
+        old = _swap_spare(keep)
         if old is not None:
             old.close()

@@ -164,11 +164,10 @@ class _ParallelBackend(VerifyBackend):
     below ``MIN_SHARD``, so without it the "parallel" engine would
     quietly run the in-process kernel and verify nothing.
 
-    Solves run on one warm engine: every instance is one
+    Solves run on one warm engine: each instance is one
     :func:`~repro.core.parallel.solve_dp_parallel` call, as a cold
-    parallel solve is, whose store re-arms the shared tables the last
-    instance of its ``k`` left; the engine's worker outlives the
-    instances and maps each one's tables while it is solved.
+    parallel solve is, on the tables the last one of its ``k`` left and
+    the engine's worker, which maps them while the instance is solved.
     """
 
     name = "parallel"
