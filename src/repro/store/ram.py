@@ -55,11 +55,12 @@ _spare = [None]
 _spare_lock = threading.Lock()
 
 
-def _swap_spare(tables=None):
-    """Keep ``tables`` as the spare; returns the one it replaces."""
+def _keep_spare(tables=None) -> None:
+    """Keep ``tables`` as the spare, unlinking the one it replaces."""
     with _spare_lock:
         old, _spare[0] = _spare[0], tables
-    return old
+    if old is not None:
+        old.close()
 
 
 class RamStore(LayerStore):
@@ -88,7 +89,8 @@ class RamStore(LayerStore):
         events = [] if self._journal is None else self._journal.load()
 
         if self._use_shm:
-            tables = _swap_spare()
+            with _spare_lock:
+                tables, _spare[0] = _spare[0], None
             if tables is not None and getattr(tables.cost, "size", 0) != self.n_sub:
                 tables.close()  # another size, or guard-closed: unlinked first
                 tables = None
@@ -168,11 +170,9 @@ class RamStore(LayerStore):
         (the caller holds none of this store's arrays)."""
         tables, self._tables = self._tables, None
         self.close()
-        self.drop_spare(keep=tables)
+        _keep_spare(tables)
 
     @staticmethod
-    def drop_spare(keep=None) -> None:
-        """Unlink the tables :meth:`recycle` kept, if any, keeping ``keep``."""
-        old = _swap_spare(keep)
-        if old is not None:
-            old.close()
+    def drop_spare() -> None:
+        """Unlink the tables :meth:`recycle` kept, if any."""
+        _keep_spare()
